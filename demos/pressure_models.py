@@ -30,8 +30,7 @@ def main():
     state = ThermalState(300.0)
     separations = np.array([160e-9, 300e-9, 500e-9, 750e-9])
 
-    pressures = {tag: [casimir_pressure(m, float(z), state)
-                       for z in separations]
+    pressures = {tag: casimir_pressure(m, separations, state)
                  for tag, m in models.items()}
     theory = theory_error_curve(separations)
 
@@ -40,12 +39,12 @@ def main():
         f"{z * 1e9:>9.0f} nm" for z in separations)
     print(header)
     print("-" * len(header))
-    base = np.array(pressures["impedance"])
+    base = pressures["impedance"]
     print("impedance".ljust(14) + "".join(f"{p:>12.3e}" for p in base)
           + "   (Pa)")
     for tag in ("exact impedance", "drude", "schwinger", "plasma",
                 "ideal metal"):
-        dev = (np.array(pressures[tag]) - base) / np.abs(base)
+        dev = (pressures[tag] - base) / np.abs(base)
         print(tag.ljust(14) + "".join(f"{100 * d:>+11.2f}%" for d in dev))
     print("theory error".ljust(14)
           + "".join(f"{100 * t:>11.2f}%" for t in theory)

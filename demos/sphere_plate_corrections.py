@@ -44,9 +44,11 @@ def main():
     profile = RoughnessProfile.gaussian(sigma=4e-9)
     print("roughness correction, 4 nm rms on each face")
     print(f"{'z (nm)':>8} {'smooth (Pa)':>14} {'rough (Pa)':>14} {'shift':>8}")
-    for z in np.array([160e-9, 200e-9, 300e-9, 500e-9, 750e-9]):
-        p0 = smooth(float(z))
-        p1 = roughness_corrected_pressure(smooth, profile, profile, float(z))
+    separations = np.array([160e-9, 200e-9, 300e-9, 500e-9, 750e-9])
+    smooth_p = smooth(separations)
+    rough_p = roughness_corrected_pressure(smooth, profile, profile,
+                                           separations)
+    for z, p0, p1 in zip(separations, smooth_p, rough_p):
         print(f"{z * 1e9:>8.0f} {p0:>14.4e} {p1:>14.4e} "
               f"{100 * (p1 - p0) / abs(p0):>+7.2f}%")
     print("\nthe shift decays with separation: height scatter matters "

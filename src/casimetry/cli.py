@@ -264,10 +264,8 @@ def cmd_kk(cfg: RunConfig, out: Path) -> None:
                                  unit_spec=cfg.get("kk", "optical_unit"),
                                  metal_name=table.stem, source=str(table))
     eps = PermittivityFn.from_table(dataset, drude)
-    rows = []
-    for l in range(1, l_max + 1):
-        xi = matsubara_frequency(temperature, l)
-        rows.append((xi, eps(xi)))
+    xi = [matsubara_frequency(temperature, l) for l in range(1, l_max + 1)]
+    rows = list(zip(xi, eps(np.array(xi))))
     _write_csv(out / "dispersion.csv", cfg, ("xi_rad_s", "epsilon"), rows,
                comments=(f"temperature_K = {temperature}",
                          f"source = {dataset.metal_name}"))
@@ -289,26 +287,17 @@ def cmd_pressure(cfg: RunConfig, out: Path) -> None:
     state = ThermalState(temperature)
     drude, eps = _permittivity_from_config(cfg, "pressure")
 
-    profile_a = profile_b = RoughnessProfile.flat()
-    path_a = cfg.get_path("pressure", "roughness_a")
-    path_b = cfg.get_path("pressure", "roughness_b")
-    if path_a is not None:
-        profile_a = load_roughness_profile(path_a)
-    if path_b is not None:
-        profile_b = load_roughness_profile(path_b)
-    rough = path_a is not None or path_b is not None
+    paths = [cfg.get_path("pressure", f"roughness_{side}") for side in "ab"]
+    profile_a, profile_b = (RoughnessProfile.flat() if path is None
+                            else load_roughness_profile(path) for path in paths)
+    rough = any(path is not None for path in paths)
 
     rel_err = theory_error_curve(z, confidence=confidence)
     for key in model_keys:
         model = build_model(key, drude, eps)
-        if rough:
-            def smooth(s, _m=model):
-                return casimir_pressure(_m, s, state)
-            pressure = [roughness_corrected_pressure(smooth, profile_a,
-                                                     profile_b, s)
-                        for s in z]
-        else:
-            pressure = [casimir_pressure(model, s, state) for s in z]
+        pressure = (roughness_corrected_pressure(
+            lambda s: casimir_pressure(model, s, state), profile_a, profile_b, z)
+            if rough else casimir_pressure(model, z, state))
         rows = list(zip(z, pressure, rel_err))
         _write_csv(out / f"pressure_{key}.csv", cfg,
                    ("z_m", "pressure_Pa", "rel_theory_error"), rows,

@@ -144,41 +144,46 @@ def pft_pressure(force_gradient: float, sphere: SphereGeometry) -> float:
     return -force_gradient / (2.0 * math.pi * sphere.radius)
 
 
-def roughness_corrected_pressure(pressure_fn: Callable[[float], float],
+def roughness_corrected_pressure(pressure_fn: Callable[[np.ndarray], np.ndarray],
                                  profile_a: RoughnessProfile,
                                  profile_b: RoughnessProfile,
-                                 z: float) -> float:
+                                 z):
     """Geometric average of the pressure over both height distributions.
 
     Parameters
     ----------
     pressure_fn : callable
-        Smooth-plate pressure as a function of separation, Pa.
+        Smooth-plate pressure in Pa.  It is called once, with a 1-d array
+        of every separation z + h_i + g_j, and returns an array of it.
     profile_a, profile_b : RoughnessProfile
         Height distributions of the two facing surfaces.
-    z : float
-        Mean-plane separation in meters.
+    z : float or array_like
+        Mean-plane separations in meters.
 
     Returns
     -------
-    float
-        Sum over height pairs of w_i v_j pressure_fn(z + h_i + g_j).
+    float or ndarray
+        Sum over height pairs of w_i v_j pressure_fn(z + h_i + g_j), with
+        the shape of z.
 
     Raises
     ------
     ValueError
         If any height pair closes the gap completely.
     """
-    sep = z + np.add.outer(profile_a.heights, profile_b.heights)
+    z_arr = np.asarray(z, dtype=float)
+    sep = (z_arr.reshape(-1, 1, 1)
+           + np.add.outer(profile_a.heights, profile_b.heights))
     if np.any(sep <= 0):
-        i, j = np.unravel_index(int(np.argmin(sep)), sep.shape)
+        k, i, j = np.unravel_index(int(np.argmin(sep)), sep.shape)
         raise ValueError(
             "surfaces touch: heights "
             f"({profile_a.heights[i]:.3e}, {profile_b.heights[j]:.3e}) m "
-            f"close the {z:.3e} m gap")
-    w = np.outer(profile_a.weights, profile_b.weights)
-    values = np.array([pressure_fn(float(s)) for s in sep.ravel()])
-    return float(w.ravel() @ values)
+            f"close the {z_arr.ravel()[k]:.3e} m gap")
+    w = np.outer(profile_a.weights, profile_b.weights).ravel()
+    values = np.asarray(pressure_fn(sep.ravel()), dtype=float)
+    out = values.reshape(z_arr.size, w.size) @ w
+    return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
 def load_roughness_profile(path) -> RoughnessProfile:

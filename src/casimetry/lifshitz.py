@@ -8,9 +8,10 @@ the transverse-momentum integrand decay like e^{-y} uniformly in l and z:
     f(r2) = r2 e^{-y} / (1 - r2 e^{-y}),        y_l = 2 xi_l z / c,
 
 and the free energy uses the weight y ln(1 - r2 e^{-y}) with a 1/(8 pi z^2)
-prefactor.  Terms with y_l below 0.5 get individually graded panels (the
-integrand varies on the scale y_l near threshold); the remaining terms are
-evaluated in one vectorized block.  Truncation tails in both l and y are
+prefactor.  One call takes an array of separations: every l >= 1 term of
+every z is a (z, l) row, evaluated in vectorized blocks and summed back per
+z.  At l = 0 a channel with r2 = 1 or 0 is a closed form (2 zeta(3) or 0;
+-zeta(3) or 0 for the free energy).  Truncation tails in both l and y are
 bounded with the r2 <= 1 majorant and reported, never silently dropped.
 """
 
@@ -18,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from casimetry.constants import C_LIGHT, HBAR, K_B
-from casimetry.optics import PermittivityFn
+from casimetry.optics import PermittivityFn, _leggauss
 
 __all__ = [
     "KINDS",
@@ -57,8 +57,8 @@ class ConvergenceError(RuntimeError):
 
 def matsubara_frequency(temperature: float, l: int) -> float:
     """xi_l = 2 pi k_B T l / hbar in rad/s."""
-    if not temperature > 0.0:
-        raise ValueError("temperature must be positive")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError("temperature must be positive and finite")
     if l < 0 or l != int(l):
         raise ValueError("l must be a non-negative integer")
     return 2.0 * math.pi * K_B * temperature * l / HBAR
@@ -70,8 +70,8 @@ def default_l_max(temperature: float, z: float, y_target: float = 30.0) -> int:
     At y = 30 the geometric l-tail is below 1e-9 of the sum for every
     implemented model.
     """
-    if not z > 0.0:
-        raise ValueError("z must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValueError("z must be positive and finite")
     xi1 = matsubara_frequency(temperature, 1)
     return max(1, math.ceil(y_target * C_LIGHT / (2.0 * z * xi1)))
 
@@ -88,8 +88,8 @@ class ThermalState:
     quad_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
         if self.l_max is not None and self.l_max < 1:
             raise ValueError("l_max must be >= 1")
         if not self.quad_tol > 0.0:
@@ -243,9 +243,14 @@ def reflection_sq(model: ReflectionModel, xi_l: float, k_perp, l: int):
 # ---------------------------------------------------------------------------
 # quadrature engine
 
-@lru_cache(maxsize=8)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+# l = 0 integral of one channel with r2 = 1 over [0, inf): Gamma(3) zeta(3)
+# with the pressure weight, -zeta(3) with the free-energy weight
+_ZETA3 = 1.2020569031595942
+_UNIT_CHANNEL = {"pressure": 2.0 * _ZETA3, "free_energy": -_ZETA3}
+
+# rows or panels per vectorized step: bounds the working arrays and keeps
+# them in cache (about twice as fast as steps of 2048)
+_BLOCK_ROWS = 512
 
 
 def _panel_values(weight: str, y, rp2, rt2):
@@ -270,90 +275,98 @@ def _graded_edges(y_start: float) -> list[float]:
         while lead[-1] < 2.0:
             lead.append(lead[-1] + step)
             step *= 1.8
-    edges = lead + [e for e in coarse if e > lead[-1] + 1e-12]
-    return edges
+    return lead + [e for e in coarse if e > lead[-1] + 1e-12]
 
 
-def _panel_quad(weight, rsq_of, a, b, quad_tol):
-    """One panel with embedded 12/24 error estimate, escalating to 48."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    results = []
-    for order in (12, 24):
+def _panel_integrals(weight, edges, rsq_of, quad_tol, refine):
+    """Per-row integrals and error estimates over edges (rows, panels + 1).
+
+    rsq_of(y, rows) gives (r_par^2, r_perp^2) at nodes y (n, order) of the
+    given rows.  Each panel takes a 12/24-node Gauss-Legendre pair; with
+    refine, a panel whose pair disagrees is redone with 48 nodes.
+    """
+    n_panels = edges.shape[1] - 1
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    rows = np.repeat(np.arange(edges.shape[0]), n_panels)
+
+    def gauss(order, panels=slice(None)):
         x, w = _leggauss(order)
-        y = mid + half * x
-        rp2, rt2 = rsq_of(y)
-        results.append(half * float(np.sum(w * _panel_values(weight, y, rp2, rt2))))
-    err = abs(results[1] - results[0])
-    value = results[1]
-    if err > max(1e-16, 1e-3 * quad_tol * (abs(value) + 1e-3)):
-        x, w = _leggauss(48)
-        y = mid + half * x
-        rp2, rt2 = rsq_of(y)
-        refined = half * float(np.sum(w * _panel_values(weight, y, rp2, rt2)))
-        err = abs(refined - value)
-        value = refined
-    return value, err
+        half, mid, owner = 0.5 * (b - a)[panels], 0.5 * (b + a)[panels], rows[panels]
+        out = np.empty(half.size)
+        for lo in range(0, half.size, _BLOCK_ROWS):
+            part = slice(lo, lo + _BLOCK_ROWS)
+            y = mid[part, None] + half[part, None] * x
+            out[part] = half[part] * (
+                _panel_values(weight, y, *rsq_of(y, owner[part])) @ w)
+        return out
+
+    value = gauss(24)
+    err = np.abs(value - gauss(12))
+    bad = np.nonzero(refine & (err > np.maximum(
+        1e-16, 1e-3 * quad_tol * (np.abs(value) + 1e-3))))[0]
+    if bad.size:
+        refined = gauss(48, bad)
+        err[bad] = np.abs(refined - value[bad])
+        value[bad] = refined
+    return (value.reshape(-1, n_panels).sum(axis=1),
+            err.reshape(-1, n_panels).sum(axis=1))
 
 
-def _integral_one(kind, y_l, eps_l, y_p, weight, zero_mode, quad_tol):
-    """Single-l integral over [start, Y_MAX] with graded panels."""
-    if zero_mode:
-        def rsq_of(y):
-            return _r_sq_zero(kind, y, y_p)
-    else:
-        def rsq_of(y):
-            return _r_sq_thermal(kind, y, y_l, eps_l)
-    total = 0.0
-    err = 0.0
-    edges = _graded_edges(0.0 if zero_mode else y_l)
-    for a, b in zip(edges[:-1], edges[1:]):
-        value, panel_err = _panel_quad(weight, rsq_of, a, b, quad_tol)
-        total += value
-        err += panel_err
-    return total, err
-
-
-# fractional panel positions between y_l and Y_MAX for the vectorized block
+# fractional panel positions between y_l and Y_MAX for rows with y_l >= 0.5
 _BLOCK_FRACTIONS = np.array(
     [0.0, 0.008, 0.02, 0.045, 0.09, 0.16, 0.27, 0.42, 0.62, 0.8, 1.0])
 
 
-def _integral_block(kind, y_ls, eps_arr, weight, quad_tol):
-    """Vectorized integrals for all l with y_l >= 0.5, plus per-l error."""
-    span = _Y_MAX - y_ls
-    y_col = y_ls[:, None]
-    eps_col = eps_arr[:, None] if eps_arr is not None else None
-    sums = []
-    for order in (12, 24):
-        x, w = _leggauss(order)
-        acc = np.zeros_like(y_ls)
-        for f_lo, f_hi in zip(_BLOCK_FRACTIONS[:-1], _BLOCK_FRACTIONS[1:]):
-            a = y_ls + f_lo * span
-            b = y_ls + f_hi * span
-            half = 0.5 * (b - a)
-            mid = 0.5 * (b + a)
-            y = mid[:, None] + half[:, None] * x[None, :]
-            rp2, rt2 = _r_sq_thermal(kind, y, y_col, eps_col)
-            acc = acc + half * (_panel_values(weight, y, rp2, rt2) @ w)
-        sums.append(acc)
-    values = sums[1]
-    errs = np.abs(sums[1] - sums[0])
-    bad = errs > np.maximum(1e-15, 1e-2 * quad_tol * (np.abs(values) + 1e-3))
-    for idx in np.nonzero(bad)[0]:
-        eps_l = eps_arr[idx] if eps_arr is not None else None
-        values[idx], errs[idx] = _integral_one(
-            kind, float(y_ls[idx]), eps_l, 0.0, weight, False, quad_tol)
+def _thermal_integrals(kind, y_ls, eps_arr, weight, quad_tol):
+    """Integrals over [y_l, Y_MAX] of l >= 1 rows, plus per-row error.
+
+    Rows with y_l >= 0.5 run on fixed fractional panels; rows below it (the
+    integrand varies on the scale y_l) and rows that miss the tolerance
+    there run on graded panels, batched by panel count.
+    """
+    def rsq_for(sel):
+        y_sel, eps_sel = y_ls[sel], eps_arr[sel]
+        return lambda y, rows: _r_sq_thermal(kind, y, y_sel[rows, None],
+                                             eps_sel[rows, None])
+
+    values, errs = np.zeros_like(y_ls), np.zeros_like(y_ls)
+    fixed = np.nonzero(y_ls >= 0.5)[0]
+    edges = y_ls[fixed, None] + _BLOCK_FRACTIONS * (_Y_MAX - y_ls[fixed, None])
+    values[fixed], errs[fixed] = _panel_integrals(weight, edges, rsq_for(fixed),
+                                                  quad_tol, False)
+    redo = np.nonzero((y_ls < 0.5) | (errs > np.maximum(
+        1e-15, 1e-2 * quad_tol * (np.abs(values) + 1e-3))))[0]
+    graded = [_graded_edges(y) for y in y_ls[redo].tolist()]
+    counts = np.array([len(e) for e in graded])
+    for count in np.unique(counts):
+        sel = redo[counts == count]
+        values[sel], errs[sel] = _panel_integrals(
+            weight, np.array([e for e in graded if len(e) == count]),
+            rsq_for(sel), quad_tol, True)
     return values, errs
+
+
+def _zero_frequency_term(kind, y_p, weight, quad_tol):
+    """I_0 and its error estimate for every separation; y_p = 2 z omega_p / c.
+
+    TM (r2 = 1) and the TE channel of the ideal, Schwinger and Drude rules
+    are closed forms; only the plasma-like TE channel needs graded panels.
+    """
+    unit = _UNIT_CHANNEL[weight]
+    channels = {"IdealMetal": 2, "LifshitzSchwinger": 2, "LifshitzDrude": 1}
+    if kind in channels:
+        return np.full_like(y_p, channels[kind] * unit), np.zeros_like(y_p)
+    te, err = _panel_integrals(
+        weight, np.tile(_graded_edges(0.0), (y_p.size, 1)),
+        lambda y, rows: (np.zeros_like(y), _r_sq_zero(kind, y, y_p[rows, None])[1]),
+        quad_tol, True)
+    return unit + te, err
 
 
 def _cutoff_remainder(weight, y_cut):
     """Majorant of the dropped y > y_cut piece, valid for any r2 <= 1."""
     e = np.exp(-y_cut)
-    if weight == "pressure":
-        poly = y_cut * (y_cut + 2.0) + 2.0
-    else:
-        poly = y_cut + 1.0
+    poly = y_cut * (y_cut + 2.0) + 2.0 if weight == "pressure" else y_cut + 1.0
     return 2.0 * poly * e / (1.0 - e)
 
 
@@ -362,7 +375,7 @@ class EngineDiagnostics:
     """Truncation and quadrature bookkeeping for one evaluation.
 
     tail_bound and quad_error carry the units of the result (Pa for
-    pressures, J/m^2 for free energies).
+    pressures, J/m^2 for free energies).  Fields follow the shape of z.
     """
 
     l_max: int
@@ -370,112 +383,105 @@ class EngineDiagnostics:
     quad_error: float
 
 
-def _lifshitz_sum(model: ReflectionModel, z: float, state: ThermalState,
+def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
                   weight: str):
-    temperature = state.temperature
+    """Scaled sums (acc, l_max, tail, err), arrays over the 1-d array z."""
     tol = state.quad_tol
-    l_max = state.l_max if state.l_max is not None else default_l_max(temperature, z)
-    xi1 = matsubara_frequency(temperature, 1)
+    l_max = np.array([state.l_max or default_l_max(state.temperature, s)
+                      for s in z.tolist()], dtype=int)
+    xi1 = matsubara_frequency(state.temperature, 1)
     y1 = 2.0 * z * xi1 / C_LIGHT
-    y_p = 2.0 * z * model.omega_p / C_LIGHT
     kind = model.kind
 
-    ls = np.arange(1, l_max + 1)
-    y_ls = y1 * ls
-    keep = y_ls < _Y_MAX - 1.0  # terms beyond the y cutoff are pure tail
-    y_ls = y_ls[keep]
-    if kind != "IdealMetal":
-        eps_arr = np.atleast_1d(np.asarray(
-            model.permittivity(xi1 * ls[keep]), dtype=float))
-    else:
-        eps_arr = None
+    # rows l = 1..n per separation; terms beyond the y cutoff are pure tail
+    n_rows = np.minimum(l_max, np.floor((_Y_MAX - 1.0) / y1) + 1).astype(int)
+    zi = np.repeat(np.arange(z.size), n_rows)
+    ls = np.arange(zi.size) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows) + 1
+    y_ls = y1[zi] * ls
+    keep = y_ls < _Y_MAX - 1.0
+    zi, ls, y_ls = zi[keep], ls[keep], y_ls[keep]
+    eps_arr = np.ones_like(y_ls)  # never read by the ideal metal's r2 = 1
+    if kind != "IdealMetal" and ls.size:
+        eps_arr = model.permittivity(xi1 * np.arange(1, ls.max() + 1))[ls - 1]
 
-    value0, err0 = _integral_one(kind, 0.0, None, y_p, weight, True, tol)
-    acc = 0.5 * value0
-    err = 0.5 * err0
-    remainder = 0.5 * _cutoff_remainder(weight, _Y_MAX)
-
-    small = y_ls < 0.5
-    for idx in np.nonzero(small)[0]:
-        eps_l = eps_arr[idx] if eps_arr is not None else None
-        value, e = _integral_one(kind, float(y_ls[idx]), eps_l, 0.0, weight,
-                                 False, tol)
-        acc += value
-        err += e
-    n_small = int(np.count_nonzero(small))
-    remainder += n_small * _cutoff_remainder(weight, _Y_MAX)
-
-    big = np.nonzero(~small)[0]
-    for chunk in np.array_split(big, max(1, math.ceil(big.size / 2048))):
-        if chunk.size == 0:
-            continue
-        eps_chunk = eps_arr[chunk] if eps_arr is not None else None
-        values, errs = _integral_block(kind, y_ls[chunk], eps_chunk, weight, tol)
-        acc += float(np.sum(values))
-        err += float(np.sum(errs))
-    remainder += big.size * _cutoff_remainder(weight, _Y_MAX)
-    err += remainder
+    values, errs = np.empty_like(y_ls), np.empty_like(y_ls)
+    for lo in range(0, y_ls.size, _BLOCK_ROWS):
+        part = slice(lo, lo + _BLOCK_ROWS)
+        values[part], errs[part] = _thermal_integrals(
+            kind, y_ls[part], eps_arr[part], weight, tol)
+    value0, err0 = _zero_frequency_term(kind, 2.0 * z * model.omega_p / C_LIGHT,
+                                        weight, tol)
+    acc = 0.5 * value0 + np.bincount(zi, values, minlength=z.size)
+    err = (0.5 * err0 + np.bincount(zi, errs, minlength=z.size)
+           + (0.5 + np.bincount(zi, minlength=z.size))
+           * _cutoff_remainder(weight, _Y_MAX))
 
     # geometric bound on the dropped l > l_max terms
     g1 = _cutoff_remainder(weight, y1 * (l_max + 1))
     g2 = _cutoff_remainder(weight, y1 * (l_max + 2))
-    ratio = g2 / g1 if g1 > 0.0 else 0.0
-    tail = g1 / (1.0 - ratio) if ratio < 1.0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(g1 > 0.0, g2 / g1, 0.0)
+        tail = np.where(ratio < 1.0, g1 / (1.0 - ratio), math.inf)
 
-    scale = abs(acc)
-    if tail > 10.0 * tol * scale + 1e-280:
+    # written as not (x <= bound) so that a NaN fails the guard
+    scale = np.abs(acc)
+    bound = 10.0 * tol * scale + 1e-280
+    failed = np.nonzero(~(tail <= bound) | ~(err <= bound))[0]
+    if failed.size:
+        i = failed[0]
+        name, value = (("Matsubara tail bound", tail[i]) if not tail[i] <= bound[i]
+                       else ("quadrature error estimate", err[i]))
         raise ConvergenceError(
-            f"Matsubara tail bound {tail:.3e} exceeds tolerance at "
-            f"l_max={l_max} (sum magnitude {scale:.3e}); raise l_max")
-    if err > 10.0 * tol * scale + 1e-280:
-        raise ConvergenceError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance "
-            f"(sum magnitude {scale:.3e})")
+            f"{name} {value:.3e} exceeds tolerance at z={z[i]:.4e} m, "
+            f"l_max={l_max[i]} (sum magnitude {scale[i]:.3e})")
     return acc, l_max, tail, err
 
 
-def casimir_pressure(model: ReflectionModel, z: float, state: ThermalState,
+def _evaluate(model, z, state, weight, power, sign, return_diagnostics):
+    z_arr = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z_arr) & (z_arr > 0.0)):
+        raise ValueError("z must be positive and finite")
+    flat = z_arr.ravel()
+    acc, l_max, tail, err = _lifshitz_sum(model, flat, state, weight)
+    pref = K_B * state.temperature / (8.0 * math.pi * flat ** power)
+    result, *diag = (f.item() if z_arr.ndim == 0 else f.reshape(z_arr.shape)
+                     for f in (sign * pref * acc, l_max, pref * tail, pref * err))
+    return (result, EngineDiagnostics(*diag)) if return_diagnostics else result
+
+
+def casimir_pressure(model: ReflectionModel, z, state: ThermalState,
                      return_diagnostics: bool = False):
     """Lifshitz pressure P(z) in Pa (negative: attraction).
 
     Parameters
     ----------
     model : ReflectionModel
-    z : float
-        Plate separation, m, > 0.
+    z : float or array_like
+        Plate separations, m, positive and finite.  A scalar gives a
+        float; an array gives an array of its shape from one batched pass.
     state : ThermalState
         Temperature, truncation, quadrature tolerance.
     return_diagnostics : bool
         When True, also return an EngineDiagnostics with the reported
-        Matsubara tail bound and quadrature error estimate.
+        Matsubara tail bound and quadrature error estimate per point.
 
     Raises
     ------
     ConvergenceError
-        If the truncation tail or the quadrature error estimate exceeds
-        10x the requested relative tolerance.
+        If the truncation tail or the quadrature error estimate of a point
+        exceeds 10x the requested relative tolerance (the first is named).
     """
-    if not z > 0.0:
-        raise ValueError("z must be positive")
-    acc, l_max, tail, err = _lifshitz_sum(model, z, state, "pressure")
-    pref = K_B * state.temperature / (8.0 * math.pi * z ** 3)
-    pressure = -pref * acc
-    if return_diagnostics:
-        return pressure, EngineDiagnostics(l_max, pref * tail, pref * err)
-    return pressure
+    return _evaluate(model, z, state, "pressure", 3, -1.0, return_diagnostics)
 
 
-def casimir_free_energy(model: ReflectionModel, z: float, state: ThermalState,
+def casimir_free_energy(model: ReflectionModel, z, state: ThermalState,
                         return_diagnostics: bool = False):
-    """Free energy per area F(z, T) in J/m^2 (negative for all models here)."""
-    if not z > 0.0:
-        raise ValueError("z must be positive")
-    acc, l_max, tail, err = _lifshitz_sum(model, z, state, "free_energy")
-    pref = K_B * state.temperature / (8.0 * math.pi * z ** 2)
-    energy = pref * acc
-    if return_diagnostics:
-        return energy, EngineDiagnostics(l_max, pref * tail, pref * err)
-    return energy
+    """Free energy per area F(z, T) in J/m^2 (negative for all models here).
+
+    z may be a scalar or an array, as in casimir_pressure.
+    """
+    return _evaluate(model, z, state, "free_energy", 2, 1.0,
+                     return_diagnostics)
 
 
 def entropy_probe(model: ReflectionModel, z: float,
@@ -562,13 +568,13 @@ class PressureCurve:
 
 def compute_pressure_curve(model: ReflectionModel, z_values, state: ThermalState,
                            rel_theory_error=None) -> PressureCurve:
-    """Evaluate casimir_pressure on a grid and package a PressureCurve.
+    """Evaluate casimir_pressure on a grid in one call; package a PressureCurve.
 
     rel_theory_error may be None (zeros), a callable z -> fraction, or an
     array matching z_values.
     """
     z_arr = np.asarray(z_values, dtype=float)
-    pressures = np.array([casimir_pressure(model, float(z), state) for z in z_arr])
+    pressures = casimir_pressure(model, z_arr, state)
     if rel_theory_error is None:
         rel = np.zeros_like(z_arr)
     elif callable(rel_theory_error):

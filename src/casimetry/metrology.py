@@ -17,8 +17,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats

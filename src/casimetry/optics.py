@@ -361,13 +361,14 @@ def leontovich_impedance(epsilon):
     return float(out) if np.isscalar(epsilon) else out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PermittivityFn:
     """Evaluable eps(i xi) with a declared zero-frequency behavior.
 
     Every evaluation validates the output (real, >= 1); zero_frequency is
     one of "drude_like", "plasma_like", "finite" and records how eps
-    behaves as xi -> 0 without ever evaluating there.
+    behaves as xi -> 0 without ever evaluating there.  Instances are
+    immutable and hash by identity, so models built on them can be keys.
     """
 
     fn: Callable

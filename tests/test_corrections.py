@@ -121,11 +121,10 @@ class TestRoughnessAveraging:
         # sub-percent correction that falls off with separation
         a = RoughnessProfile.gaussian(2.2e-9, clip=3.0)
         b = RoughnessProfile.gaussian(3.5e-9, clip=3.0)
-        ratios = []
-        for z in (160e-9, 200e-9, 300e-9, 500e-9):
-            p0 = gold_curve.pressure_at(z)
-            p = roughness_corrected_pressure(gold_curve.pressure_at, a, b, z)
-            ratios.append(abs(p / p0 - 1.0))
+        z = np.array([160e-9, 200e-9, 300e-9, 500e-9])
+        p0 = gold_curve.pressure_at(z)
+        p = roughness_corrected_pressure(gold_curve.pressure_at, a, b, z)
+        ratios = list(np.abs(p / p0 - 1.0))
         assert ratios[0] < 0.01
         assert ratios == sorted(ratios, reverse=True)
 
@@ -134,8 +133,7 @@ class TestRoughnessAveraging:
         b = RoughnessProfile.two_point(8e-9)
         kernel = lambda s: -1.0 / s ** 4
         zs = np.linspace(160e-9, 750e-9, 12)
-        ratios = [roughness_corrected_pressure(kernel, a, b, float(z)) / kernel(float(z)) - 1
-                  for z in zs]
+        ratios = roughness_corrected_pressure(kernel, a, b, zs) / kernel(zs) - 1
         assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
 
     def test_contact_is_an_error(self):

@@ -1,0 +1,232 @@
+"""Array-in evaluation of the Lifshitz engine, its guards and invariants."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from scipy import integrate
+
+from casimetry import lifshitz
+from casimetry.cli import MODEL_KEYS, build_model
+from casimetry.corrections import RoughnessProfile, roughness_corrected_pressure
+from casimetry.lifshitz import (ConvergenceError, ReflectionModel, ThermalState,
+                                casimir_free_energy, casimir_pressure)
+from casimetry.optics import DrudeParameters, OpticalDataset, PermittivityFn
+
+GOLD = DrudeParameters(1.37e16, 5.3e13)
+EPS = PermittivityFn.from_drude(GOLD)
+MODELS = {key: build_model(key, GOLD, EPS) for key in MODEL_KEYS}
+ST300 = ThermalState(300.0)
+
+GRID80 = np.geomspace(160e-9, 750e-9, 80)
+# every separation of a 5 x 5-level roughness average at three mean gaps
+ROUGH_SEPARATIONS = (np.array([160e-9, 300e-9, 750e-9])[:, None, None]
+                     + np.add.outer(RoughnessProfile.gaussian(2.2e-9, 5).heights,
+                                    RoughnessProfile.gaussian(3.5e-9, 5).heights)
+                     ).ravel()
+
+# the engine before it took arrays (one scalar call per point), 300 K
+FROZEN_PRESSURE = {
+    "ideal": (-1.983836878626857, -0.16051142522165396, -0.004111082938298865),
+    "impedance": (-1.1000840698674552, -0.11284275681512604,
+                  -0.0035222534156135643),
+    "exact": (-1.0998445809849333, -0.11282518312027981, -0.0035221810705727114),
+    "drude": (-1.0812835684857147, -0.10812516212216229, -0.0031266666860872106),
+    "schwinger": (-1.1296484086209537, -0.1154622874997156,
+                  -0.0035962427102506234),
+    "plasma": (-1.115877262276935, -0.11410770147377285, -0.0035484780240819074),
+}
+FROZEN_FREE_ENERGY = {
+    "ideal": (-1.0581779855569269e-07, -1.6063926237269285e-08,
+              -1.039328801381315e-09),
+    "impedance": (-6.688978469260024e-08, -1.2264070059698201e-08,
+                  -9.260998017631204e-10),
+    "exact": (-6.687584038897412e-08, -1.2262955121348042e-08,
+              -9.260898293799635e-10),
+    "drude": (-6.468094243718951e-08, -1.143537396335019e-08,
+              -7.689606038800479e-10),
+    "schwinger": (-6.855012964800864e-08, -1.2535942769983188e-08,
+                  -9.450516129413278e-10),
+    "plasma": (-6.773001029606968e-08, -1.2382959287036632e-08,
+               -9.316090853605097e-10),
+}
+FROZEN_Z = np.array([160e-9, 300e-9, 750e-9])
+
+
+class TestArrayAgreesWithScalar:
+    @pytest.mark.parametrize("key", MODEL_KEYS)
+    @pytest.mark.parametrize("fn", [casimir_pressure, casimir_free_energy])
+    @pytest.mark.parametrize("z", [GRID80, ROUGH_SEPARATIONS],
+                             ids=["grid80", "roughness"])
+    def test_elementwise(self, key, fn, z):
+        model = MODELS[key]
+        values, diag = fn(model, z, ST300, return_diagnostics=True)
+        assert isinstance(values, np.ndarray) and values.shape == z.shape
+        assert diag.l_max.shape == diag.tail_bound.shape == z.shape
+        for i, s in enumerate(z):
+            value, d = fn(model, float(s), ST300, return_diagnostics=True)
+            assert values[i] == pytest.approx(value, rel=1e-12)
+            assert diag.l_max[i] == d.l_max
+            assert diag.tail_bound[i] == pytest.approx(d.tail_bound, rel=1e-12)
+        assert np.all(diag.quad_error <= 10 * ST300.quad_tol * np.abs(values))
+
+    def test_scalar_returns_python_floats(self):
+        p, diag = casimir_pressure(MODELS["impedance"], 300e-9, ST300,
+                                   return_diagnostics=True)
+        assert type(p) is float
+        assert type(diag.l_max) is int
+        assert type(diag.tail_bound) is float and type(diag.quad_error) is float
+        assert type(casimir_free_energy(MODELS["drude"], 300e-9, ST300)) is float
+
+    def test_shape_is_kept(self):
+        z = GRID80[:12].reshape(3, 4)
+        p = casimir_pressure(MODELS["plasma"], z, ST300)
+        assert p.shape == (3, 4)
+        np.testing.assert_array_equal(
+            p.ravel(), casimir_pressure(MODELS["plasma"], z.ravel(), ST300))
+
+
+class TestFrozenParentValues:
+    @pytest.mark.parametrize("key", MODEL_KEYS)
+    def test_pressure(self, key):
+        p = casimir_pressure(MODELS[key], FROZEN_Z, ST300)
+        np.testing.assert_allclose(p, FROZEN_PRESSURE[key], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("key", MODEL_KEYS)
+    def test_free_energy(self, key):
+        f = casimir_free_energy(MODELS[key], FROZEN_Z, ST300)
+        np.testing.assert_allclose(f, FROZEN_FREE_ENERGY[key], rtol=1e-9, atol=0)
+
+
+class TestZeroFrequencyClosedForms:
+    def test_constants_match_independent_quadrature(self):
+        # one l = 0 channel with r2 = 1: int_0^inf y^2 e^-y / (1 - e^-y) dy
+        # and int_0^inf y ln(1 - e^-y) dy
+        pressure, _ = integrate.quad(
+            lambda y: y * y * math.exp(-y) / -math.expm1(-y), 0.0, math.inf,
+            epsabs=0.0, epsrel=1e-13, limit=200)
+        energy, _ = integrate.quad(
+            lambda y: y * math.log(-math.expm1(-y)), 0.0, math.inf,
+            epsabs=0.0, epsrel=1e-13, limit=200)
+        assert lifshitz._UNIT_CHANNEL["pressure"] == pytest.approx(pressure,
+                                                                   rel=1e-12)
+        assert lifshitz._UNIT_CHANNEL["free_energy"] == pytest.approx(energy,
+                                                                      rel=1e-12)
+
+    def test_free_energy_static_te_term(self):
+        # Schwinger minus Drude isolates one unit l = 0 channel; with the
+        # free-energy weight and the factor 1/2 of the l = 0 term it is
+        # -zeta(3)/2 in units of k_B T / (8 pi z^2)
+        z = np.array([230e-9, 600e-9])
+        diff = (casimir_free_energy(MODELS["schwinger"], z, ST300)
+                - casimir_free_energy(MODELS["drude"], z, ST300))
+        pref = lifshitz.K_B * 300.0 / (8.0 * math.pi * z ** 2)
+        np.testing.assert_allclose(diff / pref, -0.5 * 1.2020569031595942,
+                                   rtol=1e-8)
+
+
+class TestGuards:
+    def test_failing_point_in_array_is_named(self):
+        z = np.array([10e-6, 160e-9, 12e-6])
+        with pytest.raises(ConvergenceError, match=r"z=1\.6000e-07 m"):
+            casimir_pressure(MODELS["impedance"], z, ThermalState(300.0, l_max=3))
+        # the other two points converge on their own
+        casimir_pressure(MODELS["impedance"], z[[0, 2]],
+                         ThermalState(300.0, l_max=3))
+
+    def test_nan_sum_fails_the_guards(self):
+        # eps at the top of the float range overflows the coefficients to
+        # NaN; a NaN error estimate must not pass a comparison
+        top = PermittivityFn(lambda xi: np.full_like(xi, 1.7e308), "finite",
+                             label="top")
+        model = ReflectionModel.lifshitz_drude(top)
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            casimir_pressure(model, 300e-9, ST300)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1e-7])
+    def test_scalar_separation_rejected(self, bad):
+        with pytest.raises(ValueError):
+            casimir_pressure(MODELS["ideal"], bad, ST300)
+        with pytest.raises(ValueError):
+            casimir_free_energy(MODELS["drude"], bad, ST300)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    def test_array_separation_rejected(self, bad):
+        z = np.array([160e-9, bad, 300e-9])
+        with pytest.raises(ValueError):
+            casimir_pressure(MODELS["impedance"], z, ST300)
+        with pytest.raises(ValueError):
+            casimir_free_energy(MODELS["impedance"], z, ST300)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -300.0])
+    def test_temperature_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ThermalState(bad)
+        with pytest.raises(ValueError):
+            lifshitz.matsubara_frequency(bad, 1)
+
+
+class TestHashableModels:
+    def test_every_cli_model_hashes(self):
+        omega = np.geomspace(1e14, 1e17, 40)
+        nk = np.sqrt(1.0 - GOLD.omega_p ** 2 / (omega * (omega + 1j * GOLD.gamma)))
+        table = PermittivityFn.from_table(
+            OpticalDataset(omega, nk.real, nk.imag), GOLD)
+        for eps in (EPS, table):
+            models = [build_model(key, GOLD, eps) for key in MODEL_KEYS]
+            cache = {model: key for model, key in zip(models, MODEL_KEYS)}
+            assert len(cache) == len(MODEL_KEYS)
+            assert all(cache[model] == key
+                       for model, key in zip(models, MODEL_KEYS))
+
+    def test_permittivity_is_frozen(self):
+        with pytest.raises(AttributeError):
+            EPS.label = "changed"
+
+
+class TestRoughnessBatch:
+    def test_one_engine_call_for_every_separation(self):
+        a = RoughnessProfile.gaussian(2.2e-9, 5)
+        b = RoughnessProfile.gaussian(3.5e-9, 4)
+        z = np.array([160e-9, 300e-9, 750e-9])
+        calls = []
+
+        def smooth(s):
+            calls.append(s.shape)
+            return casimir_pressure(MODELS["drude"], s, ST300)
+
+        batched = roughness_corrected_pressure(smooth, a, b, z)
+        assert calls == [(z.size * 5 * 4,)]
+        for zi, p in zip(z, batched):
+            assert p == pytest.approx(
+                roughness_corrected_pressure(smooth, a, b, float(zi)), rel=1e-12)
+
+
+# strictly increasing separations, at least 0.1 % apart, 100 nm to ~20 um
+z_grids = st.builds(
+    lambda start, steps: start * np.exp(np.cumsum([0.0, *steps])),
+    st.floats(100e-9, 1e-6),
+    st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=5))
+
+
+class TestProperties:
+    @given(z=z_grids, key=st.sampled_from(MODEL_KEYS))
+    def test_magnitude_falls_strictly_and_stays_below_ideal(self, z, key):
+        # 0 <= r2 <= 1 and f(r2) grows with r2, so no model exceeds r2 = 1
+        p = casimir_pressure(MODELS[key], z, ST300)
+        assert np.all(p < 0.0)
+        assert np.all(np.diff(np.abs(p)) < 0.0)
+        assert np.all(np.abs(p) <= np.abs(casimir_pressure(MODELS["ideal"], z,
+                                                           ST300)))
+
+    @given(z=z_grids)
+    def test_static_term_ordering(self, z):
+        # the l >= 1 terms of Drude and Schwinger are identical and the
+        # static TE channel is 0 against 1; the ideal metal has r2 = 1
+        # everywhere and f(r2) grows with r2
+        drude = np.abs(casimir_pressure(MODELS["drude"], z, ST300))
+        schwinger = np.abs(casimir_pressure(MODELS["schwinger"], z, ST300))
+        ideal = np.abs(casimir_pressure(MODELS["ideal"], z, ST300))
+        assert np.all(drude <= schwinger)
+        assert np.all(schwinger <= ideal)
