@@ -364,18 +364,25 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
                      for tag, item in details.items()}})
 
 
-def _load_band_csv(path: Path, fallback_confidence: float) -> ConfidenceBand:
-    """Read a band written by the exclusion command."""
-    confidence = fallback_confidence
-    z = []
-    hw = []
+def _load_band_csv(path: Path, fallback: float) -> ConfidenceBand:
+    """Read a band; only a ``# confidence = <level>`` comment sets it."""
+    stated, z, hw = None, [], []
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if "confidence" in line and "=" in line:
-                confidence = float(line.split("=", 1)[1])
+            key, _, value = line[1:].partition("=")
+            if key.strip() != "confidence":
+                continue
+            try:
+                level = float(value)
+            except ValueError:
+                level = None
+            if level not in (0.95, 0.99) or stated not in (None, level):
+                raise ValueError(f"{path}:{lineno}: bad or conflicting "
+                                 f"confidence {value.strip()!r}")
+            stated = level
             continue
         if line.replace(" ", "") == "z_m,half_width_Pa":
             continue
@@ -386,7 +393,7 @@ def _load_band_csv(path: Path, fallback_confidence: float) -> ConfidenceBand:
         hw.append(float(parts[1]))
     if len(z) < 2:
         raise ValueError(f"{path}: need at least two band rows")
-    return ConfidenceBand(np.asarray(z), np.asarray(hw), confidence)
+    return ConfidenceBand(np.asarray(z), np.asarray(hw), stated or fallback)
 
 
 def cmd_constraints(cfg: RunConfig, out: Path) -> None:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .corrections import SphereGeometry
 from .lifshitz import PressureCurve
@@ -62,8 +61,9 @@ DEFAULT_N_SETS = 14
 DEFAULT_POINTS_PER_SET = 290
 DEFAULT_SEED = 7
 
-_CONFIDENCES = (0.95, 0.99)
-_Q95 = stats.norm.ppf(0.975)
+# two-sided normal quantiles ndtri((1 + c) / 2), bit-equal to scipy's
+_NORMAL_Q = {0.95: 1.959963984540054, 0.99: 2.5758293035489004}
+_CONFIDENCES = tuple(_NORMAL_Q)
 
 # exclusion windows: half-width, minimum occupancy, outside-fraction rule
 WINDOW_HALF_WIDTH = 15e-9
@@ -94,13 +94,18 @@ def default_point_sigma(z):
     for amp, zc, w in _SCATTER_RISE:
         rise = rise + amp / (1.0 + np.exp(-(z - zc) / w))
     pct = np.sqrt(_SCATTER_BASE ** 2 + rise ** 2)
-    out = pct / 100.0 / _Q95
+    out = pct / 100.0 / _NORMAL_Q[0.95]
     return float(out) if out.ndim == 0 else out
 
 
 def _check_confidence(confidence):
     if confidence not in _CONFIDENCES:
         raise ValueError(f"confidence must be one of {_CONFIDENCES}")
+
+
+def _student_q(q, dof):
+    from scipy.special import stdtrit   # only Student-t paths load scipy
+    return stdtrit(dof, q)
 
 
 def _combine(half_widths, rule="quantile"):
@@ -162,9 +167,9 @@ class ErrorComponent:
         _check_confidence(confidence)
         v = self.value_at(z)
         if self.distribution == "normal":
-            return stats.norm.ppf((1 + confidence) / 2) * v
+            return _NORMAL_Q[confidence] * v
         if self.distribution == "student":
-            return stats.t.ppf((1 + confidence) / 2, self.dof) * v
+            return _student_q((1 + confidence) / 2, self.dof) * v
         return confidence * v   # quantile of a centered uniform
 
 
@@ -313,9 +318,7 @@ def detect_outlying_set(ensemble: MeasurementEnsemble,
     binned = bin_ensemble(ensemble)
     z, p, set_idx = ensemble.all_points()
     idx = _bin_index(z, ensemble.z_range, ensemble.bin_width)
-    # map bin id -> row in binned stats
-    order = {b: i for i, b in enumerate(np.unique(idx))}
-    rows = np.array([order[b] for b in idx])
+    rows = np.searchsorted(np.unique(idx), idx)   # bin id -> binned row
     scale = np.sqrt(binned.variance[rows])
     mean = binned.pressure_mean[rows]
     ok = np.isfinite(scale) & (scale > 0)
@@ -334,7 +337,7 @@ def detect_outlying_set(ensemble: MeasurementEnsemble,
         i_worst = int(np.argmax(np.abs(vals - vals.mean())))
         g = abs(vals[i_worst] - vals.mean()) / sd
         n = len(vals)
-        t = stats.t.ppf(1 - significance / (2 * n), n - 2)
+        t = _student_q(1 - significance / (2 * n), n - 2)
         g_crit = (n - 1) / math.sqrt(n) * math.sqrt(t * t / (n - 2 + t * t))
         if g <= g_crit:
             break
@@ -415,12 +418,11 @@ def random_error_curve(binned: BinnedStatistics, confidence: float,
     good = np.isfinite(s_sm) & (binned.dof >= 1)
     if not good.any():
         raise ValueError("no bins with a defined variance")
-    q = (1 + confidence) / 2
     if kind == "mean":
-        hw = (stats.t.ppf(q, binned.dof[good]) * s_sm[good]
+        hw = (_student_q((1 + confidence) / 2, binned.dof[good]) * s_sm[good]
               / np.sqrt(binned.count[good]))
     else:
-        hw = stats.norm.ppf(q) * s_sm[good]
+        hw = _NORMAL_Q[confidence] * s_sm[good]
     return ErrorCurve(binned.z[good], hw)
 
 
@@ -447,8 +449,8 @@ def theory_error_curve(z, sphere: SphereGeometry = DEFAULT_SPHERE,
     hws = [confidence * (z / sphere.radius),
            confidence * optical_rel + 0.0 * z]
     if include_separation_term:
-        sigma = (4.0 * dz / z) / _Q95
-        hws.append(stats.norm.ppf((1 + confidence) / 2) * sigma)
+        sigma = (4.0 * dz / z) / _NORMAL_Q[0.95]
+        hws.append(_NORMAL_Q[confidence] * sigma)
     return _combine(hws, rule="quantile")
 
 
@@ -556,24 +558,15 @@ def exclusion_test(differences, band: ConfidenceBand,
     z = d[:, 0]
     outside = np.abs(d[:, 1]) > band.half_width_at(z)
     order = np.argsort(z, kind="stable")
-    zo, oo = z[order], outside[order]
-    flags = np.zeros(band.z.size, dtype=bool)
-    for i, c in enumerate(band.z):
-        i0, i1 = np.searchsorted(zo, [c - WINDOW_HALF_WIDTH,
-                                      c + WINDOW_HALF_WIDTH])
-        if i1 - i0 >= MIN_WINDOW_POINTS:
-            flags[i] = oo[i0:i1].mean() > 0.5
-    windows = []
-    i = 0
-    while i < flags.size:
-        if flags[i]:
-            j = i
-            while j + 1 < flags.size and flags[j + 1]:
-                j += 1
-            windows.append((float(band.z[i]), float(band.z[j])))
-            i = j + 1
-        else:
-            i += 1
+    zo, n_below = z[order], np.concatenate(([0], np.cumsum(outside[order])))
+    i0 = np.searchsorted(zo, band.z - WINDOW_HALF_WIDTH)
+    i1 = np.searchsorted(zo, band.z + WINDOW_HALF_WIDTH)
+    flags = ((i1 - i0 >= MIN_WINDOW_POINTS)
+             & (2 * (n_below[i1] - n_below[i0]) > i1 - i0))
+    # maximal runs of flagged grid points: [start, stop) pairs
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], flags, [0]))))
+    windows = [(float(band.z[a]), float(band.z[b - 1]))
+               for a, b in zip(edges[::2], edges[1::2])]
     n_out = int(outside.sum())
     frac = n_out / len(outside)
     accepted = not windows and frac <= 2.0 * (1.0 - band.confidence)
@@ -722,7 +715,7 @@ def generate_synthetic_ensemble(model=None, noise: ErrorBudget = None,
     for s in range(n_sets):
         rng = np.random.default_rng([seed, s])
         z_rec = np.sort(rng.uniform(lo, hi, points_per_set))
-        delta = rng.normal(0.0, z_jitter / _Q95, points_per_set)
+        delta = rng.normal(0.0, z_jitter / _NORMAL_Q[0.95], points_per_set)
         z_true = np.clip(z_rec - delta, curve.z[0], curve.z[-1])
         p0 = curve.pressure_at(z_true)
         rel = np.zeros(points_per_set)

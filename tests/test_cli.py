@@ -8,11 +8,16 @@ compared with library-level results.
 import filecmp
 import json
 import math
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from casimetry.cli import RunConfig, load_run_config, main
+from casimetry.cli import RunConfig, _load_band_csv, load_run_config, main
 from casimetry.hypforce import load_constraint_csv
 from casimetry.lifshitz import matsubara_frequency
 from casimetry.metrology import load_ensemble_csv, theory_error_curve
@@ -404,3 +409,111 @@ class TestConstraintsCommand:
     def test_needs_band_or_sigma(self, tmp_path, capsys):
         assert main(["constraints", "--out", str(tmp_path)]) == 1
         assert "band_file or sigma_Pa" in capsys.readouterr().err
+
+
+class TestBandFile:
+    """Only a comment keyed exactly `confidence` sets a band's level."""
+
+    @staticmethod
+    def band(tmp_path, *comments):
+        path = tmp_path / "band.csv"
+        path.write_text("".join(f"# {c}\n" for c in comments)
+                        + "z_m,half_width_Pa\n1.6e-07,1e-03\n7.5e-07,2e-04\n")
+        return path
+
+    def test_exclusion_band_keeps_its_level(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[exclusion]\ntested = impedance\nconfidence = 0.99\n"
+                       "n_sets = 2\npoints_per_set = 60\n")
+        assert main(["exclusion", "--config", str(ini),
+                     "--out", str(tmp_path)]) == 0
+        band = _load_band_csv(tmp_path / "band_impedance.csv", 0.95)
+        assert band.confidence == 0.99
+        assert band.z.size > 2
+
+    def test_confidence_comment_sets_level(self, tmp_path):
+        path = self.band(tmp_path, "config_hash: abc", "confidence = 0.99")
+        assert _load_band_csv(path, 0.95).confidence == 0.99
+        assert _load_band_csv(self.band(tmp_path), 0.99).confidence == 0.99
+
+    def test_other_keys_are_ignored(self, tmp_path):
+        path = self.band(tmp_path, "prior_confidence = 0.99",
+                         "confidence interval used: 95 % = 2 sigma")
+        assert _load_band_csv(path, 0.95).confidence == 0.95
+
+    def test_same_level_may_repeat(self, tmp_path):
+        path = self.band(tmp_path, "confidence = 0.99", "confidence=0.99")
+        assert _load_band_csv(path, 0.95).confidence == 0.99
+
+    @pytest.mark.parametrize("value", ["high", "", "0.9", "nan"])
+    def test_bad_level_names_the_line(self, tmp_path, value):
+        path = self.band(tmp_path, "config_hash: abc", f"confidence = {value}")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+            _load_band_csv(path, 0.95)
+
+    def test_conflicting_repeat_names_the_line(self, tmp_path):
+        path = self.band(tmp_path, "confidence = 0.95", "model = x",
+                         "confidence = 0.99")
+        where = re.escape(f"{path}:3: ")
+        with pytest.raises(ValueError, match=where + ".*conflicting"):
+            _load_band_csv(path, 0.95)
+
+    def test_constraints_command_reports_it(self, tmp_path, capsys):
+        path = self.band(tmp_path, "confidence = 95 %")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[constraints]\nband_file = {path}\n")
+        assert main(["constraints", "--config", str(ini),
+                     "--out", str(tmp_path)]) == 1
+        assert f"{path}:1:" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def scipy_modules_after(script, cwd):
+    """Run `script` in a fresh interpreter; scipy modules it loaded."""
+    code = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\n"
+            + textwrap.dedent(script)
+            + "\nimport json\nprint(json.dumps(sorted(m for m in sys.modules"
+              " if m == 'scipy' or m.startswith('scipy.'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImports:
+    """No subcommand pays for scipy; only Student-t quantiles load it."""
+
+    def test_cli_jobs_load_no_scipy(self, tmp_path):
+        write_gold_table(tmp_path / "gold.dat")
+        (tmp_path / "run.ini").write_text(
+            "[kk]\noptical_table = gold.dat\nl_max = 12\n"
+            "[pressure]\nz_points = 3\n"
+            "[exclusion]\nn_sets = 3\npoints_per_set = 60\n"
+            "[constraints]\nband_file = out/band_impedance.csv\n"
+            "lambda_points = 3\n")
+        loaded = scipy_modules_after("""
+            from casimetry.cli import main
+            for command in ("kk", "pressure", "exclusion", "constraints"):
+                argv = [command, "--config", "run.ini", "--out", "out"]
+                assert main(argv) == 0, command
+            """, tmp_path)
+        assert loaded == []
+        for name in ("dispersion.csv", "pressure_impedance.csv",
+                     "verdicts.json", "constraints.csv"):
+            assert (tmp_path / "out" / name).exists(), name
+
+    def test_student_quantile_loads_scipy_special(self, tmp_path):
+        loaded = scipy_modules_after("""
+            import numpy as np
+            from casimetry import metrology as mt
+            assert "scipy" not in sys.modules
+            rows = np.column_stack([np.full(14, 300.5e-9),
+                                    -0.1 + 1e-4 * np.linspace(-1, 1, 14)])
+            ens = mt.MeasurementEnsemble((rows,), z_range=(300e-9, 301.2e-9))
+            env = mt.random_error_curve(mt.bin_ensemble(ens), 0.95, "mean")
+            assert env.half_width[0] > 0
+            """, tmp_path)
+        assert "scipy.special" in loaded
+        assert not any(m.startswith("scipy.stats") for m in loaded)

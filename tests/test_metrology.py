@@ -55,6 +55,31 @@ def single_bin_ensemble(pressures, z=300.5e-9):
     return mt.MeasurementEnsemble((rows,), z_range=(300e-9, 301.2e-9))
 
 
+class TestQuantiles:
+    """The package's quantiles equal scipy.stats bit for bit, not nearly."""
+
+    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    def test_normal_table_is_scipy_exactly(self, confidence):
+        assert mt._NORMAL_Q[confidence] == stats.norm.ppf((1 + confidence) / 2)
+
+    def test_confidences_are_the_table_keys(self):
+        assert mt._CONFIDENCES == tuple(mt._NORMAL_Q) == (0.95, 0.99)
+
+    @pytest.mark.parametrize("q", [0.975, 0.995])
+    def test_student_helper_is_scipy_exactly(self, q):
+        dof = np.arange(1, 401)
+        assert np.array_equal(mt._student_q(q, dof), stats.t.ppf(q, dof))
+        for k in (1, 2, 7, 13, 400):
+            assert mt._student_q(q, k) == stats.t.ppf(q, k)
+
+    def test_grubbs_quantile_is_scipy_exactly(self):
+        # detect_outlying_set asks for t at 1 - significance / (2 n), n - 2
+        for significance in (0.01, 0.05):
+            for n in range(3, 403):
+                q = 1 - significance / (2 * n)
+                assert mt._student_q(q, n - 2) == stats.t.ppf(q, n - 2)
+
+
 class TestErrorCombination:
 
     def test_single_normal_component(self):
@@ -538,6 +563,33 @@ class TestExclusionTest:
         d15 = np.column_stack([z, np.where(np.arange(1000) % 15 == 0,
                                            2.0, 0.0)])
         assert mt.exclusion_test(d15, band).accepted
+
+    def test_windows_match_pointwise_vote(self):
+        # three clumps of violations, the last one running off the band's
+        # upper edge; windows must be the runs of the per-point vote
+        band = self.flat_band()
+        rng = np.random.default_rng(3)
+        z = np.sort(rng.uniform(200e-9, 400e-9, 3000))
+        bad = (((z > 230e-9) & (z < 262e-9)) | ((z > 295e-9) & (z < 325e-9))
+               | (z > 372e-9)) & (rng.uniform(size=z.size) < 0.8)
+        d = np.column_stack([z, np.where(bad, 2.0, 0.0)])
+        flags = []
+        for c in band.z:
+            m = ((z >= c - mt.WINDOW_HALF_WIDTH)
+                 & (z < c + mt.WINDOW_HALF_WIDTH))
+            flags.append(m.sum() >= mt.MIN_WINDOW_POINTS
+                         and bad[m].mean() > 0.5)
+        expected, start = [], None
+        for i, f in enumerate(flags + [False]):
+            if f and start is None:
+                start = i
+            elif not f and start is not None:
+                expected.append((band.z[start], band.z[i - 1]))
+                start = None
+        v = mt.exclusion_test(d, band)
+        assert len(expected) == 3
+        assert v.excluded_windows == tuple(expected)
+        assert v.excluded_windows[-1][1] == band.z[-1]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
