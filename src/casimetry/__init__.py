@@ -4,6 +4,8 @@ The package is organised bottom-up:
 
 ``constants``
     Shared SI constants and the version tag stamped into output files.
+``io``
+    The one CSV format of every table written or read.
 ``optics``
     Tabulated optical data, Kramers-Kronig transform to the imaginary
     frequency axis, Drude/plasma permittivities, surface impedance.

@@ -48,10 +48,11 @@ from .hypforce import (
     coated_plate_stack,
     coated_sphere_stack,
     constraint_curve,
-    legacy_rms_constraint,
     load_constraint_csv,
     load_layer_stack,
+    save_constraint_csv,
 )
+from .io import read_csv, write_csv
 from .lifshitz import (
     ReflectionModel,
     ThermalState,
@@ -69,6 +70,7 @@ from .metrology import (
     ErrorComponent,
     exclusion_details,
     generate_synthetic_ensemble,
+    save_ensemble_csv,
     theory_error_curve,
 )
 from .optics import DrudeParameters, PermittivityFn, load_optical_table
@@ -179,23 +181,13 @@ def load_run_config(path=None) -> RunConfig:
 
 # ---------------------------------------------------------------- writers
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".10e")
+def _stamped(cfg: RunConfig, *comments) -> tuple:
+    return (f"config_hash: {cfg.hash()}",
+            f"constants_version: {CONSTANTS_VERSION}", *comments)
 
 
 def _write_csv(path: Path, cfg: RunConfig, columns, rows, comments=()):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash: {cfg.hash()}\n")
-        fh.write(f"# constants_version: {CONSTANTS_VERSION}\n")
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(path, columns, rows, _stamped(cfg, *comments))
     print(f"wrote {path}")
 
 
@@ -265,8 +257,8 @@ def cmd_kk(cfg: RunConfig, out: Path) -> None:
                                  metal_name=table.stem, source=str(table))
     eps = PermittivityFn.from_table(dataset, drude)
     xi = [matsubara_frequency(temperature, l) for l in range(1, l_max + 1)]
-    rows = list(zip(xi, eps(np.array(xi))))
-    _write_csv(out / "dispersion.csv", cfg, ("xi_rad_s", "epsilon"), rows,
+    _write_csv(out / "dispersion.csv", cfg, ("xi_rad_s", "epsilon"),
+               zip(xi, eps(np.array(xi))),
                comments=(f"temperature_K = {temperature}",
                          f"source = {dataset.metal_name}"))
 
@@ -298,9 +290,9 @@ def cmd_pressure(cfg: RunConfig, out: Path) -> None:
         pressure = (roughness_corrected_pressure(
             lambda s: casimir_pressure(model, s, state), profile_a, profile_b, z)
             if rough else casimir_pressure(model, z, state))
-        rows = list(zip(z, pressure, rel_err))
         _write_csv(out / f"pressure_{key}.csv", cfg,
-                   ("z_m", "pressure_Pa", "rel_theory_error"), rows,
+                   ("z_m", "pressure_Pa", "rel_theory_error"),
+                   zip(z, pressure, rel_err),
                    comments=(f"model = {key}",
                              f"temperature_K = {temperature}"))
 
@@ -341,20 +333,16 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
 
     details = exclusion_details(ensemble, curves, generator, confidence)
 
-    rows = [(s, zp[0], zp[1])
-            for s, data in enumerate(ensemble.sets) for zp in data]
-    _write_csv(out / "ensemble.csv", cfg,
-               ("set_index", "z_m", "pressure_Pa"), rows,
-               comments=(f"generator = {generator}", f"seed = {seed}"))
+    save_ensemble_csv(ensemble, out / "ensemble.csv", _stamped(
+        cfg, f"generator = {generator}", f"seed = {seed}"))
+    print(f"wrote {out / 'ensemble.csv'}")
     for tag, item in details.items():
         band = item["band"]
-        _write_csv(out / f"band_{tag}.csv", cfg,
-                   ("z_m", "half_width_Pa"),
-                   list(zip(band.z, band.half_width)),
+        _write_csv(out / f"band_{tag}.csv", cfg, ("z_m", "half_width_Pa"),
+                   zip(band.z, band.half_width),
                    comments=(f"confidence = {band.confidence}",))
         _write_csv(out / f"differences_{tag}.csv", cfg,
-                   ("z_m", "difference_Pa"),
-                   [tuple(row) for row in item["differences"]],
+                   ("z_m", "difference_Pa"), item["differences"],
                    comments=(f"model = {tag}",))
     _write_json(out / "verdicts.json", cfg, {
         "confidence": confidence,
@@ -366,34 +354,23 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
 
 def _load_band_csv(path: Path, fallback: float) -> ConfidenceBand:
     """Read a band; only a ``# confidence = <level>`` comment sets it."""
-    stated, z, hw = None, [], []
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line:
+    comments, data = read_csv(path, ("z_m", "half_width_Pa"))
+    stated = None
+    for lineno, text in comments:
+        key, _, value = text.partition("=")
+        if key.strip() != "confidence":
             continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            if key.strip() != "confidence":
-                continue
-            try:
-                level = float(value)
-            except ValueError:
-                level = None
-            if level not in (0.95, 0.99) or stated not in (None, level):
-                raise ValueError(f"{path}:{lineno}: bad or conflicting "
-                                 f"confidence {value.strip()!r}")
-            stated = level
-            continue
-        if line.replace(" ", "") == "z_m,half_width_Pa":
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'z_m,half_width_Pa'")
-        z.append(float(parts[0]))
-        hw.append(float(parts[1]))
-    if len(z) < 2:
+        try:
+            level = float(value)
+        except ValueError:
+            level = None
+        if level not in (0.95, 0.99) or stated not in (None, level):
+            raise ValueError(f"{path}:{lineno}: bad or conflicting "
+                             f"confidence {value.strip()!r}")
+        stated = level
+    if len(data) < 2:
         raise ValueError(f"{path}: need at least two band rows")
-    return ConfidenceBand(np.asarray(z), np.asarray(hw), stated or fallback)
+    return ConfidenceBand(data[:, 0], data[:, 1], stated or fallback)
 
 
 def cmd_constraints(cfg: RunConfig, out: Path) -> None:
@@ -419,22 +396,21 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
     sigma = cfg.get_float("constraints", "sigma_Pa")
     if band_path is not None:
         band = _load_band_csv(band_path, confidence)
-        curve = constraint_curve(band, stack_a, stack_b, lambdas)
         origin = f"band_file = {band_path}"
     elif sigma is not None:
+        # a flat band: the Yukawa pressure may nowhere exceed sigma
         z_min = cfg.get_float("constraints", "z_min_m", 160e-9)
         z_max = cfg.get_float("constraints", "z_max_m", 750e-9)
         n_z = cfg.get_int("constraints", "z_points", 40)
-        z_grid = np.geomspace(z_min, z_max, n_z)
-        curve = legacy_rms_constraint(sigma, stack_a, stack_b, z_grid, lambdas)
+        band = ConfidenceBand(np.geomspace(z_min, z_max, n_z),
+                              np.full(n_z, sigma), confidence)
         origin = f"sigma_Pa = {sigma}"
     else:
         raise ValueError("constraints: need either band_file or sigma_Pa")
 
-    rows = list(zip(curve.lambdas, curve.alpha_max, curve.z_best))
-    _write_csv(out / "constraints.csv", cfg,
-               ("lambda_m", "alpha_max", "z_best_m"), rows,
-               comments=(origin,))
+    curve = constraint_curve(band, stack_a, stack_b, lambdas)
+    save_constraint_csv(curve, out / "constraints.csv", _stamped(cfg, origin))
+    print(f"wrote {out / 'constraints.csv'}")
 
     ref_path = cfg.get_path("constraints", "reference_curve")
     if ref_path is not None:
@@ -445,7 +421,7 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
                       curve.alpha_max / ref_alpha)
         _write_csv(out / "overlay.csv", cfg,
                    ("lambda_m", "alpha_max", "alpha_reference", "ratio"),
-                   list(overlay), comments=(f"reference = {ref_path}",))
+                   overlay, comments=(f"reference = {ref_path}",))
 
 
 # ---------------------------------------------------------------- entry

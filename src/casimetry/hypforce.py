@@ -11,7 +11,6 @@ sensitivity.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import G_NEWTON
+from .io import read_csv, write_csv
 
 __all__ = [
     "YukawaParams",
@@ -30,7 +30,6 @@ __all__ = [
     "yukawa_pressure_oracle",
     "density_factor",
     "constraint_curve",
-    "legacy_rms_constraint",
     "coated_sphere_stack",
     "coated_plate_stack",
     "load_layer_stack",
@@ -48,6 +47,7 @@ DENSITY_TI = 4.51e3
 DENSITY_PT = 21.47e3
 DENSITY_SI = 2.33e3
 DENSITY_SAPPHIRE = 4.1e3
+_CONSTRAINT_COLUMNS = ("lambda_m", "alpha_max", "z_best_m")
 
 # plate-parallel reduction assumes z, lam much smaller than the body
 # extent; warn beyond this fraction of the smallest lateral dimension
@@ -275,20 +275,19 @@ def _refine_minimum(objective, lo, hi, rel_tol=1e-4):
     return z, objective(z)
 
 
-def _strongest_constraint(half_width_at, z_lo, z_hi, stack_a, stack_b,
-                          lam, coarse_points):
+def _strongest_constraint(band, stack_a, stack_b, lam, coarse_points):
     params = YukawaParams(1.0, lam)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        grid = np.geomspace(z_lo, z_hi, coarse_points)
+        grid = np.geomspace(band.z[0], band.z[-1], coarse_points)
         p1 = np.abs(yukawa_plate_pressure(stack_a, stack_b, grid, params))
         if not np.all(p1 > 0):
             raise ValueError("degenerate stack: zero reference pressure")
-        vals = np.asarray(half_width_at(grid), dtype=float) / p1
+        vals = band.half_width_at(grid) / p1
         i = int(np.argmin(vals))
 
         def objective(z):
-            return (float(half_width_at(z))
+            return (float(band.half_width_at(z))
                     / abs(yukawa_plate_pressure(stack_a, stack_b, z, params)))
 
         lo = grid[max(i - 1, 0)]
@@ -319,40 +318,11 @@ def constraint_curve(band, stack_a: LayerStack, stack_b: LayerStack,
     lams = np.sort(np.asarray(lambdas, dtype=float))
     if lams.size == 0 or np.any(lams <= 0):
         raise ValueError("interaction ranges must be positive")
-    z_lo, z_hi = float(band.z[0]), float(band.z[-1])
     entries = []
     for lam in lams:
         _check_range_validity(lam)
-        z_best, alpha = _strongest_constraint(
-            band.half_width_at, z_lo, z_hi, stack_a, stack_b,
-            lam, coarse_points)
-        entries.append((float(lam), alpha, z_best))
-    return ConstraintCurve(tuple(entries))
-
-
-def legacy_rms_constraint(sigma: float, stack_a: LayerStack,
-                          stack_b: LayerStack, z_grid, lambdas,
-                          coarse_points: int = 60) -> ConstraintCurve:
-    """Constraint from a single flat error figure instead of a band.
-
-    The historical recipe: the Yukawa pressure may not exceed a
-    constant half-width sigma anywhere on the sampled separations.
-    """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    z_grid = np.asarray(z_grid, dtype=float)
-    if z_grid.size < 2 or np.any(z_grid <= 0):
-        raise ValueError("z_grid needs at least two positive separations")
-    z_lo, z_hi = float(z_grid.min()), float(z_grid.max())
-    lams = np.sort(np.asarray(lambdas, dtype=float))
-    if lams.size == 0 or np.any(lams <= 0):
-        raise ValueError("interaction ranges must be positive")
-    entries = []
-    for lam in lams:
-        _check_range_validity(lam)
-        z_best, alpha = _strongest_constraint(
-            lambda z: sigma * np.ones_like(np.asarray(z, dtype=float)),
-            z_lo, z_hi, stack_a, stack_b, lam, coarse_points)
+        z_best, alpha = _strongest_constraint(band, stack_a, stack_b, lam,
+                                              coarse_points)
         entries.append((float(lam), alpha, z_best))
     return ConstraintCurve(tuple(entries))
 
@@ -385,26 +355,14 @@ def load_layer_stack(path, label: str = "") -> LayerStack:
     return LayerStack(tuple(layers), label or str(path))
 
 
-def save_constraint_csv(curve: ConstraintCurve, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda_m", "alpha_max", "z_best_m"])
-        for lam, alpha, z in curve.entries:
-            w.writerow([f"{lam:.10e}", f"{alpha:.10e}", f"{z:.10e}"])
+def save_constraint_csv(curve: ConstraintCurve, path, comments=()):
+    """Write a curve as CSV rows lambda_m,alpha_max,z_best_m."""
+    write_csv(path, _CONSTRAINT_COLUMNS, curve.entries, comments)
 
 
 def load_constraint_csv(path) -> ConstraintCurve:
-    entries = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-                "lambda_m", "alpha_max", "z_best_m"]:
-            raise ValueError(
-                f"{path}: expected header lambda_m,alpha_max,z_best_m")
-        for row in reader:
-            if row:
-                entries.append((float(row[0]), float(row[1]), float(row[2])))
-    if not entries:
+    """Read a curve written by save_constraint_csv."""
+    _, data = read_csv(path, _CONSTRAINT_COLUMNS)
+    if not len(data):
         raise ValueError(f"{path}: no data rows")
-    return ConstraintCurve(tuple(entries))
+    return ConstraintCurve(tuple(map(tuple, data)))

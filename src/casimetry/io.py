@@ -1,0 +1,78 @@
+"""The one CSV format of every table the package writes or reads.
+
+``# `` comment lines, a header naming the columns, then one row per
+line (floats as ``.10e``, integers plainly), every line ending in LF.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+__all__ = ["write_csv", "read_csv"]
+
+
+def _field(value, path) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    text = format(float(value), ".10e")
+    if not math.isfinite(float(text)):
+        raise ValueError(f"{path}: {value!r} has no finite .10e form")
+    return text
+
+
+def write_csv(path, columns, rows, comments=()) -> None:
+    """Write the comments, the header and one line per row to `path`.
+
+    A comment with a line break, or a float with no finite ``.10e`` form,
+    raises ValueError before the file is opened."""
+    if any("\n" in c or "\r" in c for c in comments):
+        raise ValueError(f"{path}: a comment must be a single line")
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(columns))
+    lines.extend(",".join(_field(v, path) for v in row) for row in rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_csv(path, columns, integer_columns=()):
+    """Read a `write_csv` file whose header is `columns`.
+
+    Returns ``(comments, data)``: ``(line number, text)`` pairs in file
+    order and an ``(n_rows, len(columns))`` float array.  Blank lines
+    are skipped; fields of `integer_columns` must be non-negative
+    integers.  A missing header, a wrong field count, or an unparsable
+    or non-finite value raises ValueError naming ``path:line``.
+    """
+    columns = tuple(columns)
+    integers = [k for k, name in enumerate(columns) if name in integer_columns]
+    expected = ",".join(columns) + " as finite numbers" + "".join(
+        f", {columns[k]} a non-negative integer" for k in integers)
+    comments, data, header = [], [], False
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\r\n")
+            if line.startswith("#"):
+                comments.append((lineno, line[1:].removeprefix(" ")))
+                continue
+            if not line.strip():
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if not header:
+                if tuple(fields) != columns:
+                    raise ValueError(f"{path}:{lineno}: expected header "
+                                     + ",".join(columns))
+                header = True
+                continue
+            try:
+                row = [float(f) for f in fields]
+            except ValueError:
+                row = [math.nan]
+            if (len(fields) != len(columns) or not all(map(math.isfinite, row))
+                    or not all(fields[k].isdigit() for k in integers)):
+                raise ValueError(f"{path}:{lineno}: bad row {line!r}; expected {expected}")
+            data.append(row)
+    if not header:
+        raise ValueError(f"{path}: expected header " + ",".join(columns))
+    return comments, np.array(data, dtype=float).reshape(len(data), len(columns))

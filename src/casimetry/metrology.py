@@ -14,13 +14,13 @@ fractions of |P|; separations are meters.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corrections import SphereGeometry
+from .io import read_csv, write_csv
 from .lifshitz import PressureCurve
 
 __all__ = [
@@ -60,6 +60,7 @@ DEFAULT_SPHERE = SphereGeometry(148.7e-6, 0.2e-6)
 DEFAULT_N_SETS = 14
 DEFAULT_POINTS_PER_SET = 290
 DEFAULT_SEED = 7
+_ENSEMBLE_COLUMNS = ("set_index", "z_m", "pressure_Pa")
 
 # two-sided normal quantiles ndtri((1 + c) / 2), bit-equal to scipy's
 _NORMAL_Q = {0.95: 1.959963984540054, 0.99: 2.5758293035489004}
@@ -447,7 +448,7 @@ def theory_error_curve(z, sphere: SphereGeometry = DEFAULT_SPHERE,
         raise ValueError("z must be positive and dz nonnegative")
     _check_confidence(confidence)
     hws = [confidence * (z / sphere.radius),
-           confidence * optical_rel + 0.0 * z]
+           np.full_like(z, confidence * optical_rel)]
     if include_separation_term:
         sigma = (4.0 * dz / z) / _NORMAL_Q[0.95]
         hws.append(_NORMAL_Q[confidence] * sigma)
@@ -467,8 +468,8 @@ class ConfidenceBand:
         h = np.asarray(self.half_width, dtype=float)
         if z.ndim != 1 or z.shape != h.shape or z.size < 2:
             raise ValueError("band needs matching 1-d arrays of length >= 2")
-        if np.any(np.diff(z) <= 0):
-            raise ValueError("band z must be strictly increasing")
+        if not (np.all(np.diff(z) > 0) and np.all(np.isfinite(z))):
+            raise ValueError("band z must be finite and strictly increasing")
         if np.any(~(h > 0)):
             raise ValueError("band half-widths must be positive")
         _check_confidence(self.confidence)
@@ -735,14 +736,10 @@ def generate_synthetic_ensemble(model=None, noise: ErrorBudget = None,
                                (lo, hi), "synthetic")
 
 
-def save_ensemble_csv(ensemble: MeasurementEnsemble, path):
+def save_ensemble_csv(ensemble: MeasurementEnsemble, path, comments=()):
     """Write an ensemble as CSV rows set_index,z_m,pressure_Pa."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["set_index", "z_m", "pressure_Pa"])
-        for i, s in enumerate(ensemble.sets):
-            for z, p in s:
-                w.writerow([i, f"{z:.10e}", f"{p:.10e}"])
+    rows = ((i, z, p) for i, s in enumerate(ensemble.sets) for z, p in s)
+    write_csv(path, _ENSEMBLE_COLUMNS, rows, comments)
 
 
 def load_ensemble_csv(path, bin_width: float = DEFAULT_BIN_WIDTH,
@@ -751,24 +748,12 @@ def load_ensemble_csv(path, bin_width: float = DEFAULT_BIN_WIDTH,
     """Read an ensemble written by save_ensemble_csv.
 
     The separation range is inferred from the data unless given.
-    '#' lines before the header are skipped.
+    Rows are grouped by set_index, in increasing order.
     """
-    by_set = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-                "set_index", "z_m", "pressure_Pa"]:
-            raise ValueError(f"{path}: expected header set_index,z_m,pressure_Pa")
-        for row in reader:
-            if not row:
-                continue
-            by_set.setdefault(int(row[0]), []).append(
-                (float(row[1]), float(row[2])))
-    if not by_set:
+    _, data = read_csv(path, _ENSEMBLE_COLUMNS, integer_columns=("set_index",))
+    if not len(data):
         raise ValueError(f"{path}: no data rows")
-    sets = [np.array(by_set[k]) for k in sorted(by_set)]
+    sets = [data[data[:, 0] == k, 1:] for k in np.unique(data[:, 0])]
     if z_range is None:
-        z_all = np.concatenate([s[:, 0] for s in sets])
-        z_range = (float(z_all.min()), float(z_all.max()))
+        z_range = (float(data[:, 1].min()), float(data[:, 1].max()))
     return MeasurementEnsemble(tuple(sets), bin_width, z_range, provenance)

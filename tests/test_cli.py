@@ -284,6 +284,11 @@ class TestExclusionCommand:
                      "differences_drude.csv"):
             assert filecmp.cmp(out / name, out2 / name, shallow=False), name
 
+    def test_files_end_lines_in_lf(self, exclusion_run):
+        _, _, out = exclusion_run
+        for path in out.glob("*.csv"):
+            assert b"\r" not in path.read_bytes(), path.name
+
     def test_seed_flag_changes_data(self, exclusion_run):
         root, ini, out = exclusion_run
         out3 = root / "out3"
@@ -465,6 +470,24 @@ class TestBandFile:
         assert main(["constraints", "--config", str(ini),
                      "--out", str(tmp_path)]) == 1
         assert f"{path}:1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["7.5e-07,abc", "7.5e-07,nan",
+                                     "inf,2e-04", "7.5e-07"])
+    def test_bad_row_names_the_line(self, tmp_path, capsys, row):
+        path = tmp_path / "band.csv"
+        path.write_text(f"z_m,half_width_Pa\n1.6e-07,1e-03\n{row}\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[constraints]\nband_file = {path}\n")
+        assert main(["constraints", "--config", str(ini),
+                     "--out", str(tmp_path)]) == 1
+        assert f"{path}:3:" in capsys.readouterr().err
+
+    def test_header_is_required(self, tmp_path):
+        path = tmp_path / "band.csv"
+        path.write_text("1.6e-07,1e-03\n7.5e-07,2e-04\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: ")
+                           + "expected header z_m,half_width_Pa"):
+            _load_band_csv(path, 0.95)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -212,22 +212,14 @@ class TestConstraintCurve:
                                 coarse_points=240)
         np.testing.assert_allclose(b.alpha_max, a.alpha_max, rtol=1e-2)
 
-    def test_legacy_uniform_band_coincides(self, stacks):
-        sphere, plate = stacks
-        z = np.geomspace(160e-9, 750e-9, 60)
-        lams = np.geomspace(40e-9, 370e-9, 6)
-        uniform = ConfidenceBand(z, np.full_like(z, 5e-4), 0.95)
-        a = hf.constraint_curve(uniform, sphere, plate, lams)
-        b = hf.legacy_rms_constraint(5e-4, sphere, plate, z, lams)
-        np.testing.assert_allclose(b.alpha_max, a.alpha_max, rtol=1e-12)
-        np.testing.assert_allclose(b.z_best, a.z_best, rtol=1e-12)
-
-    def test_legacy_linear_in_sigma(self, stacks):
+    def test_flat_band_linear_in_sigma(self, stacks):
         sphere, plate = stacks
         z = np.geomspace(160e-9, 750e-9, 30)
         lams = [60e-9, 150e-9]
-        a = hf.legacy_rms_constraint(5e-4, sphere, plate, z, lams)
-        b = hf.legacy_rms_constraint(5e-3, sphere, plate, z, lams)
+        a = hf.constraint_curve(ConfidenceBand(z, np.full_like(z, 5e-4), 0.95),
+                                sphere, plate, lams)
+        b = hf.constraint_curve(ConfidenceBand(z, np.full_like(z, 5e-3), 0.95),
+                                sphere, plate, lams)
         np.testing.assert_allclose(b.alpha_max, 10 * a.alpha_max, rtol=1e-12)
 
     def test_band_method_dominates_flat_worst_case(self, stacks,
@@ -235,9 +227,9 @@ class TestConstraintCurve:
         sphere, plate = stacks
         lams = np.geomspace(40e-9, 370e-9, 6)
         banded = hf.constraint_curve(powerlaw_band, sphere, plate, lams)
-        flat = hf.legacy_rms_constraint(
-            float(powerlaw_band.half_width.max()), sphere, plate,
-            powerlaw_band.z, lams)
+        worst = np.full_like(powerlaw_band.z, powerlaw_band.half_width.max())
+        flat = hf.constraint_curve(
+            ConfidenceBand(powerlaw_band.z, worst, 0.95), sphere, plate, lams)
         assert np.all(banded.alpha_max <= flat.alpha_max * (1 + 1e-12))
 
     def test_interpolation(self, stacks, powerlaw_band):

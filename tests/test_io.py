@@ -1,0 +1,145 @@
+"""Round-trip properties of the one CSV format in `casimetry.io`.
+
+Every value comes back as its ``.10e`` rendering parsed again, every
+comment comes back in order on its own line, and no writer emits a CR.
+Inputs the format cannot carry (a comment with a line break, a float
+whose ``.10e`` form overflows) must be refused by the writer, so every
+file a writer produces is one the reader accepts.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from casimetry import hypforce as hf
+from casimetry import metrology as mt
+from casimetry.io import read_csv, write_csv
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def rendered(values):
+    """What the format carries of each value: its .10e text, parsed."""
+    return np.array([float(format(v, ".10e")) for v in np.ravel(values)],
+                    dtype=float).reshape(np.shape(values))
+
+
+def fits(comments, values):
+    """True if the writer must accept these comments and values."""
+    return (not any("\n" in c or "\r" in c for c in comments)
+            and np.all(np.isfinite(rendered(values))))
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("io") / "table.csv"
+
+
+@given(data=st.integers(1, 4).flatmap(
+           lambda k: arrays(np.float64, st.tuples(st.integers(0, 8),
+                                                  st.just(k)),
+                            elements=FINITE)),
+       comments=st.lists(st.text(), max_size=4))
+def test_table_round_trip(path, data, comments):
+    columns = tuple(f"c{k}" for k in range(data.shape[1]))
+    if not fits(comments, data):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            write_csv(path, columns, data, comments)
+        return
+    write_csv(path, columns, data, comments)
+    assert b"\r" not in path.read_bytes()
+    back_comments, back = read_csv(path, columns)
+    assert back_comments == list(enumerate(comments, 1))
+    assert back.shape == data.shape
+    assert np.array_equal(back, rendered(data))
+
+
+@st.composite
+def ensembles(draw):
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        z = draw(arrays(np.float64, n, elements=st.floats(160e-9, 750e-9)))
+        p = draw(arrays(np.float64, n, elements=FINITE))
+        sets.append(np.column_stack([z, p]))
+    return mt.MeasurementEnsemble(tuple(sets))
+
+
+@given(ensemble=ensembles(), comments=st.lists(st.text(), max_size=3))
+def test_ensemble_round_trip(path, ensemble, comments):
+    points = np.concatenate(ensemble.sets)
+    if not fits(comments, points):
+        with pytest.raises(ValueError):
+            mt.save_ensemble_csv(ensemble, path, comments)
+        return
+    mt.save_ensemble_csv(ensemble, path, comments)
+    assert b"\r" not in path.read_bytes()
+    back = mt.load_ensemble_csv(path, z_range=ensemble.z_range)
+    assert len(back.sets) == len(ensemble.sets)
+    for got, want in zip(back.sets, ensemble.sets):
+        assert np.array_equal(got, rendered(want))
+
+
+@st.composite
+def constraint_curves(draw):
+    lams = sorted(draw(st.sets(POSITIVE, min_size=1, max_size=6)))
+    n = len(lams)
+    alphas = draw(st.lists(POSITIVE, min_size=n, max_size=n))
+    z_best = draw(st.lists(FINITE, min_size=n, max_size=n))
+    return hf.ConstraintCurve(tuple(zip(lams, alphas, z_best)))
+
+
+@given(curve=constraint_curves(), comments=st.lists(st.text(), max_size=3))
+def test_constraint_round_trip(path, curve, comments):
+    entries = np.array(curve.entries)
+    if not fits(comments, entries):
+        with pytest.raises(ValueError):
+            hf.save_constraint_csv(curve, path, comments)
+        return
+    hf.save_constraint_csv(curve, path, comments)
+    assert b"\r" not in path.read_bytes()
+    want = rendered(entries)
+    if not np.all(np.diff(want[:, 0]) > 0):
+        # ranges closer than the format's 11 digits become equal on disk
+        with pytest.raises(ValueError, match="increasing"):
+            hf.load_constraint_csv(path)
+        return
+    back = hf.load_constraint_csv(path)
+    assert np.array_equal(np.array(back.entries), want)
+
+
+def test_integer_columns_read_exactly(path):
+    write_csv(path, ("i", "x"), [(0, 1.5), (12, -2.0)])
+    assert path.read_text() == ("i,x\n0,1.5000000000e+00\n"
+                                "12,-2.0000000000e+00\n")
+    _, data = read_csv(path, ("i", "x"), integer_columns=("i",))
+    assert data.tolist() == [[0.0, 1.5], [12.0, -2.0]]
+
+
+def test_crlf_file_still_reads(path):
+    path.write_bytes(b"# note\r\nx,y\r\n1.0,2.0\r\n")
+    comments, data = read_csv(path, ("x", "y"))
+    assert comments == [(1, "note")]
+    assert data.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", None),
+    ("# only a comment\n", None),
+    ("y,x\n1,2\n", 1),
+    ("x,y\n1,2\n3\n", 3),
+    ("x,y\n1,2,3\n", 2),
+    ("x,y\n1,abc\n", 2),
+    ("x,y\n\n1,nan\n", 3),
+    ("x,y\n-inf,1\n", 2),
+])
+def test_reader_names_the_place(path, text, line):
+    path.write_text(text)
+    where = f"{path}:{line}: " if line else f"{path}: expected header"
+    with pytest.raises(ValueError, match=re.escape(where)):
+        read_csv(path, ("x", "y"))

@@ -8,6 +8,7 @@ pipeline at the default seed.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -446,8 +447,10 @@ class TestConfidenceBand:
         z = np.linspace(200e-9, 400e-9, 5)
         with pytest.raises(ValueError, match="positive"):
             mt.ConfidenceBand(z, np.zeros(5), 0.95)
-        with pytest.raises(ValueError, match="increasing"):
-            mt.ConfidenceBand(z[::-1], np.ones(5), 0.95)
+        for bad in (z[::-1], np.append(z[:4], np.inf),
+                    np.append(z[:4], np.nan)):
+            with pytest.raises(ValueError, match="increasing"):
+                mt.ConfidenceBand(bad, np.ones(5), 0.95)
         with pytest.raises(ValueError, match="confidence"):
             mt.ConfidenceBand(z, np.ones(5), 0.5)
 
@@ -688,6 +691,14 @@ class TestEnsembleCsv:
         path = tmp_path / "bad.csv"
         path.write_text("z,p\n1e-7,-1.0\n")
         with pytest.raises(ValueError, match="header"):
+            mt.load_ensemble_csv(path)
+
+    @pytest.mark.parametrize("index", ["1.0", "-1", "1e0", "one"])
+    def test_set_index_must_be_a_count(self, tmp_path, index):
+        path = tmp_path / "ensemble.csv"
+        path.write_text("set_index,z_m,pressure_Pa\n0,2e-07,-1.0\n"
+                        f"{index},3e-07,-0.5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
             mt.load_ensemble_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
