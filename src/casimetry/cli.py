@@ -68,8 +68,8 @@ from .metrology import (
     ConfidenceBand,
     ErrorBudget,
     ErrorComponent,
-    exclusion_details,
     generate_synthetic_ensemble,
+    run_exclusion_analysis,
     save_ensemble_csv,
     theory_error_curve,
 )
@@ -331,25 +331,24 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
         n_sets=n_sets, points_per_set=points, z_range=(z_min, z_max),
         seed=seed, curve=curves[generator], **kwargs)
 
-    details = exclusion_details(ensemble, curves, generator, confidence)
+    verdicts = run_exclusion_analysis(ensemble, curves, generator, confidence)
 
     save_ensemble_csv(ensemble, out / "ensemble.csv", _stamped(
         cfg, f"generator = {generator}", f"seed = {seed}"))
     print(f"wrote {out / 'ensemble.csv'}")
-    for tag, item in details.items():
-        band = item["band"]
+    for tag, verdict in verdicts.items():
+        band = verdict.band
         _write_csv(out / f"band_{tag}.csv", cfg, ("z_m", "half_width_Pa"),
                    zip(band.z, band.half_width),
                    comments=(f"confidence = {band.confidence}",))
         _write_csv(out / f"differences_{tag}.csv", cfg,
-                   ("z_m", "difference_Pa"), item["differences"],
+                   ("z_m", "difference_Pa"), verdict.differences,
                    comments=(f"model = {tag}",))
     _write_json(out / "verdicts.json", cfg, {
         "confidence": confidence,
         "generator": generator,
         "seed": seed,
-        "verdicts": {tag: item["verdict"].to_dict()
-                     for tag, item in details.items()}})
+        "verdicts": {tag: v.to_dict() for tag, v in verdicts.items()}})
 
 
 def _load_band_csv(path: Path, fallback: float) -> ConfidenceBand:

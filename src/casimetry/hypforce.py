@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import G_NEWTON
-from .io import read_csv, write_csv
+from .io import FLOAT_FORMAT, read_csv, write_csv
 
 __all__ = [
     "YukawaParams",
@@ -132,20 +132,22 @@ def yukawa_point_potential(m1: float, m2: float, r: float,
             * (1.0 + params.alpha_g * math.exp(-r / params.lam)))
 
 
-def density_factor(stack: LayerStack, lam: float) -> float:
+def density_factor(stack: LayerStack, lam):
     """Effective density of a stack seen by a Yukawa force of range lam.
 
     phi = rho_1 - sum_k (rho_k - rho_{k+1}) exp(-depth_k/lam), where
     depth_k is the total thickness above the k-th interface.  For a
     homogeneous body this is the surface density; infinitely long
     ranges see the substrate.  Positive for any all-positive stack.
+    lam may be an array; a scalar lam gives a float.
     """
-    phi = stack.layers[0].density
+    lam = np.asarray(lam, dtype=float)
+    phi = np.full_like(lam, stack.layers[0].density)
     depth = 0.0
     for above, below in zip(stack.layers[:-1], stack.layers[1:]):
         depth += above.thickness
-        phi -= (above.density - below.density) * math.exp(-depth / lam)
-    return phi
+        phi -= (above.density - below.density) * np.exp(-depth / lam)
+    return float(phi) if phi.ndim == 0 else phi
 
 
 def _check_range_validity(lam):
@@ -155,6 +157,12 @@ def _check_range_validity(lam):
             f"{RANGE_VALIDITY_FRACTION:g} of the plate extent "
             f"{PLATE_EXTENT:.3g} m; the plane-parallel reduction "
             "degrades there", stacklevel=3)
+
+
+def _plate_pressure(stack_a, stack_b, z, lam, alpha_g=1.0):
+    # -2 pi G alpha_g lam^2 exp(-z/lam) phi_a phi_b, broadcasting z and lam
+    return (-2.0 * math.pi * G_NEWTON * alpha_g * lam * lam * np.exp(-z / lam)
+            * density_factor(stack_a, lam) * density_factor(stack_b, lam))
 
 
 def yukawa_plate_pressure(stack_a: LayerStack, stack_b: LayerStack,
@@ -168,10 +176,7 @@ def yukawa_plate_pressure(stack_a: LayerStack, stack_b: LayerStack,
     if np.any(z <= 0):
         raise ValueError("separation must be positive")
     _check_range_validity(params.lam)
-    lam = params.lam
-    out = (-2.0 * math.pi * G_NEWTON * params.alpha_g * lam * lam
-           * np.exp(-z / lam)
-           * density_factor(stack_a, lam) * density_factor(stack_b, lam))
+    out = _plate_pressure(stack_a, stack_b, z, params.lam, params.alpha_g)
     return float(out) if out.ndim == 0 else out
 
 
@@ -256,45 +261,40 @@ class ConstraintCurve:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine_minimum(objective, lo, hi, rel_tol=1e-4):
-    # golden-section on log z; objective smooth and unimodal in the bracket
-    a, b = math.log(lo), math.log(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(math.exp(c)), objective(math.exp(d))
-    while (b - a) > rel_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(math.exp(d))
-    z = math.exp(0.5 * (a + b))
-    return z, objective(z)
+def _strongest_constraints(band, stack_a, stack_b, lams, coarse_points,
+                           rel_tol=1e-4):
+    # minimum over z of half_width/|P(z; 1, lam)| for every lam at once:
+    # a coarse log grid, then golden-section steps on log z in lockstep
+    def objective(z, lam):
+        return (band.half_width_at(z)
+                / np.abs(_plate_pressure(stack_a, stack_b, z, lam)))
 
-
-def _strongest_constraint(band, stack_a, stack_b, lam, coarse_points):
-    params = YukawaParams(1.0, lam)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = np.geomspace(band.z[0], band.z[-1], coarse_points)
-        p1 = np.abs(yukawa_plate_pressure(stack_a, stack_b, grid, params))
-        if not np.all(p1 > 0):
-            raise ValueError("degenerate stack: zero reference pressure")
-        vals = band.half_width_at(grid) / p1
-        i = int(np.argmin(vals))
-
-        def objective(z):
-            return (float(band.half_width_at(z))
-                    / abs(yukawa_plate_pressure(stack_a, stack_b, z, params)))
-
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        if lo == hi:
-            return float(grid[i]), float(vals[i])
-        return _refine_minimum(objective, lo, hi)
+    grid = np.geomspace(band.z[0], band.z[-1], coarse_points)
+    p1 = np.abs(_plate_pressure(stack_a, stack_b, grid, lams[:, None]))
+    if not np.all(p1 > 0):
+        raise ValueError("degenerate stack: zero reference pressure")
+    vals = band.half_width_at(grid) / p1
+    i = np.argmin(vals, axis=1)
+    lo = grid[np.maximum(i - 1, 0)]
+    hi = grid[np.minimum(i + 1, len(grid) - 1)]
+    a, b = np.log(lo), np.log(hi)
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = objective(np.exp(c), lams), objective(np.exp(d), lams)
+    # a bracket at the grid's edge is one step wide, so rows finish apart
+    while (active := np.flatnonzero(b - a > rel_tol)).size:
+        left = fc[active] < fd[active]
+        r, q = active[left], active[~left]
+        b[r], d[r], fd[r] = d[r], c[r], fc[r]
+        a[q], c[q], fc[q] = c[q], d[q], fd[q]
+        c[r] = b[r] - _GOLDEN * (b[r] - a[r])
+        d[q] = a[q] + _GOLDEN * (b[q] - a[q])
+        f = objective(np.exp(np.where(left, c[active], d[active])),
+                      lams[active])
+        fc[r], fd[q] = f[left], f[~left]
+    z = np.exp(0.5 * (a + b))
+    point = lo == hi   # a one-point grid has nothing to refine
+    return (np.where(point, grid[i], z),
+            np.where(point, vals.min(axis=1), objective(z, lams)))
 
 
 def constraint_curve(band, stack_a: LayerStack, stack_b: LayerStack,
@@ -318,13 +318,10 @@ def constraint_curve(band, stack_a: LayerStack, stack_b: LayerStack,
     lams = np.sort(np.asarray(lambdas, dtype=float))
     if lams.size == 0 or np.any(lams <= 0):
         raise ValueError("interaction ranges must be positive")
-    entries = []
-    for lam in lams:
-        _check_range_validity(lam)
-        z_best, alpha = _strongest_constraint(band, stack_a, stack_b, lam,
-                                              coarse_points)
-        entries.append((float(lam), alpha, z_best))
-    return ConstraintCurve(tuple(entries))
+    _check_range_validity(lams[-1])
+    z_best, alpha = _strongest_constraints(band, stack_a, stack_b, lams,
+                                           coarse_points)
+    return ConstraintCurve(tuple(zip(lams, alpha, z_best)))
 
 
 def load_layer_stack(path, label: str = "") -> LayerStack:
@@ -356,7 +353,15 @@ def load_layer_stack(path, label: str = "") -> LayerStack:
 
 
 def save_constraint_csv(curve: ConstraintCurve, path, comments=()):
-    """Write a curve as CSV rows lambda_m,alpha_max,z_best_m."""
+    """Write a curve as CSV rows lambda_m,alpha_max,z_best_m.
+
+    Ranges that become equal in the file's float format raise
+    ValueError before the file is opened: it could not be read back.
+    """
+    on_disk = [float(format(lam, FLOAT_FORMAT)) for lam in curve.lambdas]
+    if np.any(np.diff(on_disk) <= 0):
+        raise ValueError(f"{path}: interaction ranges collide in the "
+                         f"{FLOAT_FORMAT} format")
     write_csv(path, _CONSTRAINT_COLUMNS, curve.entries, comments)
 
 
@@ -365,4 +370,7 @@ def load_constraint_csv(path) -> ConstraintCurve:
     _, data = read_csv(path, _CONSTRAINT_COLUMNS)
     if not len(data):
         raise ValueError(f"{path}: no data rows")
-    return ConstraintCurve(tuple(map(tuple, data)))
+    try:
+        return ConstraintCurve(tuple(map(tuple, data)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

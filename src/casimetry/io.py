@@ -10,15 +10,17 @@ import math
 
 import numpy as np
 
-__all__ = ["write_csv", "read_csv"]
+__all__ = ["FLOAT_FORMAT", "write_csv", "read_csv"]
+
+FLOAT_FORMAT = ".10e"
 
 
 def _field(value, path) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    text = format(float(value), ".10e")
+    text = format(float(value), FLOAT_FORMAT)
     if not math.isfinite(float(text)):
-        raise ValueError(f"{path}: {value!r} has no finite .10e form")
+        raise ValueError(f"{path}: {value!r} has no finite {FLOAT_FORMAT} form")
     return text
 
 

@@ -15,6 +15,7 @@ fractions of |P|; separations are meters.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,28 +278,30 @@ def _bin_index(z, z_range, width):
 
 
 def bin_ensemble(ensemble: MeasurementEnsemble) -> BinnedStatistics:
-    """Group all points into separation subintervals of bin_width."""
+    """Group all points into separation subintervals of bin_width.
+
+    Every bin's linear fit is centred on the bin means and built from
+    per-bin sums; rows come in increasing bin order.
+    """
     z, p, _ = ensemble.all_points()
     idx = _bin_index(z, ensemble.z_range, ensemble.bin_width)
-    rows = []
-    for b in np.unique(idx):
-        m = idx == b
-        zz, pp = z[m], p[m]
-        n = int(m.sum())
-        if n >= 3 and np.ptp(zz) > 0:
-            c = np.polyfit(zz - zz.mean(), pp, 1)
-            resid = pp - np.polyval(c, zz - zz.mean())
-            var = float((resid ** 2).sum() / (n - 2))
-            dof = n - 2
-        elif n >= 2:
-            var = float(pp.var(ddof=1))
-            dof = n - 1
-        else:
-            var, dof = math.nan, 0
-        rows.append((zz.mean(), pp.mean(), var, n, dof))
-    rows.sort()
-    z_m, p_m, var, cnt, dof = (np.array(col) for col in zip(*rows))
-    return BinnedStatistics(z_m, p_m, var, cnt.astype(int), dof.astype(int))
+    _, first, inv = np.unique(idx, return_index=True, return_inverse=True)
+    n = np.bincount(inv)
+    z_m = np.bincount(inv, z) / n
+    p_m = np.bincount(inv, p) / n
+    dz, dp = z - z_m[inv], p - p_m[inv]
+    sxx = np.bincount(inv, dz * dz)
+    spread = np.bincount(inv, z != z[first][inv]) > 0
+    fit = (n >= 3) & spread
+    slope = np.divide(np.bincount(inv, dz * dp), sxx, out=np.zeros_like(sxx),
+                      where=fit)
+    # residuals summed explicitly, so an exactly linear bin gives ~0; bins
+    # with no fit keep slope 0 and get the plain sum of squares
+    rss = np.bincount(inv, (dp - slope[inv] * dz) ** 2)
+    dof = np.where(fit, n - 2, n - 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        var = np.where(n >= 2, rss / dof, math.nan)
+    return BinnedStatistics(z_m, p_m, var, n, dof)
 
 
 def detect_outlying_set(ensemble: MeasurementEnsemble,
@@ -385,11 +388,11 @@ def _smoothed_sigma(binned, bias_correct):
         with np.errstate(invalid="ignore"):
             s = s / _c4(np.maximum(binned.dof + 1, 2))
     half = SMOOTHING_BINS // 2
-    out = np.empty_like(s)
-    for i in range(len(s)):
-        window = s[max(0, i - half):i + half + 1]
-        out[i] = np.nanmedian(window) if np.any(np.isfinite(window)) else np.nan
-    return out
+    padded = np.pad(s, half, constant_values=np.nan)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, SMOOTHING_BINS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # all-NaN windows
+        return np.nanmedian(windows, axis=1)
 
 
 def random_error_curve(binned: BinnedStatistics, confidence: float,
@@ -528,6 +531,9 @@ class ExclusionVerdict:
     fraction_outside: float
     excluded_windows: tuple
     accepted: bool
+    # the band and the (z, dP) rows behind the verdict; not serialized
+    band: ConfidenceBand = field(default=None, compare=False, repr=False)
+    differences: np.ndarray = field(default=None, compare=False, repr=False)
 
     def to_dict(self):
         return {
@@ -572,48 +578,7 @@ def exclusion_test(differences, band: ConfidenceBand,
     frac = n_out / len(outside)
     accepted = not windows and frac <= 2.0 * (1.0 - band.confidence)
     return ExclusionVerdict(model_tag, band.confidence, len(outside),
-                            n_out, frac, tuple(windows), accepted)
-
-
-def exclusion_details(ensemble: MeasurementEnsemble, model_curves: dict,
-                      reference: str, confidence: float,
-                      sphere: SphereGeometry = DEFAULT_SPHERE,
-                      dz: float = DEFAULT_SEPARATION_ERROR,
-                      optical_rel: float = DEFAULT_OPTICAL_REL) -> dict:
-    """Band-test each model curve and keep the intermediate objects.
-
-    Same computation as `run_exclusion_analysis`, but the per-model
-    result also carries the confidence band and the point-by-point
-    differences so callers can write them out.
-
-    Returns
-    -------
-    dict
-        Mapping tag -> {"verdict": ExclusionVerdict,
-        "band": ConfidenceBand, "differences": (n, 2) array}.
-    """
-    binned = bin_ensemble(ensemble)
-    env = random_error_curve(binned, confidence, kind="point")
-    ref_curve = model_curves[reference]
-    rad = confidence * (sphere.radius_error / sphere.radius)
-
-    def expt_abs(zz):
-        return np.sqrt(env.at(zz) ** 2
-                       + (rad * np.abs(ref_curve.pressure_at(zz))) ** 2)
-
-    def theory_rel(zz):
-        return theory_error_curve(zz, sphere, dz, optical_rel, confidence,
-                                  include_separation_term=False)
-
-    z, p, _ = ensemble.all_points()
-    out = {}
-    for tag, curve in model_curves.items():
-        band = confidence_band(theory_rel, expt_abs, curve, confidence,
-                               rule="variance", grid=env.z)
-        d = np.column_stack([z, curve.pressure_at(z) - p])
-        out[tag] = {"verdict": exclusion_test(d, band, model_tag=tag),
-                    "band": band, "differences": d}
-    return out
+                            n_out, frac, tuple(windows), accepted, band, d)
 
 
 def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
@@ -646,11 +611,30 @@ def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
     Returns
     -------
     dict
-        Mapping tag -> ExclusionVerdict.
+        Mapping tag -> ExclusionVerdict, each carrying its band and
+        its point-by-point differences for callers that write them out.
     """
-    details = exclusion_details(ensemble, model_curves, reference, confidence,
-                                sphere, dz, optical_rel)
-    return {tag: item["verdict"] for tag, item in details.items()}
+    binned = bin_ensemble(ensemble)
+    env = random_error_curve(binned, confidence, kind="point")
+    ref_curve = model_curves[reference]
+    rad = confidence * (sphere.radius_error / sphere.radius)
+
+    def expt_abs(zz):
+        return np.sqrt(env.at(zz) ** 2
+                       + (rad * np.abs(ref_curve.pressure_at(zz))) ** 2)
+
+    def theory_rel(zz):
+        return theory_error_curve(zz, sphere, dz, optical_rel, confidence,
+                                  include_separation_term=False)
+
+    z, p, _ = ensemble.all_points()
+    out = {}
+    for tag, curve in model_curves.items():
+        band = confidence_band(theory_rel, expt_abs, curve, confidence,
+                               rule="variance", grid=env.z)
+        d = np.column_stack([z, curve.pressure_at(z) - p])
+        out[tag] = exclusion_test(d, band, model_tag=tag)
+    return out
 
 
 def default_noise_budget() -> ErrorBudget:
@@ -756,4 +740,7 @@ def load_ensemble_csv(path, bin_width: float = DEFAULT_BIN_WIDTH,
     sets = [data[data[:, 0] == k, 1:] for k in np.unique(data[:, 0])]
     if z_range is None:
         z_range = (float(data[:, 1].min()), float(data[:, 1].max()))
-    return MeasurementEnsemble(tuple(sets), bin_width, z_range, provenance)
+    try:
+        return MeasurementEnsemble(tuple(sets), bin_width, z_range, provenance)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -7,6 +7,7 @@ properties.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -254,6 +255,75 @@ class TestConstraintCurve:
             hf.ConstraintCurve(((1e-7, 0.0, 2e-7),))
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_constraint(band, stack_a, stack_b, lam, coarse_points,
+                      rel_tol=1e-4):
+    """The per-range search that `constraint_curve` replaced: a coarse
+    grid, then a scalar golden-section search on log z."""
+    params = hf.YukawaParams(1.0, lam)
+
+    def objective(z):
+        return (float(band.half_width_at(z))
+                / abs(hf.yukawa_plate_pressure(stack_a, stack_b, z, params)))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grid = np.geomspace(band.z[0], band.z[-1], coarse_points)
+        vals = band.half_width_at(grid) / np.abs(
+            hf.yukawa_plate_pressure(stack_a, stack_b, grid, params))
+        i = int(np.argmin(vals))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        if lo == hi:
+            return float(grid[i]), float(vals[i])
+        a, b = math.log(lo), math.log(hi)
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        fc, fd = objective(math.exp(c)), objective(math.exp(d))
+        while (b - a) > rel_tol:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = objective(math.exp(c))
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = objective(math.exp(d))
+        z = math.exp(0.5 * (a + b))
+        return z, objective(z)
+
+
+class TestLockstepSearch:
+    """The all-range search equals the scalar search it replaced."""
+
+    @pytest.mark.parametrize("exponent", [-3.3, -8.0])
+    @pytest.mark.parametrize("coarse_points", [60, 1])
+    def test_matches_scalar_search(self, stacks, exponent, coarse_points):
+        # -3.3 puts short ranges at the lower grid edge, -8 puts long
+        # ranges at the upper one; one coarse point leaves no bracket
+        sphere, plate = stacks
+        z = np.geomspace(160e-9, 750e-9, 40)
+        band = ConfidenceBand(z, 2e-3 * (z / 3e-7) ** exponent, 0.95)
+        lams = np.geomspace(40e-9, 370e-9, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cur = hf.constraint_curve(band, sphere, plate, lams,
+                                      coarse_points=coarse_points)
+        want = np.array([scalar_constraint(band, sphere, plate, lam,
+                                           coarse_points) for lam in lams])
+        np.testing.assert_allclose(cur.z_best, want[:, 0], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(cur.alpha_max, want[:, 1], rtol=1e-15,
+                                   atol=0)
+
+    def test_warns_once_for_the_longest_range(self, stacks, powerlaw_band):
+        sphere, plate = stacks
+        with pytest.warns(UserWarning, match="plate extent") as record:
+            hf.constraint_curve(powerlaw_band, sphere, plate,
+                                [1e-6, 3e-6, 2e-6])
+        assert len(record) == 1
+        assert "3e-06 m" in str(record[0].message)
+
+
 class TestFileFormats:
 
     def test_stack_round_trip(self, tmp_path, stacks):
@@ -290,6 +360,22 @@ class TestFileFormats:
         np.testing.assert_allclose(back.lambdas, cur.lambdas, rtol=1e-9)
         np.testing.assert_allclose(back.alpha_max, cur.alpha_max, rtol=1e-9)
         np.testing.assert_allclose(back.z_best, cur.z_best, rtol=1e-9)
+
+    def test_constraint_value_check_names_the_file(self, tmp_path):
+        path = tmp_path / "constraints.csv"
+        path.write_text("lambda_m,alpha_max,z_best_m\n"
+                        "2e-07,1.0,2e-07\n1e-07,2.0,2e-07\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: interaction ranges must be increasing")):
+            hf.load_constraint_csv(path)
+
+    def test_save_refuses_ranges_equal_on_disk(self, tmp_path):
+        curve = hf.ConstraintCurve(((1e-7, 1.0, 2e-7),
+                                    (1.00000000001e-7, 2.0, 2e-7)))
+        path = tmp_path / "constraints.csv"
+        with pytest.raises(ValueError, match="collide"):
+            hf.save_constraint_csv(curve, path)
+        assert not path.exists()
 
     def test_constraint_csv_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -97,18 +97,14 @@ def constraint_curves(draw):
 @given(curve=constraint_curves(), comments=st.lists(st.text(), max_size=3))
 def test_constraint_round_trip(path, curve, comments):
     entries = np.array(curve.entries)
-    if not fits(comments, entries):
+    want = rendered(entries)
+    # ranges closer than the format's 11 digits would become equal on disk
+    if not fits(comments, entries) or not np.all(np.diff(want[:, 0]) > 0):
         with pytest.raises(ValueError):
             hf.save_constraint_csv(curve, path, comments)
         return
     hf.save_constraint_csv(curve, path, comments)
     assert b"\r" not in path.read_bytes()
-    want = rendered(entries)
-    if not np.all(np.diff(want[:, 0]) > 0):
-        # ranges closer than the format's 11 digits become equal on disk
-        with pytest.raises(ValueError, match="increasing"):
-            hf.load_constraint_csv(path)
-        return
     back = hf.load_constraint_csv(path)
     assert np.array_equal(np.array(back.entries), want)
 

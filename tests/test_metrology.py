@@ -9,9 +9,13 @@ pipeline at the default seed.
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from casimetry import metrology as mt
@@ -303,6 +307,112 @@ class TestBinning:
         assert binned.dof[0] == 1
         assert binned.variance[0] == pytest.approx(
             np.var([-1.0, -1.2], ddof=1), rel=1e-12)
+
+
+# a binary grid where a bin must be exactly linear, a decimal one elsewhere
+_Z_UNIT = 2.0 ** -36
+_P_UNIT = {"linear": 2.0 ** -30, "scatter": 1e-9, "repeated": 1e-9}
+
+
+@st.composite
+def binnable_ensembles(draw):
+    """Small ensembles with known bins of 1, 2 and more points.
+
+    Each bin is "scatter" (alternating-sign noise about a steep line,
+    so the residuals are small but never vanish), "repeated" (one
+    off-grid z for every point, whose rounded mean need not equal it)
+    or "linear" (points exactly on a line).  Returns the ensemble and
+    each point's bin.
+    """
+    lo, width = mt.DEFAULT_Z_RANGE[0], mt.DEFAULT_BIN_WIDTH
+    rows, bins = [], []
+    for k in draw(st.lists(st.integers(0, 490), min_size=1, max_size=8,
+                           unique=True)):
+        n = draw(st.integers(1, 6))
+        kind = draw(st.sampled_from(("scatter", "repeated", "linear")))
+        m = sorted(draw(st.lists(st.integers(0, 78), min_size=n, max_size=n)))
+        if kind == "repeated":
+            m = [m[0]] * n
+        p0 = draw(st.integers(-2 ** 27, -2 ** 26))
+        slope = draw(st.integers(-64, 64))
+        first = math.ceil((lo + k * width) / _Z_UNIT) + 1   # inside bin k
+        for j in range(n):
+            noise = (0 if kind == "linear"
+                     else (-1) ** j * draw(st.integers(1, 16)))
+            z = ((first + m[j]) * _Z_UNIT if kind != "repeated"
+                 else lo + (k + (m[j] + 0.5) / 80) * width)
+            rows.append((z, (p0 + slope * m[j] + noise) * _P_UNIT[kind]))
+            bins.append(k)
+    order = draw(st.permutations(range(len(rows))))
+    points = np.array(rows)[order]
+    return (mt.MeasurementEnsemble((points,)), np.array(bins)[order])
+
+
+def exact_bin(zs, ps):
+    """Mean z, mean p, variance and dof of one bin in rational arithmetic."""
+    z, p = [Fraction(v) for v in zs], [Fraction(v) for v in ps]
+    n = len(z)
+    zm, pm = sum(z) / n, sum(p) / n
+    if n == 1:
+        return zm, pm, None, 0
+    if n >= 3 and max(z) > min(z):
+        slope = (sum((a - zm) * (b - pm) for a, b in zip(z, p))
+                 / sum((a - zm) ** 2 for a in z))
+        rss = sum((b - pm - slope * (a - zm)) ** 2 for a, b in zip(z, p))
+        return zm, pm, rss / (n - 2), n - 2
+    return zm, pm, sum((b - pm) ** 2 for b in p) / (n - 1), n - 1
+
+
+def looped_smoothed_sigma(binned, bias_correct):
+    """The per-bin moving median that `_smoothed_sigma` replaced."""
+    s = np.sqrt(binned.variance)
+    if bias_correct:
+        with np.errstate(invalid="ignore"):
+            s = s / mt._c4(np.maximum(binned.dof + 1, 2))
+    half = mt.SMOOTHING_BINS // 2
+    out = np.empty_like(s)
+    for i in range(len(s)):
+        window = s[max(0, i - half):i + half + 1]
+        out[i] = np.nanmedian(window) if np.any(np.isfinite(window)) else np.nan
+    return out
+
+
+class TestBinningReference:
+    """The closed-form binning against exact arithmetic, and the
+    one-window smoothing against the loop it replaced."""
+
+    @given(case=binnable_ensembles())
+    def test_bins_match_exact_arithmetic(self, case):
+        ensemble, bins = case
+        z, p, _ = ensemble.all_points()
+        binned = mt.bin_ensemble(ensemble)
+        keys = np.unique(bins)
+        assert binned.count.tolist() == [int((bins == k).sum()) for k in keys]
+        for row, k in enumerate(keys):
+            zm, pm, var, dof = exact_bin(z[bins == k], p[bins == k])
+            assert binned.dof[row] == dof
+            assert abs(binned.z[row] - zm) <= 1e-15 * abs(zm)
+            assert abs(binned.pressure_mean[row] - pm) <= 1e-15 * abs(pm)
+            if var is None:
+                assert math.isnan(binned.variance[row])
+            elif var == 0:
+                assert 0 <= binned.variance[row] < 1e-24
+            else:
+                assert abs(binned.variance[row] - var) <= 1e-12 * var
+
+    @given(variance=arrays(np.float64, st.integers(1, 40),
+                           elements=st.one_of(st.just(math.nan),
+                                              st.floats(0.0, 1e3))),
+           bias_correct=st.booleans(), data=st.data())
+    def test_smoothing_matches_loop_exactly(self, variance, bias_correct, data):
+        n = len(variance)
+        dof = data.draw(arrays(np.int64, n, elements=st.integers(0, 30)))
+        binned = mt.BinnedStatistics(np.arange(1.0, n + 1), np.ones(n),
+                                     variance, dof + 1, dof)
+        got = mt._smoothed_sigma(binned, bias_correct)
+        want = looped_smoothed_sigma(binned, bias_correct)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.all((got == want) | np.isnan(want))
 
 
 class TestOutlierScreen:
@@ -692,6 +802,14 @@ class TestEnsembleCsv:
         path.write_text("z,p\n1e-7,-1.0\n")
         with pytest.raises(ValueError, match="header"):
             mt.load_ensemble_csv(path)
+
+    def test_value_check_names_the_file(self, tmp_path):
+        path = tmp_path / "ensemble.csv"
+        path.write_text("set_index,z_m,pressure_Pa\n0,3e-07,-1.0\n"
+                        "0,9e-07,-0.5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: set 0 has "
+                                                       "separations outside")):
+            mt.load_ensemble_csv(path, z_range=mt.DEFAULT_Z_RANGE)
 
     @pytest.mark.parametrize("index", ["1.0", "-1", "1e0", "one"])
     def test_set_index_must_be_a_count(self, tmp_path, index):
