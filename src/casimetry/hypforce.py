@@ -261,19 +261,20 @@ class ConstraintCurve:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+@np.errstate(divide="ignore", over="ignore")
 def _strongest_constraints(band, stack_a, stack_b, lams, coarse_points,
                            rel_tol=1e-4):
     # minimum over z of half_width/|P(z; 1, lam)| for every lam at once:
-    # a coarse log grid, then golden-section steps on log z in lockstep
+    # a coarse log grid, then golden-section steps on log z in lockstep;
+    # where e^{-z/lam} underflows the objective is +inf
     def objective(z, lam):
         return (band.half_width_at(z)
                 / np.abs(_plate_pressure(stack_a, stack_b, z, lam)))
 
     grid = np.geomspace(band.z[0], band.z[-1], coarse_points)
-    p1 = np.abs(_plate_pressure(stack_a, stack_b, grid, lams[:, None]))
-    if not np.all(p1 > 0):
+    vals = objective(grid, lams[:, None])
+    if not np.all(np.isfinite(vals).any(axis=1)):
         raise ValueError("degenerate stack: zero reference pressure")
-    vals = band.half_width_at(grid) / p1
     i = np.argmin(vals, axis=1)
     lo = grid[np.maximum(i - 1, 0)]
     hi = grid[np.minimum(i + 1, len(grid) - 1)]

@@ -315,6 +315,31 @@ class TestLockstepSearch:
         np.testing.assert_allclose(cur.alpha_max, want[:, 1], rtol=1e-15,
                                    atol=0)
 
+    def test_short_range_underflowing_at_the_far_end(self, stacks,
+                                                      powerlaw_band):
+        # e^{-z/lam} underflows to 0 near 750 nm for lam = 1 nm, but the
+        # bound is set near 160 nm, where the pressure is finite
+        sphere, plate = stacks
+        lams = [1e-9, 3e-9, 1e-7]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = hf.constraint_curve(powerlaw_band, sphere, plate, lams)
+        assert np.all(np.isfinite(mixed.alpha_max) & (mixed.alpha_max > 0))
+        alone = [hf.constraint_curve(powerlaw_band, sphere, plate, [lam])
+                 for lam in lams]
+        for k, curve in enumerate(alone):
+            assert curve.entries[0] == mixed.entries[k]
+        want = scalar_constraint(powerlaw_band, sphere, plate, 1e-9, 60)
+        assert mixed.z_best[0] == pytest.approx(want[0], rel=1e-15)
+        assert mixed.alpha_max[0] == pytest.approx(want[1], rel=1e-15)
+        assert mixed.z_best[0] == pytest.approx(powerlaw_band.z[0], rel=1e-3)
+
+    def test_range_with_no_finite_pressure_rejected(self, stacks,
+                                                    powerlaw_band):
+        sphere, plate = stacks
+        with pytest.raises(ValueError, match="zero reference pressure"):
+            hf.constraint_curve(powerlaw_band, sphere, plate, [1e-10, 1e-7])
+
     def test_warns_once_for_the_longest_range(self, stacks, powerlaw_band):
         sphere, plate = stacks
         with pytest.warns(UserWarning, match="plate extent") as record:

@@ -10,8 +10,9 @@ from scipy import integrate
 from casimetry import lifshitz
 from casimetry.cli import MODEL_KEYS, build_model
 from casimetry.corrections import RoughnessProfile, roughness_corrected_pressure
-from casimetry.lifshitz import (ConvergenceError, ReflectionModel, ThermalState,
-                                casimir_free_energy, casimir_pressure)
+from casimetry.lifshitz import (KINDS, ConvergenceError, ReflectionModel,
+                                ThermalState, casimir_free_energy,
+                                casimir_pressure, reflection_sq)
 from casimetry.optics import DrudeParameters, OpticalDataset, PermittivityFn
 
 GOLD = DrudeParameters(1.37e16, 5.3e13)
@@ -230,3 +231,22 @@ class TestProperties:
         ideal = np.abs(casimir_pressure(MODELS["ideal"], z, ST300))
         assert np.all(drude <= schwinger)
         assert np.all(schwinger <= ideal)
+
+    @given(kind=st.sampled_from(KINDS), eps=st.floats(1.0, 1e10),
+           omega_p=st.floats(1e13, 1e18), xi=st.floats(1e9, 1e20),
+           l=st.integers(0, 10_000),
+           k=st.lists(st.floats(1e-3, 1e12), min_size=1, max_size=8))
+    def test_reflection_sq_within_unit_interval(self, kind, eps, omega_p, xi, l, k):
+        # a constant eps >= 1 covers every permittivity the engine accepts
+        constant = PermittivityFn(lambda x: np.full_like(x, eps), "finite")
+        model = ReflectionModel(kind, constant, omega_p)
+        for r2 in reflection_sq(model, xi if l else 0.0, np.array(k), l):
+            assert np.all((r2 >= 0.0) & (r2 <= 1.0))
+
+    @given(z=z_grids, key=st.sampled_from(MODEL_KEYS))
+    def test_flat_roughness_is_the_smooth_pressure(self, z, key):
+        flat = RoughnessProfile.flat()
+        smooth = casimir_pressure(MODELS[key], z, ST300)
+        rough = roughness_corrected_pressure(
+            lambda s: casimir_pressure(MODELS[key], s, ST300), flat, flat, z)
+        assert np.array_equal(rough, smooth)

@@ -4,11 +4,14 @@ import threading
 import numpy as np
 import pytest
 
+from casimetry import optics
 from casimetry.constants import EV_TO_RAD_S
+from casimetry.lifshitz import matsubara_frequency
 from casimetry.optics import (
     DrudeParameters,
     OpticalDataset,
     PermittivityFn,
+    QuadratureError,
     drude_permittivity,
     leontovich_impedance,
     load_optical_table,
@@ -240,3 +243,199 @@ class TestPermittivityFn:
         out = fn(xi)
         assert out.shape == (3,)
         assert out[1] == pytest.approx(drude_permittivity(GOLD, 1e15))
+
+
+# ---------------------------------------------------------------- reference
+# The dispersion transform as it was before it took arrays: one scalar
+# adaptive quadrature per (xi, segment).  The batched transform must
+# reproduce it, so it is kept here as the oracle.
+
+def _reference_tail(omega_hi, drude, xi):
+    g = drude.gamma
+    if g == 0.0:
+        return 0.0
+    a = omega_hi
+    if abs(xi - g) > 1e-8 * g:
+        j = (math.atan(a / g) / g - math.atan(a / xi) / xi) / (xi * xi - g * g)
+    else:
+        j = a / (2.0 * g * g * (a * a + g * g)) + math.atan(a / g) / (2.0 * g ** 3)
+    return (2.0 / math.pi) * drude.omega_p ** 2 * g * j
+
+
+def _reference_segment(w_lo, w_hi, im_lo, im_hi, xi, abs_tol, rel_tol, orders):
+    power_law = im_lo > 0.0 and im_hi > 0.0
+    if power_law:
+        slope = math.log(im_hi / im_lo) / math.log(w_hi / w_lo)
+    t_lo, t_hi = math.log(w_lo), math.log(w_hi)
+    half, mid = 0.5 * (t_hi - t_lo), 0.5 * (t_hi + t_lo)
+    prev, err = None, math.inf
+    for order in (8, 16, 32, 64):
+        orders.add(order)
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        w = np.exp(mid + half * nodes)
+        if power_law:
+            im = im_lo * (w / w_lo) ** slope
+        else:
+            im = im_lo + (im_hi - im_lo) * (w - w_lo) / (w_hi - w_lo)
+        value = half * float(np.sum(weights * w * w * im / (w * w + xi * xi)))
+        if prev is not None:
+            err = abs(value - prev)
+            if err <= max(abs_tol, rel_tol * abs(value)):
+                return value, err, True
+        prev = value
+    return prev, err, False
+
+
+def reference_transform(ds, drude, xi, abs_tol=1e-12, rel_tol=1e-9, orders=None):
+    """Scalar eps(i xi); `orders` collects every quadrature order used."""
+    orders = set() if orders is None else orders
+    omega, im_eps = ds.omega, ds.im_eps
+    total = _reference_tail(omega[0], drude, xi)
+    edges = []
+    for i in range(omega.size - 1):
+        w_lo, w_hi, il, ih = omega[i], omega[i + 1], im_eps[i], im_eps[i + 1]
+        if w_lo < xi < w_hi:
+            if il > 0.0 and ih > 0.0:
+                p = math.log(ih / il) / math.log(w_hi / w_lo)
+                im_mid = il * (xi / w_lo) ** p
+            else:
+                im_mid = il + (ih - il) * (xi - w_lo) / (w_hi - w_lo)
+            edges += [(w_lo, xi, il, im_mid), (xi, w_hi, im_mid, ih)]
+        else:
+            edges.append((w_lo, w_hi, il, ih))
+    seg_abs_tol = abs_tol / len(edges)
+    worst, failed, acc = 0.0, False, 0.0
+    for w_lo, w_hi, il, ih in edges:
+        if il == 0.0 and ih == 0.0:
+            continue
+        value, err, ok = _reference_segment(w_lo, w_hi, il, ih, xi,
+                                            seg_abs_tol, rel_tol, orders)
+        acc += value
+        worst = max(worst, err)
+        failed = failed or not ok
+    total += (2.0 / math.pi) * acc
+    if failed and worst > max(abs_tol, rel_tol * abs(total)):
+        raise QuadratureError(f"no convergence at xi={xi:.6e}")
+    return 1.0 + total
+
+
+def step_table(jump):
+    """Im eps = 1 on a log grid except one node raised by `jump`.
+
+    The log-log interpolation then makes the two segments at that node
+    steep exponentials in log w, which need high quadrature orders."""
+    omega = np.logspace(13, 17, 41)
+    n = np.ones_like(omega)
+    k = np.full_like(omega, 0.5)
+    k[20] *= jump
+    return OpticalDataset(omega, n, k, metal_name="step")
+
+
+class _SumOrders:
+    """Stands in for numpy inside optics and records the length of the
+    last axis of every non-empty sum, i.e. the quadrature orders used."""
+
+    def __init__(self):
+        self.orders = set()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sum(self, a, *args, **kwargs):
+        if np.size(a):
+            self.orders.add(np.shape(a)[-1])
+        return np.sum(a, *args, **kwargs)
+
+
+def assert_matches_reference(ds, xi, drude=GOLD):
+    got = permittivity_imag_axis(ds, drude, np.asarray(xi))
+    want = np.array([reference_transform(ds, drude, float(x)) for x in xi])
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+class TestBatchedTransform:
+    def test_drude_table_below_inside_above(self):
+        ds = drude_table(per_decade=20)
+        assert_matches_reference(ds, [3e11, 1e12 * 0.999, 2.2e13, GOLD.gamma,
+                                      1e15, 3.7e16, 9.9e17, 1e18, 1e19])
+
+    def test_xi_on_table_nodes(self):
+        ds = drude_table(per_decade=20)
+        assert_matches_reference(ds, ds.omega[[0, 1, 17, 60, -2, -1]])
+
+    def test_matsubara_grid(self):
+        ds = drude_table(per_decade=20)
+        assert_matches_reference(ds, [matsubara_frequency(300.0, l)
+                                      for l in (1, 2, 3, 10, 50, 150)])
+
+    def test_zero_im_eps_segments_use_linear_fallback(self):
+        ds0 = drude_table(per_decade=20)
+        k = ds0.k.copy()
+        k[30:40] = 0.0      # both endpoints zero inside, one zero at the ends
+        k[55] = 0.0
+        ds = OpticalDataset(ds0.omega, ds0.n, k)
+        inside = ds.omega[[29, 35, 54, 55]] * 1.01
+        assert_matches_reference(ds, [*inside, ds.omega[33], 1e15])
+
+    @pytest.mark.parametrize("abs_tol", [1e9, 1e10])
+    def test_absolute_tolerance_shared_between_edges(self, abs_tol):
+        # on the step table these abs_tol / (number of edges) decide where
+        # rows stop; an undivided abs_tol would stop some a level earlier
+        ds = step_table(1e20)
+        xi = [ds.omega[19] * 1.02, ds.omega[20] * 1.05, 1e16]
+        got = permittivity_imag_axis(ds, GOLD, np.array(xi), abs_tol, 1e-12)
+        want = [reference_transform(ds, GOLD, x, abs_tol, 1e-12) for x in xi]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_sharp_step_reaches_orders_32_and_64(self, monkeypatch):
+        ds = step_table(1e20)
+        xi = np.array([1e13 * 0.5, ds.omega[19], ds.omega[20] * 1.05, 1e16])
+        reference_orders = set()
+        for x in xi:
+            reference_transform(ds, GOLD, float(x), orders=reference_orders)
+        spy = _SumOrders()
+        monkeypatch.setattr(optics, "np", spy)
+        permittivity_imag_axis(ds, GOLD, xi)
+        monkeypatch.undo()
+        assert {32, 64} <= reference_orders
+        assert {8, 16, 32, 64} == spy.orders
+        assert_matches_reference(ds, xi)
+
+    def test_both_paths_raise_when_the_ladder_runs_out(self):
+        ds = step_table(1e80)
+        xi = ds.omega[20] * 1.05
+        with pytest.raises(QuadratureError):
+            reference_transform(ds, GOLD, xi)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            permittivity_imag_axis(ds, GOLD, np.array([1e15, xi]))
+
+    def test_scalar_gives_float_and_array_keeps_shape(self):
+        ds = drude_table(per_decade=10)
+        assert type(permittivity_imag_axis(ds, GOLD, 1e15)) is float
+        xi = np.geomspace(1e13, 1e17, 6).reshape(2, 3)
+        out = permittivity_imag_axis(ds, GOLD, xi)
+        assert out.shape == (2, 3)
+        assert out[1, 2] == permittivity_imag_axis(ds, GOLD, float(xi[1, 2]))
+        assert permittivity_imag_axis(ds, GOLD, np.array([])).shape == (0,)
+
+    def test_any_nonpositive_xi_rejected(self):
+        ds = drude_table(per_decade=10)
+        for bad in ([1e15, 0.0], [1e15, -1e14], [math.nan]):
+            with pytest.raises(ValueError):
+                permittivity_imag_axis(ds, GOLD, np.array(bad))
+
+    def test_from_table_transforms_misses_in_one_call(self, monkeypatch):
+        ds = drude_table(per_decade=10)
+        calls = []
+
+        def counted(dataset, drude, xi, *args):
+            calls.append(np.size(xi))
+            return permittivity_imag_axis(dataset, drude, xi, *args)
+
+        monkeypatch.setattr(optics, "permittivity_imag_axis", counted)
+        fn = PermittivityFn.from_table(ds, GOLD)
+        xi = np.geomspace(1e13, 1e17, 9)
+        first = fn(xi)
+        assert np.array_equal(fn(xi[::-1]), first[::-1])
+        fn(np.append(xi, [xi[0], 2e15]))
+        assert calls == [9, 1]
