@@ -77,7 +77,6 @@ from .optics import DrudeParameters, PermittivityFn, load_optical_table
 
 ENV_PREFIX = "CASIMETRY_"
 SECTIONS = ("kk", "pressure", "exclusion", "constraints")
-MODEL_KEYS = ("ideal", "impedance", "exact", "drude", "schwinger", "plasma")
 
 
 @dataclass
@@ -224,21 +223,9 @@ def _permittivity_from_config(cfg: RunConfig, section: str):
 
 def build_model(key: str, drude: DrudeParameters,
                 permittivity: PermittivityFn) -> ReflectionModel:
-    """Map a config model key onto a reflection model."""
-    if key == "ideal":
-        return ReflectionModel.ideal_metal()
-    if key == "impedance":
-        return ReflectionModel.impedance(permittivity, drude.omega_p)
-    if key == "exact":
-        return ReflectionModel.exact_impedance(permittivity, drude.omega_p)
-    if key == "drude":
-        return ReflectionModel.lifshitz_drude(permittivity)
-    if key == "schwinger":
-        return ReflectionModel.lifshitz_schwinger(permittivity)
-    if key == "plasma":
-        return ReflectionModel.lifshitz_plasma(drude.omega_p)
-    raise ValueError(f"unknown model {key!r}; expected one of "
-                     + ", ".join(MODEL_KEYS))
+    """The reflection model of a key of lifshitz.MODELS; its row decides
+    which of the config's permittivity and omega_p it reads."""
+    return ReflectionModel(key, permittivity, drude.omega_p)
 
 
 # ---------------------------------------------------------------- commands

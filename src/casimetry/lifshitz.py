@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from casimetry.constants import C_LIGHT, HBAR, K_B
 from casimetry.optics import PermittivityFn, _leggauss
 
 __all__ = [
-    "KINDS",
+    "MODELS",
     "ConvergenceError",
     "EngineDiagnostics",
     "PressureCurve",
@@ -41,12 +42,6 @@ __all__ = [
     "matsubara_frequency",
     "reflection_sq",
 ]
-
-KINDS = ("Impedance", "ExactImpedance", "LifshitzDrude", "LifshitzSchwinger",
-         "LifshitzPlasma", "IdealMetal")
-
-# kinds whose zero-frequency TE rule needs the plasma frequency
-_OMEGA_P_KINDS = ("Impedance", "ExactImpedance", "LifshitzPlasma")
 
 _Y_MAX = 45.0
 
@@ -96,112 +91,131 @@ class ThermalState:
             raise ValueError("quad_tol must be positive")
 
 
-@dataclass(frozen=True)
-class ReflectionModel:
-    """A named prescription for squared reflection coefficients.
-
-    kind selects both the l >= 1 form and the zero-frequency rule;
-    permittivity supplies eps(i xi_l) where the kind needs it; omega_p
-    feeds the zero-frequency TE rules of the Impedance, ExactImpedance
-    and LifshitzPlasma kinds.
-    """
-
-    kind: str
-    permittivity: PermittivityFn | None = None
-    omega_p: float = 0.0
-    tag: str = ""
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind != "IdealMetal" and self.permittivity is None:
-            raise ValueError(f"{self.kind} needs a permittivity")
-        if self.kind in _OMEGA_P_KINDS and not self.omega_p > 0.0:
-            raise ValueError(f"{self.kind} needs omega_p > 0")
-        if not self.tag:
-            object.__setattr__(self, "tag", self.kind)
-
-    @classmethod
-    def impedance(cls, permittivity: PermittivityFn, omega_p: float,
-                  tag: str = "") -> "ReflectionModel":
-        return cls("Impedance", permittivity, omega_p, tag)
-
-    @classmethod
-    def exact_impedance(cls, permittivity: PermittivityFn, omega_p: float,
-                        tag: str = "") -> "ReflectionModel":
-        return cls("ExactImpedance", permittivity, omega_p, tag)
-
-    @classmethod
-    def lifshitz_drude(cls, permittivity: PermittivityFn,
-                       tag: str = "") -> "ReflectionModel":
-        return cls("LifshitzDrude", permittivity, 0.0, tag)
-
-    @classmethod
-    def lifshitz_schwinger(cls, permittivity: PermittivityFn,
-                           tag: str = "") -> "ReflectionModel":
-        return cls("LifshitzSchwinger", permittivity, 0.0, tag)
-
-    @classmethod
-    def lifshitz_plasma(cls, omega_p: float,
-                        permittivity: PermittivityFn | None = None,
-                        tag: str = "") -> "ReflectionModel":
-        if permittivity is None:
-            permittivity = PermittivityFn.from_plasma(omega_p)
-        return cls("LifshitzPlasma", permittivity, omega_p, tag)
-
-    @classmethod
-    def ideal_metal(cls, tag: str = "") -> "ReflectionModel":
-        return cls("IdealMetal", None, 0.0, tag)
-
-
 # ---------------------------------------------------------------------------
-# squared reflection coefficients
+# reflection models
 #
 # All forms depend only on ratios of (q, xi_l/c, omega_p/c), so the same
 # functions serve the physical-variable API and the scaled y-variables of
 # the quadrature engine.
 
-def _r_sq_zero(kind, k, kp):
-    """(r_par^2, r_perp^2) at l = 0; k is transverse momentum, kp = omega_p/c."""
-    ones = np.ones_like(k)
-    if kind in ("IdealMetal", "LifshitzSchwinger"):
-        return ones, np.ones_like(k)
-    if kind == "LifshitzDrude":
-        return ones, np.zeros_like(k)
-    if kind == "LifshitzPlasma":
-        k0 = np.sqrt(k * k + kp * kp)
-        return ones, ((k0 - k) / (k0 + k)) ** 2
-    # Impedance and ExactImpedance share the extrapolated rule: the
-    # Leontovich impedance of a plasma-like metal tends to xi/omega_p,
-    # which turns the TE coefficient into (c k - omega_p)/(c k + omega_p).
-    return ones, ((k - kp) / (k + kp)) ** 2
+def _te_zero_plasma(k, kp):
+    k0 = np.sqrt(k * k + kp * kp)
+    return ((k0 - k) / (k0 + k)) ** 2
 
 
-def _r_sq_thermal(kind, q, xic, eps):
-    """(r_par^2, r_perp^2) at l >= 1; xic = xi_l / c, eps = eps(i xi_l)."""
-    if kind == "IdealMetal":
-        ones = np.ones_like(q)
-        return ones, np.ones_like(q)
-    if kind in ("Impedance", "ExactImpedance"):
-        z_imp = 1.0 / np.sqrt(eps)
-        if kind == "ExactImpedance":
-            # mass-shell substitution sin^2 theta_0 = (c k_perp / w)^2
-            # continued to the imaginary axis
-            s = 1.0 - (xic / q) ** 2
-            fac = np.sqrt(1.0 - s / eps)
-            z_par = z_imp * fac
-            z_perp = z_imp / fac
-        else:
-            z_par = z_imp
-            z_perp = z_imp
-        r_par = ((q - z_par * xic) / (q + z_par * xic)) ** 2
-        r_perp = ((z_perp * q - xic) / (z_perp * q + xic)) ** 2
-        return r_par, r_perp
-    # permittivity-based coefficients
+def _te_zero_impedance(k, kp):
+    # the Leontovich impedance of a plasma-like metal tends to xi/omega_p,
+    # which turns the TE coefficient into (c k - omega_p)/(c k + omega_p)
+    return ((k - kp) / (k + kp)) ** 2
+
+
+def _r_sq_ideal(q, xic, eps):
+    return np.ones_like(q), np.ones_like(q)
+
+
+def _r_sq_impedance(q, xic, eps, exact=False):
+    z_par = z_perp = 1.0 / np.sqrt(eps)
+    if exact:
+        # mass-shell substitution sin^2 theta_0 = (c k_perp / w)^2
+        # continued to the imaginary axis
+        fac = np.sqrt(1.0 - (1.0 - (xic / q) ** 2) / eps)
+        z_par, z_perp = z_par * fac, z_perp / fac
+    r_par = ((q - z_par * xic) / (q + z_par * xic)) ** 2
+    r_perp = ((z_perp * q - xic) / (z_perp * q + xic)) ** 2
+    return r_par, r_perp
+
+
+def _r_sq_lifshitz(q, xic, eps):
     kl = np.sqrt(q * q + (eps - 1.0) * xic * xic)
     r_par = ((eps * q - kl) / (eps * q + kl)) ** 2
     r_perp = ((q - kl) / (q + kl)) ** 2
     return r_par, r_perp
+
+
+@dataclass(frozen=True)
+class ModelRule:
+    """A row of MODELS.  te_zero is r_perp^2 at l = 0 (r_par^2 = 1): a
+    constant, or a function of (k, omega_p/c) for rules that need omega_p.
+    thermal maps (q, xi_l/c, eps(i xi_l)) to the l >= 1 (r_par^2, r_perp^2);
+    own_permittivity maps omega_p to an eps(i xi) that replaces a given one."""
+
+    te_zero: object
+    thermal: object
+    own_permittivity: object = None
+
+    @property
+    def needs_omega_p(self) -> bool:
+        return callable(self.te_zero)
+
+    @property
+    def uses_permittivity(self) -> bool:
+        return self.thermal is not _r_sq_ideal
+
+
+# the one list of reflection models, keyed by the names that the CLI, its
+# output files and the README use
+MODELS = {
+    "ideal": ModelRule(1.0, _r_sq_ideal),
+    "impedance": ModelRule(_te_zero_impedance, _r_sq_impedance),
+    "exact": ModelRule(_te_zero_impedance, partial(_r_sq_impedance, exact=True)),
+    "drude": ModelRule(0.0, _r_sq_lifshitz),
+    "schwinger": ModelRule(1.0, _r_sq_lifshitz),
+    "plasma": ModelRule(_te_zero_plasma, _r_sq_lifshitz,
+                        PermittivityFn.from_plasma),
+}
+
+
+@dataclass(frozen=True)
+class ReflectionModel:
+    """A prescription for squared reflection coefficients.
+
+    kind is a key of MODELS, whose row gives the zero-frequency rule and
+    the l >= 1 form; permittivity supplies eps(i xi_l) where the form
+    needs it; omega_p feeds the plasma-like zero-frequency TE rules.
+    """
+
+    kind: str
+    permittivity: PermittivityFn | None = None
+    omega_p: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in MODELS:
+            raise ValueError(f"unknown model {self.kind!r}; expected one of "
+                             + ", ".join(MODELS))
+        rule = MODELS[self.kind]
+        if rule.needs_omega_p and not 0.0 < self.omega_p < math.inf:
+            raise ValueError(f"{self.kind} needs a finite omega_p > 0")
+        if rule.own_permittivity is not None:
+            object.__setattr__(self, "permittivity",
+                               rule.own_permittivity(self.omega_p))
+        if rule.uses_permittivity and self.permittivity is None:
+            raise ValueError(f"{self.kind} needs a permittivity")
+
+    @classmethod
+    def impedance(cls, permittivity: PermittivityFn,
+                  omega_p: float) -> "ReflectionModel":
+        return cls("impedance", permittivity, omega_p)
+
+    @classmethod
+    def exact_impedance(cls, permittivity: PermittivityFn,
+                        omega_p: float) -> "ReflectionModel":
+        return cls("exact", permittivity, omega_p)
+
+    @classmethod
+    def lifshitz_drude(cls, permittivity: PermittivityFn) -> "ReflectionModel":
+        return cls("drude", permittivity)
+
+    @classmethod
+    def lifshitz_schwinger(cls, permittivity: PermittivityFn) -> "ReflectionModel":
+        return cls("schwinger", permittivity)
+
+    @classmethod
+    def lifshitz_plasma(cls, omega_p: float) -> "ReflectionModel":
+        return cls("plasma", None, omega_p)
+
+    @classmethod
+    def ideal_metal(cls) -> "ReflectionModel":
+        return cls("ideal")
 
 
 def reflection_sq(model: ReflectionModel, xi_l: float, k_perp, l: int):
@@ -211,9 +225,9 @@ def reflection_sq(model: ReflectionModel, xi_l: float, k_perp, l: int):
     ----------
     model : ReflectionModel
     xi_l : float
-        Matsubara frequency in rad/s; must be 0 exactly when l = 0.
+        Matsubara frequency in rad/s, finite; must be 0 exactly when l = 0.
     k_perp : float or ndarray
-        Transverse momentum, 1/m, > 0.
+        Transverse momentum, 1/m, positive and finite.
     l : int
         Matsubara index.
 
@@ -222,19 +236,22 @@ def reflection_sq(model: ReflectionModel, xi_l: float, k_perp, l: int):
     (r_par_sq, r_perp_sq), scalars or arrays following k_perp; both in [0, 1].
     """
     k = np.asarray(k_perp, dtype=float)
-    if np.any(k <= 0.0):
-        raise ValueError("k_perp must be positive")
+    # written as not (...) so that a NaN fails the guards
+    if not np.all((k > 0.0) & (k < math.inf)):
+        raise ValueError("k_perp must be positive and finite")
     if l < 0:
         raise ValueError("l must be non-negative")
-    if (l == 0) != (xi_l == 0.0):
-        raise ValueError("xi_l must be zero exactly at l = 0")
-    if l == 0:
-        rp, rt = _r_sq_zero(model.kind, k, model.omega_p / C_LIGHT)
-    else:
+    if not 0.0 <= xi_l < math.inf or (l == 0) != (xi_l == 0.0):
+        raise ValueError("xi_l must be finite, >= 0 and zero exactly at l = 0")
+    rule = MODELS[model.kind]
+    if l > 0:
         xic = xi_l / C_LIGHT
-        q = np.sqrt(k * k + xic * xic)
-        eps = model.permittivity(xi_l) if model.kind != "IdealMetal" else None
-        rp, rt = _r_sq_thermal(model.kind, q, xic, eps)
+        eps = model.permittivity(xi_l) if rule.uses_permittivity else None
+        rp, rt = rule.thermal(np.sqrt(k * k + xic * xic), xic, eps)
+    elif rule.needs_omega_p:
+        rp, rt = np.ones_like(k), rule.te_zero(k, model.omega_p / C_LIGHT)
+    else:
+        rp, rt = np.ones_like(k), np.full_like(k, rule.te_zero)
     if np.isscalar(k_perp):
         return float(rp), float(rt)
     return rp, rt
@@ -317,7 +334,7 @@ _BLOCK_FRACTIONS = np.array(
     [0.0, 0.008, 0.02, 0.045, 0.09, 0.16, 0.27, 0.42, 0.62, 0.8, 1.0])
 
 
-def _thermal_integrals(kind, y_ls, eps_arr, weight, quad_tol):
+def _thermal_integrals(thermal, y_ls, eps_arr, weight, quad_tol):
     """Integrals over [y_l, Y_MAX] of l >= 1 rows, plus per-row error.
 
     Rows with y_l >= 0.5 run on fixed fractional panels; rows below it (the
@@ -326,8 +343,7 @@ def _thermal_integrals(kind, y_ls, eps_arr, weight, quad_tol):
     """
     def rsq_for(sel):
         y_sel, eps_sel = y_ls[sel], eps_arr[sel]
-        return lambda y, rows: _r_sq_thermal(kind, y, y_sel[rows, None],
-                                             eps_sel[rows, None])
+        return lambda y, rows: thermal(y, y_sel[rows, None], eps_sel[rows, None])
 
     values, errs = np.zeros_like(y_ls), np.zeros_like(y_ls)
     fixed = np.nonzero(y_ls >= 0.5)[0]
@@ -346,19 +362,18 @@ def _thermal_integrals(kind, y_ls, eps_arr, weight, quad_tol):
     return values, errs
 
 
-def _zero_frequency_term(kind, y_p, weight, quad_tol):
+def _zero_frequency_term(rule, y_p, weight, quad_tol):
     """I_0 and its error estimate for every separation; y_p = 2 z omega_p / c.
 
     TM (r2 = 1) and the TE channel of the ideal, Schwinger and Drude rules
     are closed forms; only the plasma-like TE channel needs graded panels.
     """
     unit = _UNIT_CHANNEL[weight]
-    channels = {"IdealMetal": 2, "LifshitzSchwinger": 2, "LifshitzDrude": 1}
-    if kind in channels:
-        return np.full_like(y_p, channels[kind] * unit), np.zeros_like(y_p)
+    if not rule.needs_omega_p:
+        return np.full_like(y_p, (1.0 + rule.te_zero) * unit), np.zeros_like(y_p)
     te, err = _panel_integrals(
         weight, np.tile(_graded_edges(0.0), (y_p.size, 1)),
-        lambda y, rows: (np.zeros_like(y), _r_sq_zero(kind, y, y_p[rows, None])[1]),
+        lambda y, rows: (np.zeros_like(y), rule.te_zero(y, y_p[rows, None])),
         quad_tol, True)
     return unit + te, err
 
@@ -391,7 +406,7 @@ def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
                       for s in z.tolist()], dtype=int)
     xi1 = matsubara_frequency(state.temperature, 1)
     y1 = 2.0 * z * xi1 / C_LIGHT
-    kind = model.kind
+    rule = MODELS[model.kind]
 
     # rows l = 1..n per separation; terms beyond the y cutoff are pure tail
     n_rows = np.minimum(l_max, np.floor((_Y_MAX - 1.0) / y1) + 1).astype(int)
@@ -401,15 +416,15 @@ def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
     keep = y_ls < _Y_MAX - 1.0
     zi, ls, y_ls = zi[keep], ls[keep], y_ls[keep]
     eps_arr = np.ones_like(y_ls)  # never read by the ideal metal's r2 = 1
-    if kind != "IdealMetal" and ls.size:
+    if rule.uses_permittivity and ls.size:
         eps_arr = model.permittivity(xi1 * np.arange(1, ls.max() + 1))[ls - 1]
 
     values, errs = np.empty_like(y_ls), np.empty_like(y_ls)
     for lo in range(0, y_ls.size, _BLOCK_ROWS):
         part = slice(lo, lo + _BLOCK_ROWS)
         values[part], errs[part] = _thermal_integrals(
-            kind, y_ls[part], eps_arr[part], weight, tol)
-    value0, err0 = _zero_frequency_term(kind, 2.0 * z * model.omega_p / C_LIGHT,
+            rule.thermal, y_ls[part], eps_arr[part], weight, tol)
+    value0, err0 = _zero_frequency_term(rule, 2.0 * z * model.omega_p / C_LIGHT,
                                         weight, tol)
     acc = 0.5 * value0 + np.bincount(zi, values, minlength=z.size)
     err = (0.5 * err0 + np.bincount(zi, errs, minlength=z.size)
@@ -514,41 +529,32 @@ def entropy_probe(model: ReflectionModel, z: float,
 
 @dataclass(frozen=True)
 class PressureCurve:
-    """Separation grid, pressures and per-point relative theory error."""
+    """Separation grid and pressures of one model."""
 
     z: np.ndarray
     pressure: np.ndarray
-    rel_theory_error: np.ndarray
-    model_tag: str = ""
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
         p = np.asarray(self.pressure, dtype=float)
-        r = np.asarray(self.rel_theory_error, dtype=float)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "pressure", p)
-        object.__setattr__(self, "rel_theory_error", r)
         if z.ndim != 1 or z.size == 0:
             raise ValueError("z grid must be a non-empty 1-d array")
-        if p.shape != z.shape or r.shape != z.shape:
-            raise ValueError("pressure and error arrays must match z")
-        if np.any(z <= 0.0) or np.any(np.diff(z) <= 0.0):
-            raise ValueError("z must be positive and strictly increasing")
-        if np.any(p >= 0.0):
-            raise ValueError("pressures must be negative (attractive)")
-        if np.any(r < 0.0):
-            raise ValueError("rel_theory_error must be >= 0")
-
-    def _check_range(self, z):
-        zq = np.asarray(z, dtype=float)
-        lo, hi = self.z[0], self.z[-1]
-        if np.any(zq < lo * (1 - 1e-12)) or np.any(zq > hi * (1 + 1e-12)):
-            raise ValueError(f"z outside curve range [{lo:.4e}, {hi:.4e}]")
-        return zq
+        if p.shape != z.shape:
+            raise ValueError("pressure array must match z")
+        # written as not (...) so that a NaN fails the guards
+        if not (np.all((z > 0.0) & (z < math.inf)) and np.all(np.diff(z) > 0.0)):
+            raise ValueError("z must be positive, finite and strictly increasing")
+        if not np.all((p < 0.0) & (p > -math.inf)):
+            raise ValueError("pressures must be negative (attractive) and finite")
 
     def pressure_at(self, z):
         """Log-log interpolated pressure at z (within the curve range)."""
-        zq = self._check_range(z)
+        zq = np.asarray(z, dtype=float)
+        lo, hi = self.z[0], self.z[-1]
+        if not np.all((zq >= lo * (1 - 1e-12)) & (zq <= hi * (1 + 1e-12))):
+            raise ValueError(f"z outside curve range [{lo:.4e}, {hi:.4e}]")
         if self.z.size == 1:
             out = np.full(zq.shape, self.pressure[0])
         else:
@@ -556,29 +562,9 @@ class PressureCurve:
                                     np.log(-self.pressure)))
         return float(out) if np.isscalar(z) else out
 
-    def error_at(self, z):
-        """Linearly interpolated relative theory error at z."""
-        zq = self._check_range(z)
-        if self.z.size == 1:
-            out = np.full(zq.shape, self.rel_theory_error[0])
-        else:
-            out = np.interp(zq, self.z, self.rel_theory_error)
-        return float(out) if np.isscalar(z) else out
 
-
-def compute_pressure_curve(model: ReflectionModel, z_values, state: ThermalState,
-                           rel_theory_error=None) -> PressureCurve:
-    """Evaluate casimir_pressure on a grid in one call; package a PressureCurve.
-
-    rel_theory_error may be None (zeros), a callable z -> fraction, or an
-    array matching z_values.
-    """
+def compute_pressure_curve(model: ReflectionModel, z_values,
+                           state: ThermalState) -> PressureCurve:
+    """Evaluate casimir_pressure on a grid in one call; package a PressureCurve."""
     z_arr = np.asarray(z_values, dtype=float)
-    pressures = casimir_pressure(model, z_arr, state)
-    if rel_theory_error is None:
-        rel = np.zeros_like(z_arr)
-    elif callable(rel_theory_error):
-        rel = np.array([float(rel_theory_error(float(z))) for z in z_arr])
-    else:
-        rel = np.asarray(rel_theory_error, dtype=float)
-    return PressureCurve(z_arr, pressures, rel, model_tag=model.tag)
+    return PressureCurve(z_arr, casimir_pressure(model, z_arr, state))

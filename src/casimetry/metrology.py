@@ -654,22 +654,21 @@ def default_noise_budget() -> ErrorBudget:
     ))
 
 
-def generate_synthetic_ensemble(model=None, noise: ErrorBudget = None,
+def generate_synthetic_ensemble(*, curve: PressureCurve = None,
+                                noise: ErrorBudget = None,
                                 n_sets: int = DEFAULT_N_SETS,
                                 points_per_set: int = DEFAULT_POINTS_PER_SET,
                                 z_range=DEFAULT_Z_RANGE,
                                 seed: int = DEFAULT_SEED,
-                                curve: PressureCurve = None,
-                                state=None,
                                 z_jitter: float = DEFAULT_SEPARATION_ERROR,
                                 ) -> MeasurementEnsemble:
     """Draw a deterministic synthetic ensemble around a model curve.
 
     Parameters
     ----------
-    model : ReflectionModel, optional
-        Generating model; evaluated through a log-spaced interpolation
-        curve.  Ignored when `curve` is given.
+    curve : PressureCurve
+        Pressure curve of the generating model; required.  True
+        separations outside its range are clipped to it.
     noise : ErrorBudget, optional
         Pressure-space noise; defaults to default_noise_budget().
         Uniform components are drawn once per ensemble, normal and
@@ -680,16 +679,11 @@ def generate_synthetic_ensemble(model=None, noise: ErrorBudget = None,
     seed : int
         Ensembles are bit-reproducible given the seed.
     """
+    if curve is None:
+        raise ValueError("a generating pressure curve is required")
     if n_sets < 1 or points_per_set < 1:
         raise ValueError("n_sets and points_per_set must be >= 1")
     lo, hi = z_range
-    if curve is None:
-        if model is None:
-            raise ValueError("either model or curve is required")
-        from .lifshitz import ThermalState, compute_pressure_curve
-        st = state if state is not None else ThermalState(300.0)
-        grid = np.geomspace(0.92 * lo, 1.02 * hi, 80)
-        curve = compute_pressure_curve(model, grid, st)
     if noise is None:
         noise = default_noise_budget()
     rng_sys = np.random.default_rng([seed, 999983])

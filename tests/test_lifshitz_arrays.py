@@ -8,16 +8,17 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from casimetry import lifshitz
-from casimetry.cli import MODEL_KEYS, build_model
+from casimetry.cli import build_model
 from casimetry.corrections import RoughnessProfile, roughness_corrected_pressure
-from casimetry.lifshitz import (KINDS, ConvergenceError, ReflectionModel,
+from casimetry.lifshitz import (ConvergenceError, ReflectionModel,
                                 ThermalState, casimir_free_energy,
                                 casimir_pressure, reflection_sq)
 from casimetry.optics import DrudeParameters, OpticalDataset, PermittivityFn
 
 GOLD = DrudeParameters(1.37e16, 5.3e13)
 EPS = PermittivityFn.from_drude(GOLD)
-MODELS = {key: build_model(key, GOLD, EPS) for key in MODEL_KEYS}
+KEYS = tuple(lifshitz.MODELS)
+MODELS = {key: build_model(key, GOLD, EPS) for key in KEYS}
 ST300 = ThermalState(300.0)
 
 GRID80 = np.geomspace(160e-9, 750e-9, 80)
@@ -56,7 +57,7 @@ FROZEN_Z = np.array([160e-9, 300e-9, 750e-9])
 
 
 class TestArrayAgreesWithScalar:
-    @pytest.mark.parametrize("key", MODEL_KEYS)
+    @pytest.mark.parametrize("key", KEYS)
     @pytest.mark.parametrize("fn", [casimir_pressure, casimir_free_energy])
     @pytest.mark.parametrize("z", [GRID80, ROUGH_SEPARATIONS],
                              ids=["grid80", "roughness"])
@@ -89,12 +90,12 @@ class TestArrayAgreesWithScalar:
 
 
 class TestFrozenParentValues:
-    @pytest.mark.parametrize("key", MODEL_KEYS)
+    @pytest.mark.parametrize("key", KEYS)
     def test_pressure(self, key):
         p = casimir_pressure(MODELS[key], FROZEN_Z, ST300)
         np.testing.assert_allclose(p, FROZEN_PRESSURE[key], rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("key", MODEL_KEYS)
+    @pytest.mark.parametrize("key", KEYS)
     def test_free_energy(self, key):
         f = casimir_free_energy(MODELS[key], FROZEN_Z, ST300)
         np.testing.assert_allclose(f, FROZEN_FREE_ENERGY[key], rtol=1e-9, atol=0)
@@ -175,11 +176,11 @@ class TestHashableModels:
         table = PermittivityFn.from_table(
             OpticalDataset(omega, nk.real, nk.imag), GOLD)
         for eps in (EPS, table):
-            models = [build_model(key, GOLD, eps) for key in MODEL_KEYS]
-            cache = {model: key for model, key in zip(models, MODEL_KEYS)}
-            assert len(cache) == len(MODEL_KEYS)
+            models = [build_model(key, GOLD, eps) for key in KEYS]
+            cache = {model: key for model, key in zip(models, KEYS)}
+            assert len(cache) == len(KEYS)
             assert all(cache[model] == key
-                       for model, key in zip(models, MODEL_KEYS))
+                       for model, key in zip(models, KEYS))
 
     def test_permittivity_is_frozen(self):
         with pytest.raises(AttributeError):
@@ -212,7 +213,7 @@ z_grids = st.builds(
 
 
 class TestProperties:
-    @given(z=z_grids, key=st.sampled_from(MODEL_KEYS))
+    @given(z=z_grids, key=st.sampled_from(KEYS))
     def test_magnitude_falls_strictly_and_stays_below_ideal(self, z, key):
         # 0 <= r2 <= 1 and f(r2) grows with r2, so no model exceeds r2 = 1
         p = casimir_pressure(MODELS[key], z, ST300)
@@ -232,7 +233,7 @@ class TestProperties:
         assert np.all(drude <= schwinger)
         assert np.all(schwinger <= ideal)
 
-    @given(kind=st.sampled_from(KINDS), eps=st.floats(1.0, 1e10),
+    @given(kind=st.sampled_from(KEYS), eps=st.floats(1.0, 1e10),
            omega_p=st.floats(1e13, 1e18), xi=st.floats(1e9, 1e20),
            l=st.integers(0, 10_000),
            k=st.lists(st.floats(1e-3, 1e12), min_size=1, max_size=8))
@@ -243,7 +244,7 @@ class TestProperties:
         for r2 in reflection_sq(model, xi if l else 0.0, np.array(k), l):
             assert np.all((r2 >= 0.0) & (r2 <= 1.0))
 
-    @given(z=z_grids, key=st.sampled_from(MODEL_KEYS))
+    @given(z=z_grids, key=st.sampled_from(KEYS))
     def test_flat_roughness_is_the_smooth_pressure(self, z, key):
         flat = RoughnessProfile.flat()
         smooth = casimir_pressure(MODELS[key], z, ST300)

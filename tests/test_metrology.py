@@ -612,7 +612,7 @@ class TestSyntheticGenerator:
         assert abs(offsets[0]) <= 0.01
 
     def test_model_or_curve_required(self):
-        with pytest.raises(ValueError, match="model or curve"):
+        with pytest.raises(ValueError, match="curve is required"):
             mt.generate_synthetic_ensemble(seed=1)
 
     def test_separations_respect_range(self, default_ensemble):
