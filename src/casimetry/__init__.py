@@ -5,10 +5,11 @@ The package is organised bottom-up:
 ``constants``
     Shared SI constants and the version tag stamped into output files.
 ``io``
-    The one CSV format of every table written or read.
+    The one CSV format of every table written or read, and the one
+    reader of the whitespace input tables.
 ``optics``
     Tabulated optical data, Kramers-Kronig transform to the imaginary
-    frequency axis, Drude/plasma permittivities, surface impedance.
+    frequency axis, Drude/plasma permittivities.
 ``lifshitz``
     Matsubara-sum pressure and free energy between parallel plates for
     six reflection models, plus an entropy probe.

@@ -238,16 +238,12 @@ def cmd_kk(cfg: RunConfig, out: Path) -> None:
     if l_max < 1:
         raise ValueError("kk.l_max must be >= 1: the l = 0 term is not "
                          "dispersive and the grid would be empty")
-    drude = _drude_from_config(cfg, "kk")
-    dataset = load_optical_table(table.read_text(),
-                                 unit_spec=cfg.get("kk", "optical_unit"),
-                                 metal_name=table.stem, source=str(table))
-    eps = PermittivityFn.from_table(dataset, drude)
+    _, eps = _permittivity_from_config(cfg, "kk")
     xi = [matsubara_frequency(temperature, l) for l in range(1, l_max + 1)]
     _write_csv(out / "dispersion.csv", cfg, ("xi_rad_s", "epsilon"),
                zip(xi, eps(np.array(xi))),
                comments=(f"temperature_K = {temperature}",
-                         f"source = {dataset.metal_name}"))
+                         f"source = {table.stem}"))
 
 
 def cmd_pressure(cfg: RunConfig, out: Path) -> None:
@@ -401,8 +397,7 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
     ref_path = cfg.get_path("constraints", "reference_curve")
     if ref_path is not None:
         reference = load_constraint_csv(ref_path)
-        ref_alpha = np.array([reference.alpha_at(lam)
-                              for lam in curve.lambdas])
+        ref_alpha = reference.alpha_at(curve.lambdas)
         overlay = zip(curve.lambdas, curve.alpha_max, ref_alpha,
                       curve.alpha_max / ref_alpha)
         _write_csv(out / "overlay.csv", cfg,

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .io import read_table
 
 __all__ = [
     "SphereGeometry",
@@ -35,10 +36,10 @@ class SphereGeometry:
     radius_error: float = 0.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("sphere radius must be positive")
-        if self.radius_error < 0:
-            raise ValueError("radius_error must be nonnegative")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("sphere radius must be positive and finite")
+        if not 0 <= self.radius_error < math.inf:
+            raise ValueError("radius_error must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ class RoughnessProfile:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if h.ndim != 1 or h.shape != w.shape or h.size == 0:
             raise ValueError("heights and weights must be matching 1-d arrays")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(h) & (w >= 0) & (w < math.inf)):
+            raise ValueError("heights must be finite, weights finite and nonnegative")
         total = float(w.sum())
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"weights sum to {total:.8f}, expected 1")
@@ -98,8 +99,8 @@ class RoughnessProfile:
         """
         h = np.asarray(heights, dtype=float)
         w = np.asarray(weights, dtype=float)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("histogram weights must be nonnegative with positive sum")
+        if not (np.all(np.isfinite(h) & (w >= 0) & (w < math.inf)) and w.sum() > 0):
+            raise ValueError("histogram needs finite levels, weights >= 0 with a positive sum")
         w = w / w.sum()
         return cls(h - w @ h, w)
 
@@ -117,7 +118,7 @@ class RoughnessProfile:
         clip : float, optional
             Half-range of the grid in units of sigma.
         """
-        if sigma < 0 or n_points < 1:
+        if not (0 <= sigma < math.inf and n_points >= 1):
             raise ValueError("sigma must be >= 0 and n_points >= 1")
         if sigma == 0:
             return cls.flat()
@@ -187,22 +188,15 @@ def roughness_corrected_pressure(pressure_fn: Callable[[np.ndarray], np.ndarray]
 
 
 def load_roughness_profile(path) -> RoughnessProfile:
-    """Read a height histogram from a text file.
-
-    Rows are "height_nm weight"; '#' starts a comment.  Weights are
-    normalized and heights recentered to the mean plane.
+    """Read a height histogram: "height_nm weight" rows in the format of
+    casimetry.io.read_table.  Weights are normalized and heights
+    recentered to the mean plane.
     """
-    heights = []
-    weights = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'height_nm weight'")
-        heights.append(float(parts[0]) * 1e-9)
-        weights.append(float(parts[1]))
-    if not heights:
+    with open(path) as fh:
+        _, rows = read_table(fh, path, 2)
+    if not len(rows):
         raise ValueError(f"{path}: no histogram rows found")
-    return RoughnessProfile.from_histogram(heights, weights)
+    try:
+        return RoughnessProfile.from_histogram(rows[:, 0] * 1e-9, rows[:, 1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import G_NEWTON
-from .io import FLOAT_FORMAT, read_csv, write_csv
+from .io import FLOAT_FORMAT, read_csv, read_table, write_csv
 
 __all__ = [
     "YukawaParams",
     "Layer",
     "LayerStack",
     "ConstraintCurve",
-    "yukawa_point_potential",
     "yukawa_plate_pressure",
     "yukawa_pressure_oracle",
     "density_factor",
@@ -73,8 +72,8 @@ class Layer:
     thickness: float
 
     def __post_init__(self):
-        if not self.density > 0:
-            raise ValueError("layer density must be positive")
+        if not 0 < self.density < math.inf:
+            raise ValueError("layer density must be positive and finite")
         if not self.thickness > 0:
             raise ValueError("layer thickness must be positive")
 
@@ -88,7 +87,6 @@ class LayerStack:
     """
 
     layers: tuple
-    label: str = ""
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -102,34 +100,22 @@ class LayerStack:
         object.__setattr__(self, "layers", layers)
 
     @classmethod
-    def homogeneous(cls, density: float, label: str = "") -> "LayerStack":
-        return cls((Layer(density, math.inf),), label)
+    def homogeneous(cls, density: float) -> "LayerStack":
+        return cls((Layer(density, math.inf),))
 
 
 def coated_sphere_stack() -> LayerStack:
     """Gold-coated sapphire sphere: Au over a Ti adhesion layer."""
     return LayerStack((Layer(DENSITY_AU, 200e-9),
                        Layer(DENSITY_TI, 10e-9),
-                       Layer(DENSITY_SAPPHIRE, math.inf)), "sphere")
+                       Layer(DENSITY_SAPPHIRE, math.inf)))
 
 
 def coated_plate_stack() -> LayerStack:
     """Gold-coated silicon plate: Au over a Pt adhesion layer."""
     return LayerStack((Layer(DENSITY_AU, 150e-9),
                        Layer(DENSITY_PT, 10e-9),
-                       Layer(DENSITY_SI, math.inf)), "plate")
-
-
-def yukawa_point_potential(m1: float, m2: float, r: float,
-                           params: YukawaParams) -> float:
-    """Two-point interaction energy with the Yukawa correction.
-
-    V(r) = -(G m1 m2 / r) (1 + alpha_g exp(-r/lam)).
-    """
-    if not r > 0:
-        raise ValueError("separation must be positive")
-    return (-G_NEWTON * m1 * m2 / r
-            * (1.0 + params.alpha_g * math.exp(-r / params.lam)))
+                       Layer(DENSITY_SI, math.inf)))
 
 
 def density_factor(stack: LayerStack, lam):
@@ -173,8 +159,8 @@ def yukawa_plate_pressure(stack_a: LayerStack, stack_b: LayerStack,
     stack density factors phi.  Attractive for positive alpha_g.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise ValueError("separation must be positive")
+    if not np.all((z > 0) & (z < math.inf)):
+        raise ValueError("separation must be positive and finite")
     _check_range_validity(params.lam)
     out = _plate_pressure(stack_a, stack_b, z, params.lam, params.alpha_g)
     return float(out) if out.ndim == 0 else out
@@ -252,10 +238,11 @@ class ConstraintCurve:
     def z_best(self):
         return np.array([e[2] for e in self.entries])
 
-    def alpha_at(self, lam: float) -> float:
-        """Log-log interpolated bound at one range."""
-        return float(np.exp(np.interp(np.log(lam), np.log(self.lambdas),
-                                      np.log(self.alpha_max))))
+    def alpha_at(self, lam):
+        """Log-log interpolated bound: a float for a scalar lam, else an array."""
+        out = np.exp(np.interp(np.log(lam), np.log(self.lambdas),
+                               np.log(self.alpha_max)))
+        return float(out) if out.ndim == 0 else out
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -317,40 +304,27 @@ def constraint_curve(band, stack_a: LayerStack, stack_b: LayerStack,
         Interaction ranges, m.
     """
     lams = np.sort(np.asarray(lambdas, dtype=float))
-    if lams.size == 0 or np.any(lams <= 0):
-        raise ValueError("interaction ranges must be positive")
+    if lams.size == 0 or not np.all((lams > 0) & (lams < math.inf)):
+        raise ValueError("interaction ranges must be positive and finite")
     _check_range_validity(lams[-1])
     z_best, alpha = _strongest_constraints(band, stack_a, stack_b, lams,
                                            coarse_points)
     return ConstraintCurve(tuple(zip(lams, alpha, z_best)))
 
 
-def load_layer_stack(path, label: str = "") -> LayerStack:
-    """Read a stack file: one "density_kg_m3 thickness_nm" per line.
-
-    The terminal line uses "inf" for the substrate; '#' starts a
-    comment.
+def load_layer_stack(path) -> LayerStack:
+    """Read a stack file: one "density_kg_m3 thickness_nm" row per layer
+    in the format of casimetry.io.read_table, the terminal row with
+    thickness "inf" for the substrate.
     """
-    layers = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'density thickness_nm'")
-            try:
-                density = float(parts[0])
-                thickness = (math.inf if parts[1].lower() == "inf"
-                             else float(parts[1]) * 1e-9)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            layers.append(Layer(density, thickness))
-    if not layers:
+        _, rows = read_table(fh, path, 2)
+    if not len(rows):
         raise ValueError(f"{path}: no layers found")
-    return LayerStack(tuple(layers), label or str(path))
+    try:
+        return LayerStack(tuple(Layer(d, t * 1e-9) for d, t in rows.tolist()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_constraint_csv(curve: ConstraintCurve, path, comments=()):

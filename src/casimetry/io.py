@@ -1,6 +1,7 @@
-"""The one CSV format of every table the package writes or reads.
+"""The one CSV format of every table the package writes or reads, and
+the one reader of the whitespace tables given to it as input.
 
-``# `` comment lines, a header naming the columns, then one row per
+CSV: ``# `` comment lines, a header naming the columns, then one row per
 line (floats as ``.10e``, integers plainly), every line ending in LF.
 """
 
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["FLOAT_FORMAT", "write_csv", "read_csv"]
+__all__ = ["FLOAT_FORMAT", "write_csv", "read_csv", "read_table"]
 
 FLOAT_FORMAT = ".10e"
 
@@ -78,3 +79,32 @@ def read_csv(path, columns, integer_columns=()):
     if not header:
         raise ValueError(f"{path}: expected header " + ",".join(columns))
     return comments, np.array(data, dtype=float).reshape(len(data), len(columns))
+
+
+def read_table(lines, where, n_columns):
+    """Read a text table of `n_columns` floats per row from `lines`.
+
+    ``#`` starts a comment anywhere on a line, blank lines are skipped,
+    and fields are split on whitespace or commas.  Returns ``(comments,
+    data)``: the whole-line comments as ``(line number, text)`` pairs
+    and an ``(n_rows, n_columns)`` float array.  ``inf`` parses; a wrong
+    field count or an unparsable or NaN field raises ValueError naming
+    ``where:line``.
+    """
+    comments, data = [], []
+    for lineno, line in enumerate(lines, 1):
+        body, hash_, text = line.partition("#")
+        if hash_ and not body.strip():
+            comments.append((lineno, text.strip()))
+        fields = body.replace(",", " ").split()
+        if not fields:
+            continue
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            row = [math.nan]
+        if len(row) != n_columns or any(map(math.isnan, row)):
+            raise ValueError(f"{where}:{lineno}: expected {n_columns} numbers, "
+                             f"got {body.strip()!r}")
+        data.append(row)
+    return comments, np.array(data, dtype=float).reshape(len(data), n_columns)

@@ -31,6 +31,7 @@ __all__ = [
     "MODELS",
     "ConvergenceError",
     "EngineDiagnostics",
+    "ModelRule",
     "PressureCurve",
     "ReflectionModel",
     "ThermalState",

@@ -213,21 +213,19 @@ class MeasurementEnsemble:
     sets: tuple
     bin_width: float = DEFAULT_BIN_WIDTH
     z_range: tuple = DEFAULT_Z_RANGE
-    provenance: str = "external"
 
     def __post_init__(self):
-        if self.provenance not in ("synthetic", "external"):
-            raise ValueError("provenance must be 'synthetic' or 'external'")
         if not self.bin_width > 0:
             raise ValueError("bin_width must be positive")
         lo, hi = self.z_range
-        if not (0 < lo < hi):
-            raise ValueError("z_range must be increasing and positive")
+        if not (0 < lo < hi < math.inf):
+            raise ValueError("z_range must be increasing, positive and finite")
         sets = []
         for i, s in enumerate(self.sets):
             a = np.asarray(s, dtype=float)
-            if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 1:
-                raise ValueError(f"set {i} must be a nonempty (n, 2) array")
+            if (a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 1
+                    or not np.all(np.isfinite(a))):
+                raise ValueError(f"set {i} must be a nonempty (n, 2) array of finite values")
             if a[:, 0].min() < lo - 1e-12 or a[:, 0].max() > hi + 1e-12:
                 raise ValueError(f"set {i} has separations outside z_range")
             sets.append(a)
@@ -447,8 +445,8 @@ def theory_error_curve(z, sphere: SphereGeometry = DEFAULT_SPHERE,
     twice.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0) or dz < 0:
-        raise ValueError("z must be positive and dz nonnegative")
+    if not (np.all((z > 0) & (z < math.inf)) and dz >= 0):
+        raise ValueError("z must be positive and finite, dz nonnegative")
     _check_confidence(confidence)
     hws = [confidence * (z / sphere.radius),
            np.full_like(z, confidence * optical_rel)]
@@ -473,8 +471,8 @@ class ConfidenceBand:
             raise ValueError("band needs matching 1-d arrays of length >= 2")
         if not (np.all(np.diff(z) > 0) and np.all(np.isfinite(z))):
             raise ValueError("band z must be finite and strictly increasing")
-        if np.any(~(h > 0)):
-            raise ValueError("band half-widths must be positive")
+        if not np.all((h > 0) & (h < math.inf)):
+            raise ValueError("band half-widths must be positive and finite")
         _check_confidence(self.confidence)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "half_width", h)
@@ -710,8 +708,7 @@ def generate_synthetic_ensemble(*, curve: PressureCurve = None,
             else:
                 absolute = absolute + draw
         sets.append(np.column_stack([z_rec, p0 * (1.0 + rel) + absolute]))
-    return MeasurementEnsemble(tuple(sets), DEFAULT_BIN_WIDTH,
-                               (lo, hi), "synthetic")
+    return MeasurementEnsemble(tuple(sets), DEFAULT_BIN_WIDTH, (lo, hi))
 
 
 def save_ensemble_csv(ensemble: MeasurementEnsemble, path, comments=()):
@@ -721,7 +718,6 @@ def save_ensemble_csv(ensemble: MeasurementEnsemble, path, comments=()):
 
 
 def load_ensemble_csv(path, bin_width: float = DEFAULT_BIN_WIDTH,
-                      provenance: str = "external",
                       z_range=None) -> MeasurementEnsemble:
     """Read an ensemble written by save_ensemble_csv.
 
@@ -735,6 +731,6 @@ def load_ensemble_csv(path, bin_width: float = DEFAULT_BIN_WIDTH,
     if z_range is None:
         z_range = (float(data[:, 1].min()), float(data[:, 1].max()))
     try:
-        return MeasurementEnsemble(tuple(sets), bin_width, z_range, provenance)
+        return MeasurementEnsemble(tuple(sets), bin_width, z_range)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

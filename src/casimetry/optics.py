@@ -6,8 +6,7 @@ the imaginary axis through
     eps(i xi) = 1 + (2/pi) * int_0^inf  w Im eps(w) / (w^2 + xi^2) dw,
 
 with a Drude tail below the lowest tabulated frequency and zero above the
-highest.  Analytic Drude/plasma forms and the Leontovich surface impedance
-live here as well.
+highest.  The analytic Drude/plasma form lives here as well.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from casimetry.constants import C_LIGHT, EV_TO_RAD_S
+from casimetry.io import read_table
 
 __all__ = [
     "OpticalDataset",
@@ -29,8 +29,6 @@ __all__ = [
     "load_optical_table",
     "permittivity_imag_axis",
     "drude_permittivity",
-    "plasma_permittivity",
-    "leontovich_impedance",
 ]
 
 class QuadratureError(RuntimeError):
@@ -48,10 +46,10 @@ class DrudeParameters:
     gamma: float
 
     def __post_init__(self):
-        if not self.omega_p > 0.0:
-            raise ValueError("omega_p must be positive")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be non-negative")
+        if not 0.0 < self.omega_p < math.inf:
+            raise ValueError("omega_p must be positive and finite")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -68,15 +66,12 @@ class OpticalDataset:
         Extinction coefficient at each frequency.
     metal_name : str
         Label for the material.
-    source : str
-        Free-text provenance of the table.
     """
 
     omega: np.ndarray
     n: np.ndarray
     k: np.ndarray
     metal_name: str = ""
-    source: str = ""
 
     def __post_init__(self):
         for name in ("omega", "n", "k"):
@@ -86,15 +81,15 @@ class OpticalDataset:
             raise ValueError("need at least 2 tabulated points")
         if n.shape != omega.shape or k.shape != omega.shape:
             raise ValueError("omega, n, k must have matching lengths")
-        if not np.all(omega > 0.0):
-            raise ValueError("all omega must be positive")
+        if not np.all((omega > 0.0) & (omega < math.inf)):
+            raise ValueError("all omega must be positive and finite")
         diffs = np.diff(omega)
         if np.any(diffs == 0.0):
             raise ValueError("duplicate omega values in table")
         if np.any(diffs < 0.0):
             raise ValueError("omega must be strictly increasing")
-        if np.any(n < 0.0) or np.any(k < 0.0):
-            raise ValueError("n and k must be non-negative")
+        if not np.all((n >= 0.0) & (n < math.inf) & (k >= 0.0) & (k < math.inf)):
+            raise ValueError("n and k must be finite and non-negative")
 
     @property
     def im_eps(self) -> np.ndarray:
@@ -111,7 +106,7 @@ _UNIT_ALIASES = {
 }
 
 
-def _to_omega(x: float, unit: str) -> float:
+def _to_omega(x, unit: str):
     if unit == "eV":
         return x * EV_TO_RAD_S
     if unit == "rad_per_s":
@@ -122,7 +117,7 @@ def _to_omega(x: float, unit: str) -> float:
 
 def load_optical_table(raw_text: str, unit_spec: str | None = None,
                        metal_name: str = "", source: str = "") -> OpticalDataset:
-    """Parse a whitespace- or comma-delimited (x, n, k) table.
+    """Parse an (x, n, k) text table in the format of casimetry.io.read_table.
 
     The unit of the first column comes from a "#unit: eV|rad/s|um" header
     line unless `unit_spec` overrides it.  Rows are sorted ascending in
@@ -135,6 +130,8 @@ def load_optical_table(raw_text: str, unit_spec: str | None = None,
     unit_spec : str, optional
         One of "eV", "rad_per_s" (alias "rad/s"), "micrometers" (alias
         "um").  Overrides any header declaration.
+    source : str, optional
+        Names the input (a path) in error messages.
 
     Returns
     -------
@@ -143,51 +140,31 @@ def load_optical_table(raw_text: str, unit_spec: str | None = None,
     Raises
     ------
     ValueError
-        On malformed rows (the data row index is reported), unknown or
-        missing units, or an empty table.
+        On malformed rows (``source:line`` is reported), unknown or
+        missing units, x <= 0, or an empty table.
     """
-    header_unit = None
-    rows = []
-    row_index = 0
-    for line in raw_text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if body.lower().startswith("unit:"):
-                token = body[5:].strip().lower()
-                if token not in _UNIT_ALIASES:
-                    raise ValueError(f"unknown unit {token!r} in header")
-                header_unit = _UNIT_ALIASES[token]
-            continue
-        row_index += 1
-        parts = stripped.replace(",", " ").split()
-        if len(parts) != 3:
-            raise ValueError(
-                f"malformed row {row_index}: expected 3 columns, got {len(parts)}")
-        try:
-            x, n, k = (float(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"malformed row {row_index}: non-numeric entry") from None
-        if x <= 0.0:
-            raise ValueError(f"malformed row {row_index}: frequency column must be > 0")
-        rows.append((x, n, k))
-
-    if not rows:
-        raise ValueError("empty optical table")
+    where = source or "optical table"
+    comments, rows = read_table(raw_text.splitlines(), where, 3)
+    unit = None
+    for lineno, text in comments:
+        if text.lower().startswith("unit:"):
+            unit = _UNIT_ALIASES.get(text[5:].strip().lower())
+            if unit is None:
+                raise ValueError(f"{where}:{lineno}: unknown unit in header {text!r}")
+    if not len(rows):
+        raise ValueError(f"{where}: empty optical table")
     if unit_spec is not None:
-        key = unit_spec.strip().lower()
-        if key not in _UNIT_ALIASES:
+        unit = _UNIT_ALIASES.get(unit_spec.strip().lower())
+        if unit is None:
             raise ValueError(f"unknown unit spec {unit_spec!r}")
-        unit = _UNIT_ALIASES[key]
-    elif header_unit is not None:
-        unit = header_unit
-    else:
-        raise ValueError("no unit declared: add a '#unit:' header or pass unit_spec")
-
-    omega, n_arr, k_arr = np.array(sorted((_to_omega(x, unit), n, k) for x, n, k in rows)).T
-    return OpticalDataset(omega, n_arr, k_arr, metal_name=metal_name, source=source)
+    if unit is None:
+        raise ValueError(f"{where}: no unit declared: add a '#unit:' header or pass unit_spec")
+    if not np.all(rows[:, 0] > 0.0):
+        raise ValueError(f"{where}: frequency column must be > 0")
+    omega = _to_omega(rows[:, 0], unit)
+    order = np.argsort(omega, kind="stable")
+    return OpticalDataset(omega[order], rows[order, 1], rows[order, 2],
+                          metal_name=metal_name)
 
 
 @lru_cache(maxsize=16)
@@ -350,45 +327,18 @@ def drude_permittivity(drude: DrudeParameters, xi):
     return float(out) if np.isscalar(xi) else out
 
 
-def plasma_permittivity(omega_p: float, xi):
-    """Plasma permittivity 1 + wp^2/xi^2 on the imaginary axis."""
-    if not omega_p > 0.0:
-        raise ValueError("omega_p must be positive")
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr <= 0.0):
-        raise ValueError("xi must be positive")
-    out = 1.0 + omega_p ** 2 / xi_arr ** 2
-    return float(out) if np.isscalar(xi) else out
-
-
-def leontovich_impedance(epsilon):
-    """Surface impedance Z = 1/sqrt(eps), in (0, 1] for eps >= 1."""
-    eps_arr = np.asarray(epsilon, dtype=float)
-    if np.any(eps_arr < 1.0):
-        raise ValueError("epsilon must be >= 1")
-    out = 1.0 / np.sqrt(eps_arr)
-    return float(out) if np.isscalar(epsilon) else out
-
-
 @dataclass(frozen=True, eq=False)
 class PermittivityFn:
-    """Evaluable eps(i xi) with a declared zero-frequency behavior.
+    """Evaluable eps(i xi).
 
-    Every evaluation validates the output (real, >= 1); zero_frequency is
-    one of "drude_like", "plasma_like", "finite" and records how eps
-    behaves as xi -> 0 without ever evaluating there.  Instances are
-    immutable and hash by identity, so models built on them can be keys.
+    Every evaluation validates the output (real, >= 1).  The static term
+    is set by the reflection model (lifshitz.MODELS), never by eps, which
+    is not evaluated at xi = 0.  Instances are immutable and hash by
+    identity, so models built on them can be keys.
     """
 
     fn: Callable
-    zero_frequency: str
     label: str = ""
-
-    _ALLOWED = ("drude_like", "plasma_like", "finite")
-
-    def __post_init__(self):
-        if self.zero_frequency not in self._ALLOWED:
-            raise ValueError(f"zero_frequency must be one of {self._ALLOWED}")
 
     def __call__(self, xi):
         xi_arr = np.asarray(xi, dtype=float)
@@ -402,14 +352,13 @@ class PermittivityFn:
 
     @classmethod
     def from_drude(cls, drude: DrudeParameters) -> "PermittivityFn":
-        tag = "plasma_like" if drude.gamma == 0.0 else "drude_like"
-        return cls(lambda xi: drude_permittivity(drude, xi), tag,
+        return cls(lambda xi: drude_permittivity(drude, xi),
                    label=f"drude(wp={drude.omega_p:.4g}, g={drude.gamma:.4g})")
 
     @classmethod
     def from_plasma(cls, omega_p: float) -> "PermittivityFn":
-        return cls(lambda xi: plasma_permittivity(omega_p, xi), "plasma_like",
-                   label=f"plasma(wp={omega_p:.4g})")
+        """Plasma permittivity 1 + wp^2/xi^2: the Drude form at gamma = 0."""
+        return cls.from_drude(DrudeParameters(omega_p, 0.0))
 
     @classmethod
     def from_table(cls, dataset: OpticalDataset, drude: DrudeParameters,
@@ -427,5 +376,4 @@ class PermittivityFn:
                     dataset, drude, np.array(missing), abs_tol, rel_tol).tolist()))
             return np.reshape([cache[x] for x in keys], np.shape(xi))
 
-        tag = "plasma_like" if drude.gamma == 0.0 else "drude_like"
-        return cls(fn, tag, label=f"table({dataset.metal_name or 'metal'})")
+        return cls(fn, label=f"table({dataset.metal_name or 'metal'})")

@@ -166,6 +166,14 @@ class TestKkCommand:
         assert main(["kk", "--out", str(tmp_path)]) == 1
         assert "optical_table" in capsys.readouterr().err
 
+    def test_bad_table_row_names_path_and_line(self, tmp_path, capsys):
+        table = tmp_path / "gold.dat"
+        table.write_text("#unit: rad/s\n1e14 0.5 1.0\n2e14 nan 1.0\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[kk]\noptical_table = {table}\nl_max = 3\n")
+        assert main(["kk", "--config", str(ini), "--out", str(tmp_path)]) == 1
+        assert f"{table}:3:" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def pressure_run(tmp_path_factory):
@@ -410,6 +418,17 @@ class TestConstraintsCommand:
                      "--out", str(out_b)]) == 0
         _, cols = read_csv(out_b / "overlay.csv")
         assert cols["ratio"] == pytest.approx(np.ones(4), rel=1e-6)
+        # alpha_at takes the whole range array the overlay queries
+        reference = load_constraint_csv(out_a / "constraints.csv")
+        grid = np.geomspace(60e-9, 200e-9, 7)
+        batch = reference.alpha_at(grid)
+        assert isinstance(reference.alpha_at(grid[0]), float)
+        assert batch.shape == (7,)
+        assert batch == pytest.approx([reference.alpha_at(x) for x in grid],
+                                      rel=1e-15)
+        assert reference.alpha_at(grid.reshape(7, 1)).shape == (7, 1)
+        assert cols["alpha_reference"] == pytest.approx(
+            reference.alpha_at(reference.lambdas), rel=1e-9)
 
     def test_needs_band_or_sigma(self, tmp_path, capsys):
         assert main(["constraints", "--out", str(tmp_path)]) == 1

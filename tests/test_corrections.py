@@ -1,6 +1,7 @@
 """Tests for geometry conversion and roughness averaging."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ class TestSphereGeometry:
             SphereGeometry(0.0)
         with pytest.raises(ValueError):
             SphereGeometry(R_SPHERE, -1e-6)
+        with pytest.raises(ValueError, match="finite"):
+            SphereGeometry(R_SPHERE, math.nan)
         assert SphereGeometry(R_SPHERE).radius_error == 0.0
 
 
@@ -80,6 +83,20 @@ class TestRoughnessProfile:
         assert RoughnessProfile.gaussian(0.0).max_height == 0.0
         with pytest.raises(ValueError):
             RoughnessProfile.gaussian(-1e-9)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_gaussian_non_finite_width_rejected(self, sigma):
+        with pytest.raises(ValueError):
+            RoughnessProfile.gaussian(sigma)
+
+    @pytest.mark.parametrize("heights, weights", [
+        ([math.nan, 0.0], [0.5, 0.5]), ([-math.inf, math.inf], [0.5, 0.5]),
+        ([-1e-9, 1e-9], [math.nan, 1.0]), ([-1e-9, 1e-9], [math.inf, 0.0])])
+    def test_non_finite_levels_rejected(self, heights, weights):
+        with pytest.raises(ValueError):
+            RoughnessProfile(np.array(heights), np.array(weights))
+        with pytest.raises(ValueError):
+            RoughnessProfile.from_histogram(heights, weights)
 
 
 class TestRoughnessAveraging:
@@ -160,4 +177,18 @@ class TestLoader:
             load_roughness_profile(f)
         f.write_text("# only comments\n")
         with pytest.raises(ValueError, match="no histogram"):
+            load_roughness_profile(f)
+
+    @pytest.mark.parametrize("row", ["0.0 abc", "0.0 nan", "nan 1.0",
+                                     "0.0", "0.0, 1.0, 2.0"])
+    def test_bad_field_names_path_and_line(self, tmp_path, row):
+        f = tmp_path / "prof.txt"
+        f.write_text(f"# sphere side\n-4.0 1.0  # low\n\n{row}\n4.0 1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{f}:4: expected 2")):
+            load_roughness_profile(f)
+
+    def test_profile_check_names_the_file(self, tmp_path):
+        f = tmp_path / "prof.txt"
+        f.write_text("-4.0 1.0\n4.0 -1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{f}: histogram needs")):
             load_roughness_profile(f)

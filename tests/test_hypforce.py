@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from casimetry import hypforce as hf
-from casimetry.constants import G_NEWTON
 from casimetry.metrology import ConfidenceBand
 
 
@@ -27,30 +26,6 @@ def stacks():
 def powerlaw_band():
     z = np.geomspace(160e-9, 750e-9, 40)
     return ConfidenceBand(z, 2e-3 * (z / 3e-7) ** -3.3, 0.95)
-
-
-class TestPointPotential:
-
-    def test_newtonian_when_strength_off(self):
-        got = hf.yukawa_point_potential(2.0, 3.0, 0.5,
-                                        hf.YukawaParams(0.0, 1e-7))
-        assert got == pytest.approx(-G_NEWTON * 6.0 / 0.5, rel=1e-12)
-
-    def test_separation_equal_to_range(self):
-        lam = 0.25
-        got = hf.yukawa_point_potential(1.0, 1.0, lam,
-                                        hf.YukawaParams(1.0, lam))
-        expected = -G_NEWTON / lam * (1.0 + math.exp(-1.0))
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_unit_configuration_value(self):
-        got = hf.yukawa_point_potential(1.0, 1.0, 1.0,
-                                        hf.YukawaParams(1.0, 1.0))
-        assert got == pytest.approx(-9.1292274e-11, rel=1e-6)
-
-    def test_invalid_separation(self):
-        with pytest.raises(ValueError):
-            hf.yukawa_point_potential(1.0, 1.0, 0.0, hf.YukawaParams(1.0, 1.0))
 
 
 class TestDensityFactor:
@@ -147,6 +122,13 @@ class TestPlatePressure:
             hf.yukawa_plate_pressure(sphere, plate, 300e-9,
                                      hf.YukawaParams(1.0, 650e-9))
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_non_finite_separation(self, stacks, z):
+        sphere, plate = stacks
+        with pytest.raises(ValueError, match="finite"):
+            hf.yukawa_plate_pressure(sphere, plate, [2e-7, z],
+                                     hf.YukawaParams(1.0, 1e-7))
+
     def test_invalid_separation(self, stacks):
         sphere, plate = stacks
         with pytest.raises(ValueError):
@@ -174,6 +156,13 @@ class TestStackValidation:
             hf.LayerStack(())
         with pytest.raises(ValueError):
             hf.YukawaParams(1.0, 0.0)
+
+    def test_non_finite_density_rejected(self):
+        for density in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                hf.Layer(density, 1e-7)
+        # an infinite thickness is the substrate, not an error
+        assert hf.Layer(1e3, math.inf).thickness == math.inf
 
 
 class TestConstraintCurve:
@@ -249,6 +238,9 @@ class TestConstraintCurve:
             hf.constraint_curve(powerlaw_band, sphere, plate, [])
         with pytest.raises(ValueError):
             hf.constraint_curve(powerlaw_band, sphere, plate, [-1e-9])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                hf.constraint_curve(powerlaw_band, sphere, plate, [1e-7, bad])
         with pytest.raises(ValueError, match="increasing"):
             hf.ConstraintCurve(((2e-7, 1.0, 2e-7), (1e-7, 2.0, 2e-7)))
         with pytest.raises(ValueError, match="positive"):
@@ -373,6 +365,21 @@ class TestFileFormats:
         empty.write_text("# nothing\n")
         with pytest.raises(ValueError, match="no layers"):
             hf.load_layer_stack(empty)
+
+    @pytest.mark.parametrize("row", ["4.51e3 abc", "4.51e3 nan", "nan 10",
+                                     "4.51e3", "4.51e3, 10, 1"])
+    def test_bad_field_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "stack.txt"
+        path.write_text(f"# coating\n19.28e3 200  # gold\n{row}\n4.1e3 inf\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 2")):
+            hf.load_layer_stack(path)
+
+    def test_layer_check_names_the_file(self, tmp_path):
+        path = tmp_path / "stack.txt"
+        path.write_text("19.28e3 inf\n4.1e3 inf\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: only the terminal layer may be infinite")):
+            hf.load_layer_stack(path)
 
     def test_constraint_csv_round_trip(self, tmp_path, stacks,
                                        powerlaw_band):

@@ -1,4 +1,5 @@
-"""Round-trip properties of the one CSV format in `casimetry.io`.
+"""Round-trip properties of the one CSV format in `casimetry.io`, and the
+rules of its text-table reader `read_table`.
 
 Every value comes back as its ``.10e`` rendering parsed again, every
 comment comes back in order on its own line, and no writer emits a CR.
@@ -17,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from casimetry import hypforce as hf
 from casimetry import metrology as mt
-from casimetry.io import read_csv, write_csv
+from casimetry.io import read_csv, read_table, write_csv
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -139,3 +140,38 @@ def test_reader_names_the_place(path, text, line):
     where = f"{path}:{line}: " if line else f"{path}: expected header"
     with pytest.raises(ValueError, match=re.escape(where)):
         read_csv(path, ("x", "y"))
+
+
+# ---------------------------------------------------------------- read_table
+
+def test_table_comments_blanks_and_commas():
+    lines = ["# unit: eV", "", "1.0 2.0  # inline", "  # indented comment",
+             "3.0,4.0", "5.0 ,\t6.0", "#"]
+    comments, data = read_table(lines, "t.txt", 2)
+    assert comments == [(1, "unit: eV"), (4, "indented comment"), (7, "")]
+    assert data.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+
+def test_table_inf_parses():
+    _, data = read_table(["4.1e3 inf", "1 -Infinity"], "stack.txt", 2)
+    assert data.tolist() == [[4.1e3, np.inf], [1.0, -np.inf]]
+
+
+def test_table_with_no_rows_has_the_column_count():
+    comments, data = read_table(["# nothing", ""], "t.txt", 3)
+    assert comments == [(1, "nothing")] and data.shape == (0, 3)
+
+
+def test_table_reads_a_file_handle(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("1 2\r\n3 4\n")
+    with open(path) as fh:
+        assert read_table(fh, path, 2)[1].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("row", ["1.0", "1.0 2.0 3.0", "1.0 abc", "nan 1.0",
+                                 "1.0 NaN", "1.0,,", "1.0 2.0e", "0x10 1"])
+def test_table_rejects_bad_rows_naming_the_line(row):
+    lines = ["# header", "1.0 2.0", row, "3.0 4.0"]
+    with pytest.raises(ValueError, match=re.escape("t.txt:3: expected 2 numbers")):
+        read_table(lines, "t.txt", 2)

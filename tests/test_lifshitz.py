@@ -136,7 +136,7 @@ class TestReflectionSq:
 
     def test_large_permittivity_approaches_ideal(self):
         huge = PermittivityFn(lambda xi: np.full_like(np.asarray(xi, float), 1e14),
-                              "finite", label="huge")
+                              label="huge")
         for kind in ("impedance", "drude"):
             model = ReflectionModel(kind, huge, omega_p=1e20)
             xi = matsubara_frequency(300.0, 1)

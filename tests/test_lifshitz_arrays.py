@@ -140,8 +140,7 @@ class TestGuards:
     def test_nan_sum_fails_the_guards(self):
         # eps at the top of the float range overflows the coefficients to
         # NaN; a NaN error estimate must not pass a comparison
-        top = PermittivityFn(lambda xi: np.full_like(xi, 1.7e308), "finite",
-                             label="top")
+        top = PermittivityFn(lambda xi: np.full_like(xi, 1.7e308), label="top")
         model = ReflectionModel.lifshitz_drude(top)
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
             casimir_pressure(model, 300e-9, ST300)
@@ -239,7 +238,7 @@ class TestProperties:
            k=st.lists(st.floats(1e-3, 1e12), min_size=1, max_size=8))
     def test_reflection_sq_within_unit_interval(self, kind, eps, omega_p, xi, l, k):
         # a constant eps >= 1 covers every permittivity the engine accepts
-        constant = PermittivityFn(lambda x: np.full_like(x, eps), "finite")
+        constant = PermittivityFn(lambda x: np.full_like(x, eps))
         model = ReflectionModel(kind, constant, omega_p)
         for r2 in reflection_sq(model, xi if l else 0.0, np.array(k), l):
             assert np.all((r2 >= 0.0) & (r2 <= 1.0))

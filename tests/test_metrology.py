@@ -227,6 +227,13 @@ class TestTheoryErrorCurve:
         with pytest.raises(ValueError):
             mt.theory_error_curve(300e-9, dz=-1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_separation_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mt.theory_error_curve([2e-7, bad])
+        with pytest.raises(ValueError):
+            mt.theory_error_curve(300e-9, dz=math.nan)
+
 
 class TestEnsembleType:
 
@@ -234,12 +241,9 @@ class TestEnsembleType:
         assert len(default_ensemble.sets) == 14
         assert all(len(s) == 290 for s in default_ensemble.sets)
         assert default_ensemble.n_points == 4060
-        assert default_ensemble.provenance == "synthetic"
 
     def test_validation(self):
         good = np.array([[200e-9, -1.0]])
-        with pytest.raises(ValueError, match="provenance"):
-            mt.MeasurementEnsemble((good,), provenance="guess")
         with pytest.raises(ValueError, match="z_range"):
             mt.MeasurementEnsemble((good,), z_range=(750e-9, 160e-9))
         with pytest.raises(ValueError, match="outside"):
@@ -248,6 +252,18 @@ class TestEnsembleType:
             mt.MeasurementEnsemble((np.zeros((0, 2)),))
         with pytest.raises(ValueError):
             mt.MeasurementEnsemble(())
+
+    @pytest.mark.parametrize("row", [[math.nan, -1.0], [200e-9, math.nan],
+                                     [200e-9, math.inf]])
+    def test_non_finite_point_rejected(self, row):
+        rows = np.array([[190e-9, -1.0], row])
+        with pytest.raises(ValueError, match="finite"):
+            mt.MeasurementEnsemble((rows,))
+
+    def test_infinite_range_rejected(self):
+        with pytest.raises(ValueError, match="z_range"):
+            mt.MeasurementEnsemble((np.array([[2e-7, -1.0]]),),
+                                   z_range=(1e-7, math.inf))
 
 
 class TestBinning:
@@ -262,8 +278,7 @@ class TestBinning:
         binned = mt.bin_ensemble(default_ensemble)
         shuffled = mt.MeasurementEnsemble(
             tuple(reversed(default_ensemble.sets)),
-            default_ensemble.bin_width, default_ensemble.z_range,
-            default_ensemble.provenance)
+            default_ensemble.bin_width, default_ensemble.z_range)
         other = mt.bin_ensemble(shuffled)
         assert np.array_equal(binned.count, other.count)
         np.testing.assert_allclose(binned.pressure_mean, other.pressure_mean,
@@ -277,7 +292,7 @@ class TestBinning:
         lo, hi = default_ensemble.z_range
         moved = mt.MeasurementEnsemble(
             tuple(s + [w, 0.0] for s in default_ensemble.sets),
-            w, (lo + w, hi + w), default_ensemble.provenance)
+            w, (lo + w, hi + w))
         other = mt.bin_ensemble(moved)
         assert np.array_equal(binned.count, other.count)
         np.testing.assert_allclose(other.z, binned.z + w, rtol=1e-12)
@@ -425,7 +440,7 @@ class TestOutlierScreen:
         shifted = sets[14][:, 1] * (1.0 + 5.0 * mt.default_point_sigma(z))
         sets[14] = np.column_stack([z, shifted])
         planted = mt.MeasurementEnsemble(tuple(sets), ens.bin_width,
-                                         ens.z_range, "synthetic")
+                                         ens.z_range)
         assert mt.detect_outlying_set(planted, 0.01) == [14]
 
     def test_clean_ensemble_unflagged(self, curves):
@@ -436,13 +451,13 @@ class TestOutlierScreen:
     def test_identical_sets_unflagged(self, default_ensemble):
         clones = mt.MeasurementEnsemble(
             (default_ensemble.sets[0],) * 5,
-            default_ensemble.bin_width, default_ensemble.z_range, "synthetic")
+            default_ensemble.bin_width, default_ensemble.z_range)
         assert mt.detect_outlying_set(clones, 0.01) == []
 
     def test_too_few_sets(self, default_ensemble):
         pair = mt.MeasurementEnsemble(
             default_ensemble.sets[:2], default_ensemble.bin_width,
-            default_ensemble.z_range, "synthetic")
+            default_ensemble.z_range)
         with pytest.raises(ValueError, match="3 sets"):
             mt.detect_outlying_set(pair, 0.01)
 
@@ -557,6 +572,9 @@ class TestConfidenceBand:
         z = np.linspace(200e-9, 400e-9, 5)
         with pytest.raises(ValueError, match="positive"):
             mt.ConfidenceBand(z, np.zeros(5), 0.95)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                mt.ConfidenceBand(z, np.append(np.ones(4), bad), 0.95)
         for bad in (z[::-1], np.append(z[:4], np.inf),
                     np.append(z[:4], np.nan)):
             with pytest.raises(ValueError, match="increasing"):

@@ -13,10 +13,8 @@ from casimetry.optics import (
     PermittivityFn,
     QuadratureError,
     drude_permittivity,
-    leontovich_impedance,
     load_optical_table,
     permittivity_imag_axis,
-    plasma_permittivity,
 )
 
 GOLD = DrudeParameters(omega_p=1.37e16, gamma=5.3e13)
@@ -54,12 +52,14 @@ class TestLoadOpticalTable:
         assert ds.k[0] == 9.0 and ds.k[-1] == 2.0
 
     def test_missing_column_names_row(self):
-        with pytest.raises(ValueError, match="row 2"):
-            load_optical_table("0.1 10.0 30.0\n1.0 0.2", unit_spec="eV")
+        with pytest.raises(ValueError, match="gold.txt:2: expected 3"):
+            load_optical_table("0.1 10.0 30.0\n1.0 0.2", unit_spec="eV",
+                               source="gold.txt")
 
     def test_non_numeric_names_row(self):
-        with pytest.raises(ValueError, match="row 1"):
-            load_optical_table("a b c\n1.0 0.2 6.5", unit_spec="eV")
+        with pytest.raises(ValueError, match="gold.txt:1: expected 3"):
+            load_optical_table("a b c\n1.0 0.2 6.5", unit_spec="eV",
+                               source="gold.txt")
 
     def test_header_unit_used_when_no_override(self):
         ds = load_optical_table("#unit: eV\n0.1 1 1\n0.2 1 1")
@@ -89,6 +89,22 @@ class TestLoadOpticalTable:
         with pytest.raises(ValueError, match="2"):
             load_optical_table("0.1 1 1", unit_spec="eV")
 
+    @pytest.mark.parametrize("row", ["0.2 abc 1", "0.2 nan 1", "0.2 1 nan",
+                                     "0.2 1", "0.2 1 1 1"])
+    def test_bad_field_names_source_and_line(self, row):
+        text = f"#unit: eV\n0.1 1 1  # inline comment\n\n{row}\n"
+        with pytest.raises(ValueError, match="gold.txt:4: expected 3"):
+            load_optical_table(text, source="gold.txt")
+
+    def test_unknown_header_unit_names_the_line(self):
+        with pytest.raises(ValueError, match="gold.txt:2: unknown unit"):
+            load_optical_table("0.1 1 1\n#unit: parsec\n0.2 1 1",
+                               source="gold.txt")
+
+    def test_nonpositive_frequency_rejected(self):
+        with pytest.raises(ValueError, match="> 0"):
+            load_optical_table("0.1 1 1\n0.0 1 1", unit_spec="eV")
+
 
 class TestDatasetInvariants:
     def test_negative_k_rejected(self):
@@ -100,6 +116,24 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             OpticalDataset(np.array([0.0, 2e14]), np.array([1.0, 1.0]),
                            np.array([1.0, 0.1]))
+
+    @pytest.mark.parametrize("n, k", [([math.nan, 1.0], [1.0, 1.0]),
+                                      ([1.0, 1.0], [1.0, math.inf])])
+    def test_non_finite_n_or_k_rejected(self, n, k):
+        with pytest.raises(ValueError, match="finite"):
+            OpticalDataset(np.array([1e14, 2e14]), np.array(n), np.array(k))
+
+    def test_infinite_omega_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            OpticalDataset(np.array([1e14, math.inf]), np.ones(2), np.ones(2))
+
+
+class TestDrudeParameters:
+    @pytest.mark.parametrize("omega_p, gamma", [(math.inf, 5.3e13), (math.nan, 5.3e13),
+                                                (1.37e16, math.inf), (1.37e16, math.nan)])
+    def test_non_finite_rejected(self, omega_p, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            DrudeParameters(omega_p, gamma)
 
 
 class TestDispersionTransform:
@@ -158,58 +192,41 @@ class TestAnalyticModels:
 
     def test_drude_gamma_zero_equals_plasma(self):
         free = DrudeParameters(omega_p=GOLD.omega_p, gamma=0.0)
+        plasma = PermittivityFn.from_plasma(GOLD.omega_p)
         for xi in np.logspace(12, 18, 13):
-            assert drude_permittivity(free, xi) == plasma_permittivity(GOLD.omega_p, xi)
+            assert drude_permittivity(free, xi) == plasma(xi)
 
     def test_drude_large_xi_limit(self):
         assert drude_permittivity(GOLD, 1e22) == pytest.approx(1.0, abs=1e-10)
 
     def test_plasma_at_omega_p(self):
-        assert plasma_permittivity(1.37e16, 1.37e16) == pytest.approx(2.0)
+        assert PermittivityFn.from_plasma(1.37e16)(1.37e16) == pytest.approx(2.0)
 
     def test_plasma_tenth_of_omega_p(self):
-        assert plasma_permittivity(1.37e16, 1.37e15) == pytest.approx(101.0)
+        assert PermittivityFn.from_plasma(1.37e16)(1.37e15) == pytest.approx(101.0)
 
     def test_nonpositive_xi_rejected(self):
         with pytest.raises(ValueError):
             drude_permittivity(GOLD, -1.0)
         with pytest.raises(ValueError):
-            plasma_permittivity(1e16, 0.0)
-
-
-class TestLeontovichImpedance:
-    def test_vacuum(self):
-        assert leontovich_impedance(1.0) == 1.0
-
-    def test_square_root(self):
-        assert leontovich_impedance(100.0) == pytest.approx(0.1)
-
-    def test_plasma_low_frequency_behavior(self):
-        # eps ~ wp^2/xi^2 gives Z ~ xi/wp
-        omega_p = 1.37e16
-        xi = 1e12
-        z = leontovich_impedance(plasma_permittivity(omega_p, xi))
-        assert z == pytest.approx(xi / omega_p, rel=1e-7)
-
-    def test_epsilon_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            leontovich_impedance(0.99)
+            PermittivityFn.from_plasma(1e16)(0.0)
 
 
 class TestPermittivityFn:
     def test_validates_output(self):
-        bad = PermittivityFn(lambda xi: 0.5 * np.ones_like(xi), "finite", "bad")
+        bad = PermittivityFn(lambda xi: 0.5 * np.ones_like(xi), "bad")
         with pytest.raises(ValueError, match="< 1"):
             bad(1e15)
 
-    def test_zero_frequency_tag_checked(self):
-        with pytest.raises(ValueError):
-            PermittivityFn(lambda xi: xi, "sometimes")
-
     def test_from_drude_tags(self):
-        assert PermittivityFn.from_drude(GOLD).zero_frequency == "drude_like"
+        # the static behaviour the removed zero_frequency tag declared:
+        # eps ~ wp^2/(gamma xi) is drude-like, eps ~ wp^2/xi^2 plasma-like
+        xi = 1e6
+        assert PermittivityFn.from_drude(GOLD)(xi) * xi == pytest.approx(
+            GOLD.omega_p ** 2 / GOLD.gamma, rel=1e-6)
         free = DrudeParameters(omega_p=1e16, gamma=0.0)
-        assert PermittivityFn.from_drude(free).zero_frequency == "plasma_like"
+        assert PermittivityFn.from_drude(free)(xi) * xi ** 2 == pytest.approx(
+            1e32, rel=1e-6)
 
     def test_from_table_matches_direct_call(self):
         ds = drude_table(per_decade=20)
