@@ -193,7 +193,7 @@ def load_roughness_profile(path) -> RoughnessProfile:
     recentered to the mean plane.
     """
     with open(path) as fh:
-        _, rows = read_table(fh, path, 2)
+        _, rows, _ = read_table(fh, path, 2)
     if not len(rows):
         raise ValueError(f"{path}: no histogram rows found")
     try:

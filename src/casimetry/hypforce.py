@@ -318,7 +318,7 @@ def load_layer_stack(path) -> LayerStack:
     thickness "inf" for the substrate.
     """
     with open(path) as fh:
-        _, rows = read_table(fh, path, 2)
+        _, rows, _ = read_table(fh, path, 2)
     if not len(rows):
         raise ValueError(f"{path}: no layers found")
     try:

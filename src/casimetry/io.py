@@ -86,12 +86,13 @@ def read_table(lines, where, n_columns):
 
     ``#`` starts a comment anywhere on a line, blank lines are skipped,
     and fields are split on whitespace or commas.  Returns ``(comments,
-    data)``: the whole-line comments as ``(line number, text)`` pairs
-    and an ``(n_rows, n_columns)`` float array.  ``inf`` parses; a wrong
-    field count or an unparsable or NaN field raises ValueError naming
-    ``where:line``.
+    data, line_numbers)``: the whole-line comments as ``(line number,
+    text)`` pairs, an ``(n_rows, n_columns)`` float array, and the line
+    number of each data row, so that a caller's value check can name
+    ``where:line`` too.  ``inf`` parses; a wrong field count or an
+    unparsable or NaN field raises ValueError naming ``where:line``.
     """
-    comments, data = [], []
+    comments, data, line_numbers = [], [], []
     for lineno, line in enumerate(lines, 1):
         body, hash_, text = line.partition("#")
         if hash_ and not body.strip():
@@ -107,4 +108,6 @@ def read_table(lines, where, n_columns):
             raise ValueError(f"{where}:{lineno}: expected {n_columns} numbers, "
                              f"got {body.strip()!r}")
         data.append(row)
-    return comments, np.array(data, dtype=float).reshape(len(data), n_columns)
+        line_numbers.append(lineno)
+    return (comments, np.array(data, dtype=float).reshape(len(data), n_columns),
+            line_numbers)

@@ -330,13 +330,15 @@ def _panel_integrals(weight, edges, rsq_of, quad_tol, refine):
             err.reshape(-1, n_panels).sum(axis=1))
 
 
-# fractional panel positions between y_l and Y_MAX for rows with y_l >= 0.5
-_BLOCK_FRACTIONS = np.array(
-    [0.0, 0.008, 0.02, 0.045, 0.09, 0.16, 0.27, 0.42, 0.62, 0.8, 1.0])
+# fractional panel positions between y_l and Y_MAX for rows with y_l >= 0.5;
+# four panels resolve a curve's rows to about 1e-13 of its sum, and a row
+# whose 12/24 pair disagrees still goes to graded panels
+_BLOCK_FRACTIONS = np.array([0.0, 0.045, 0.16, 0.42, 1.0])
 
 
 def _thermal_integrals(thermal, y_ls, eps_arr, weight, quad_tol):
-    """Integrals over [y_l, Y_MAX] of l >= 1 rows, plus per-row error.
+    """Integrals over [y_l, Y_MAX] of l >= 1 rows, per-row error, and the
+    indices of the rows integrated on graded panels.
 
     Rows with y_l >= 0.5 run on fixed fractional panels; rows below it (the
     integrand varies on the scale y_l) and rows that miss the tolerance
@@ -360,7 +362,7 @@ def _thermal_integrals(thermal, y_ls, eps_arr, weight, quad_tol):
         values[sel], errs[sel] = _panel_integrals(
             weight, np.array([e for e in graded if len(e) == count]),
             rsq_for(sel), quad_tol, True)
-    return values, errs
+    return values, errs, redo
 
 
 def _zero_frequency_term(rule, y_p, weight, quad_tol):
@@ -391,17 +393,21 @@ class EngineDiagnostics:
     """Truncation and quadrature bookkeeping for one evaluation.
 
     tail_bound and quad_error carry the units of the result (Pa for
-    pressures, J/m^2 for free energies).  Fields follow the shape of z.
+    pressures, J/m^2 for free energies).  escalated_rows counts the
+    l >= 1 terms integrated on graded panels: those with y_l < 0.5 and
+    those the fixed panels did not resolve.  Fields follow the shape of z.
     """
 
     l_max: int
     tail_bound: float
     quad_error: float
+    escalated_rows: int
 
 
 def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
                   weight: str):
-    """Scaled sums (acc, l_max, tail, err), arrays over the 1-d array z."""
+    """Scaled sums (acc, l_max, tail, err, escalated), arrays over the 1-d
+    array z."""
     tol = state.quad_tol
     l_max = np.array([state.l_max or default_l_max(state.temperature, s)
                       for s in z.tolist()], dtype=int)
@@ -409,28 +415,42 @@ def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
     y1 = 2.0 * z * xi1 / C_LIGHT
     rule = MODELS[model.kind]
 
-    # rows l = 1..n per separation; terms beyond the y cutoff are pure tail
+    # rows l = 1..n_rows per separation; terms beyond the y cutoff are pure
+    # tail.  l y1 rounds monotonically in l, so the kept rows are a prefix.
     n_rows = np.minimum(l_max, np.floor((_Y_MAX - 1.0) / y1) + 1).astype(int)
-    zi = np.repeat(np.arange(z.size), n_rows)
-    ls = np.arange(zi.size) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows) + 1
-    y_ls = y1[zi] * ls
-    keep = y_ls < _Y_MAX - 1.0
-    zi, ls, y_ls = zi[keep], ls[keep], y_ls[keep]
-    eps_arr = np.ones_like(y_ls)  # never read by the ideal metal's r2 = 1
-    if rule.uses_permittivity and ls.size:
-        eps_arr = model.permittivity(xi1 * np.arange(1, ls.max() + 1))[ls - 1]
+    while np.any(cut := (n_rows > 0) & (y1 * n_rows >= _Y_MAX - 1.0)):
+        n_rows[cut] -= 1
+    top_l = n_rows.max(initial=0)
+    eps_l = np.ones(top_l)  # never read by the ideal metal's r2 = 1
+    if rule.uses_permittivity and top_l:
+        eps_l = model.permittivity(xi1 * np.arange(1, top_l + 1))
 
-    values, errs = np.empty_like(y_ls), np.empty_like(y_ls)
-    for lo in range(0, y_ls.size, _BLOCK_ROWS):
-        part = slice(lo, lo + _BLOCK_ROWS)
-        values[part], errs[part] = _thermal_integrals(
-            rule.thermal, y_ls[part], eps_arr[part], weight, tol)
-    value0, err0 = _zero_frequency_term(rule, 2.0 * z * model.omega_p / C_LIGHT,
-                                        weight, tol)
-    acc = 0.5 * value0 + np.bincount(zi, values, minlength=z.size)
-    err = (0.5 * err0 + np.bincount(zi, errs, minlength=z.size)
-           + (0.5 + np.bincount(zi, minlength=z.size))
-           * _cutoff_remainder(weight, _Y_MAX))
+    # rows are made and summed block by block, in the order of z then l, so
+    # memory does not grow with the total row count; np.add.at adds them in
+    # that order, as one bincount over all rows would
+    ends = np.cumsum(n_rows)
+    row_sum, row_err = np.zeros_like(z), np.zeros_like(z)
+    escalated = np.zeros(z.size, dtype=int)
+    total = int(n_rows.sum())
+    for lo in range(0, total, _BLOCK_ROWS):
+        row = np.arange(lo, min(lo + _BLOCK_ROWS, total))
+        zi = np.searchsorted(ends, row, side="right")
+        ls = row - (ends[zi] - n_rows[zi]) + 1
+        values, errs, redo = _thermal_integrals(
+            rule.thermal, y1[zi] * ls, eps_l[ls - 1], weight, tol)
+        np.add.at(row_sum, zi, values)
+        np.add.at(row_err, zi, errs)
+        np.add.at(escalated, zi[redo], 1)
+    # the l = 0 term in chunks of 64 separations (16 graded panels each),
+    # so that its panel arrays stay as small as one row block's too
+    value0, err0 = np.empty_like(z), np.empty_like(z)
+    y_p = 2.0 * z * model.omega_p / C_LIGHT
+    for lo in range(0, z.size, _BLOCK_ROWS // 8):
+        part = slice(lo, lo + _BLOCK_ROWS // 8)
+        value0[part], err0[part] = _zero_frequency_term(rule, y_p[part],
+                                                        weight, tol)
+    acc = 0.5 * value0 + row_sum
+    err = 0.5 * err0 + row_err + (0.5 + n_rows) * _cutoff_remainder(weight, _Y_MAX)
 
     # geometric bound on the dropped l > l_max terms
     g1 = _cutoff_remainder(weight, y1 * (l_max + 1))
@@ -450,7 +470,7 @@ def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
         raise ConvergenceError(
             f"{name} {value:.3e} exceeds tolerance at z={z[i]:.4e} m, "
             f"l_max={l_max[i]} (sum magnitude {scale[i]:.3e})")
-    return acc, l_max, tail, err
+    return acc, l_max, tail, err, escalated
 
 
 def _evaluate(model, z, state, weight, power, sign, return_diagnostics):
@@ -458,10 +478,11 @@ def _evaluate(model, z, state, weight, power, sign, return_diagnostics):
     if not np.all(np.isfinite(z_arr) & (z_arr > 0.0)):
         raise ValueError("z must be positive and finite")
     flat = z_arr.ravel()
-    acc, l_max, tail, err = _lifshitz_sum(model, flat, state, weight)
+    acc, l_max, tail, err, escalated = _lifshitz_sum(model, flat, state, weight)
     pref = K_B * state.temperature / (8.0 * math.pi * flat ** power)
     result, *diag = (f.item() if z_arr.ndim == 0 else f.reshape(z_arr.shape)
-                     for f in (sign * pref * acc, l_max, pref * tail, pref * err))
+                     for f in (sign * pref * acc, l_max, pref * tail, pref * err,
+                               escalated))
     return (result, EngineDiagnostics(*diag)) if return_diagnostics else result
 
 

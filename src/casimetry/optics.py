@@ -140,11 +140,11 @@ def load_optical_table(raw_text: str, unit_spec: str | None = None,
     Raises
     ------
     ValueError
-        On malformed rows (``source:line`` is reported), unknown or
-        missing units, x <= 0, or an empty table.
+        On malformed rows or x <= 0 (``source:line`` is reported),
+        unknown or missing units, or an empty table.
     """
     where = source or "optical table"
-    comments, rows = read_table(raw_text.splitlines(), where, 3)
+    comments, rows, line_numbers = read_table(raw_text.splitlines(), where, 3)
     unit = None
     for lineno, text in comments:
         if text.lower().startswith("unit:"):
@@ -159,8 +159,10 @@ def load_optical_table(raw_text: str, unit_spec: str | None = None,
             raise ValueError(f"unknown unit spec {unit_spec!r}")
     if unit is None:
         raise ValueError(f"{where}: no unit declared: add a '#unit:' header or pass unit_spec")
-    if not np.all(rows[:, 0] > 0.0):
-        raise ValueError(f"{where}: frequency column must be > 0")
+    bad = np.nonzero(~(rows[:, 0] > 0.0))[0]
+    if bad.size:
+        raise ValueError(f"{where}:{line_numbers[bad[0]]}: "
+                         "frequency column must be > 0")
     omega = _to_omega(rows[:, 0], unit)
     order = np.argsort(omega, kind="stable")
     return OpticalDataset(omega[order], rows[order, 1], rows[order, 2],

@@ -147,19 +147,21 @@ def test_reader_names_the_place(path, text, line):
 def test_table_comments_blanks_and_commas():
     lines = ["# unit: eV", "", "1.0 2.0  # inline", "  # indented comment",
              "3.0,4.0", "5.0 ,\t6.0", "#"]
-    comments, data = read_table(lines, "t.txt", 2)
+    comments, data, line_numbers = read_table(lines, "t.txt", 2)
     assert comments == [(1, "unit: eV"), (4, "indented comment"), (7, "")]
     assert data.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    assert line_numbers == [3, 5, 6]
 
 
 def test_table_inf_parses():
-    _, data = read_table(["4.1e3 inf", "1 -Infinity"], "stack.txt", 2)
+    _, data, _ = read_table(["4.1e3 inf", "1 -Infinity"], "stack.txt", 2)
     assert data.tolist() == [[4.1e3, np.inf], [1.0, -np.inf]]
 
 
 def test_table_with_no_rows_has_the_column_count():
-    comments, data = read_table(["# nothing", ""], "t.txt", 3)
+    comments, data, line_numbers = read_table(["# nothing", ""], "t.txt", 3)
     assert comments == [(1, "nothing")] and data.shape == (0, 3)
+    assert line_numbers == []
 
 
 def test_table_reads_a_file_handle(tmp_path):

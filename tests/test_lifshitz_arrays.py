@@ -1,6 +1,7 @@
 """Array-in evaluation of the Lifshitz engine, its guards and invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ FROZEN_FREE_ENERGY = {
 }
 FROZEN_Z = np.array([160e-9, 300e-9, 750e-9])
 
+# the fixed panels of the l >= 1 rows before they were cut to four: the
+# reference the engine's rule is held to
+TEN_PANEL_FRACTIONS = np.array(
+    [0.0, 0.008, 0.02, 0.045, 0.09, 0.16, 0.27, 0.42, 0.62, 0.8, 1.0])
+
 
 class TestArrayAgreesWithScalar:
     @pytest.mark.parametrize("key", KEYS)
@@ -65,11 +71,13 @@ class TestArrayAgreesWithScalar:
         model = MODELS[key]
         values, diag = fn(model, z, ST300, return_diagnostics=True)
         assert isinstance(values, np.ndarray) and values.shape == z.shape
-        assert diag.l_max.shape == diag.tail_bound.shape == z.shape
+        assert (diag.l_max.shape == diag.tail_bound.shape
+                == diag.escalated_rows.shape == z.shape)
         for i, s in enumerate(z):
             value, d = fn(model, float(s), ST300, return_diagnostics=True)
             assert values[i] == pytest.approx(value, rel=1e-12)
             assert diag.l_max[i] == d.l_max
+            assert diag.escalated_rows[i] == d.escalated_rows
             assert diag.tail_bound[i] == pytest.approx(d.tail_bound, rel=1e-12)
         assert np.all(diag.quad_error <= 10 * ST300.quad_tol * np.abs(values))
 
@@ -79,6 +87,7 @@ class TestArrayAgreesWithScalar:
         assert type(p) is float
         assert type(diag.l_max) is int
         assert type(diag.tail_bound) is float and type(diag.quad_error) is float
+        assert type(diag.escalated_rows) is int
         assert type(casimir_free_energy(MODELS["drude"], 300e-9, ST300)) is float
 
     def test_shape_is_kept(self):
@@ -99,6 +108,57 @@ class TestFrozenParentValues:
     def test_free_energy(self, key):
         f = casimir_free_energy(MODELS[key], FROZEN_Z, ST300)
         np.testing.assert_allclose(f, FROZEN_FREE_ENERGY[key], rtol=1e-9, atol=0)
+
+
+class TestFixedPanelRule:
+    @pytest.mark.parametrize("key", KEYS)
+    def test_agrees_with_ten_panels(self, key, monkeypatch):
+        z = np.array([50e-9, 160e-9, 750e-9, 5e-6])
+        cases = [(ThermalState(t, None, tol), z) for t in (30.0, 300.0, 1000.0)
+                 for tol in (1e-9, 1e-10)]
+        cases.append((ThermalState(3.0), np.array([300e-9])))
+
+        def evaluate():
+            return [fn(MODELS[key], s, state) for state, s in cases
+                    for fn in (casimir_pressure, casimir_free_energy)]
+
+        four = evaluate()
+        monkeypatch.setattr(lifshitz, "_BLOCK_FRACTIONS", TEN_PANEL_FRACTIONS)
+        for got, want in zip(four, evaluate()):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("z", [GRID80, ROUGH_SEPARATIONS],
+                             ids=["grid80", "roughness"])
+    def test_only_small_y_pressure_rows_escalate(self, key, z):
+        # rows with y_l < 0.5 always take graded panels; on these grids the
+        # fixed panels resolve every other pressure row, so none escalates
+        _, diag = casimir_pressure(MODELS[key], z, ST300,
+                                   return_diagnostics=True)
+        y1 = 2.0 * z * lifshitz.matsubara_frequency(300.0, 1) / lifshitz.C_LIGHT
+        small = [np.count_nonzero(np.arange(1, n + 1) * y < 0.5)
+                 for y, n in zip(y1, diag.l_max)]
+        np.testing.assert_array_equal(diag.escalated_rows, small)
+
+
+class TestBoundedMemory:
+    def test_peak_does_not_grow_with_the_row_count(self):
+        # impedance also takes graded panels for its static TE channel
+        model = MODELS["impedance"]
+
+        def peak(n):
+            z = np.linspace(700e-9, 800e-9, n)
+            tracemalloc.start()
+            try:
+                casimir_pressure(model, z, ST300)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # fills the node caches
+        base = peak(100)
+        for n in (500, 2000):
+            assert peak(n) <= 1.25 * base
 
 
 class TestZeroFrequencyClosedForms:

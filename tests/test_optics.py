@@ -61,6 +61,13 @@ class TestLoadOpticalTable:
             load_optical_table("a b c\n1.0 0.2 6.5", unit_spec="eV",
                                source="gold.txt")
 
+    @pytest.mark.parametrize("x", ["0.0", "-0.3", "-inf"])
+    def test_non_positive_frequency_names_row(self, x):
+        text = f"#unit: eV\n0.1 1 1\n\n{x} 1 1\n0.2 1 1"
+        with pytest.raises(ValueError,
+                           match="gold.txt:4: frequency column must be > 0"):
+            load_optical_table(text, source="gold.txt")
+
     def test_header_unit_used_when_no_override(self):
         ds = load_optical_table("#unit: eV\n0.1 1 1\n0.2 1 1")
         assert ds.omega[0] == pytest.approx(0.1 * EV_TO_RAD_S)
