@@ -263,10 +263,6 @@ class BinnedStatistics:
     count: np.ndarray
     dof: np.ndarray
 
-    @property
-    def total_points(self):
-        return int(self.count.sum())
-
 
 def _bin_index(z, z_range, width):
     lo, hi = z_range

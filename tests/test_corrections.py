@@ -99,6 +99,13 @@ class TestRoughnessProfile:
             RoughnessProfile.from_histogram(heights, weights)
 
 
+def pair_sum(kernel, a, b, z):
+    """The roughness average written out one height pair at a time."""
+    return sum(wa * wb * kernel(z + (ha + hb))
+               for ha, wa in zip(a.heights, a.weights)
+               for hb, wb in zip(b.heights, b.weights))
+
+
 class TestRoughnessAveraging:
     def test_identity_for_flat_surfaces(self):
         flat = RoughnessProfile.flat()
@@ -110,7 +117,7 @@ class TestRoughnessAveraging:
         z = 200e-9
         h = 6e-9
         x = h / z
-        two = RoughnessProfile.two_point(h)
+        two = RoughnessProfile(np.array([-h, h]), np.array([0.5, 0.5]))
         flat = RoughnessProfile.flat()
         kernel = lambda s: -1.0 / s ** 4
         p = roughness_corrected_pressure(kernel, two, flat, z)
@@ -146,15 +153,66 @@ class TestRoughnessAveraging:
         assert ratios == sorted(ratios, reverse=True)
 
     def test_monotone_ratio_power_law(self):
-        a = RoughnessProfile.two_point(5e-9)
-        b = RoughnessProfile.two_point(8e-9)
+        a = RoughnessProfile(np.array([-5e-9, 5e-9]), np.array([0.5, 0.5]))
+        b = RoughnessProfile(np.array([-8e-9, 8e-9]), np.array([0.5, 0.5]))
         kernel = lambda s: -1.0 / s ** 4
         zs = np.linspace(160e-9, 750e-9, 12)
         ratios = roughness_corrected_pressure(kernel, a, b, zs) / kernel(zs) - 1
         assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
 
+    def test_kinked_kernel_takes_every_pair(self, gold_curve):
+        # the log-log interpolant has a kink at every grid point, so the
+        # series error estimate fails and each z takes the direct sum
+        a = RoughnessProfile.gaussian(2.2e-9)
+        b = RoughnessProfile.gaussian(3.5e-9)
+        z = np.array([160e-9, 300e-9, 500e-9, 750e-9])
+        calls = []
+
+        def kernel(s):
+            calls.append(s.size)
+            return gold_curve.pressure_at(s)
+
+        p = roughness_corrected_pressure(kernel, a, b, z)
+        assert calls == [z.size * 9, z.size * 81]
+        np.testing.assert_allclose(p, pair_sum(gold_curve.pressure_at, a, b, z),
+                                   rtol=1e-15, atol=0)
+
+    def test_sign_changing_kernel_takes_every_pair(self):
+        # a period of 19 nm puts nodes of both signs in every span; the
+        # pairs cancel, so rounding is measured against the sum of |terms|
+        a = RoughnessProfile.gaussian(3.0e-9)
+        b = RoughnessProfile.gaussian(4.0e-9)
+        kernel = lambda s: np.cos(s / 3e-9)
+        z = np.array([160e-9, 300e-9, 750e-9])
+        p = roughness_corrected_pressure(kernel, a, b, z)
+        scale = pair_sum(lambda s: np.abs(kernel(s)), a, b, z)
+        assert np.all(np.abs(p - pair_sum(kernel, a, b, z)) <= 1e-15 * scale)
+
+    def test_nan_kernel_is_not_finite(self):
+        a = RoughnessProfile.gaussian(2.2e-9)
+        kernel = lambda s: np.where(s > 300e-9, np.nan, -1.0 / s ** 4)
+        p = roughness_corrected_pressure(kernel, a, a, np.array([200e-9, 310e-9]))
+        assert np.isfinite(p[0]) and np.isnan(p[1])
+
+    def test_nine_pairs_pass_every_separation(self):
+        a = RoughnessProfile.gaussian(2.2e-9, 3)
+        b = RoughnessProfile.gaussian(3.5e-9, 3)
+        z = np.array([160e-9, 300e-9])
+        calls = []
+
+        def kernel(s):
+            calls.append(s.copy())
+            return -1.0 / s ** 4
+
+        p = roughness_corrected_pressure(kernel, a, b, z)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], (z[:, None] + np.add.outer(
+            a.heights, b.heights).ravel()).ravel())
+        assert p == pytest.approx(pair_sum(lambda s: -1.0 / s ** 4, a, b, z),
+                                  rel=1e-15)
+
     def test_contact_is_an_error(self):
-        two = RoughnessProfile.two_point(30e-9)
+        two = RoughnessProfile(np.array([-30e-9, 30e-9]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="touch"):
             roughness_corrected_pressure(lambda s: -1.0 / s ** 4, two, two, 50e-9)
 

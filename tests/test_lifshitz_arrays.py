@@ -258,10 +258,26 @@ class TestRoughnessBatch:
             return casimir_pressure(MODELS["drude"], s, ST300)
 
         batched = roughness_corrected_pressure(smooth, a, b, z)
-        assert calls == [(z.size * 5 * 4,)]
+        assert calls == [(z.size * 9,)]
         for zi, p in zip(z, batched):
             assert p == pytest.approx(
                 roughness_corrected_pressure(smooth, a, b, float(zi)), rel=1e-12)
+
+    @pytest.mark.parametrize("key", ["impedance", "drude"])
+    @pytest.mark.parametrize("sigmas", [(1.5e-9, 1.0e-9), (3.5e-9, 3.0e-9),
+                                        (4e-9, 4e-9)])
+    def test_series_agrees_with_every_pair(self, key, sigmas):
+        a, b = (RoughnessProfile.gaussian(sigma) for sigma in sigmas)
+        z = np.array([160e-9, 300e-9, 750e-9])
+        pairs = [(wa * wb, ha + hb)
+                 for ha, wa in zip(a.heights, a.weights)
+                 for hb, wb in zip(b.heights, b.weights)]
+        values = casimir_pressure(MODELS[key], np.add.outer(z, [d for _, d in pairs]),
+                                  ST300)
+        expected = sum(w * values[:, k] for k, (w, _) in enumerate(pairs))
+        series = roughness_corrected_pressure(
+            lambda s: casimir_pressure(MODELS[key], s, ST300), a, b, z)
+        np.testing.assert_allclose(series, expected, rtol=1e-12, atol=0)
 
 
 # strictly increasing separations, at least 0.1 % apart, 100 nm to ~20 um
