@@ -258,6 +258,8 @@ def cmd_pressure(cfg: RunConfig, out: Path) -> None:
         raise ValueError("pressure: need 0 < z_min_m <= z_max_m")
     if n_z < 1:
         raise ValueError("pressure.z_points must be >= 1")
+    if n_z > 1 and z_min == z_max:
+        raise ValueError("pressure: z_points > 1 needs z_min_m < z_max_m")
     z = np.geomspace(z_min, z_max, n_z)
     state = ThermalState(temperature)
     drude, eps = _permittivity_from_config(cfg, "pressure")
@@ -272,7 +274,7 @@ def cmd_pressure(cfg: RunConfig, out: Path) -> None:
         model = build_model(key, drude, eps)
         pressure = (roughness_corrected_pressure(
             lambda s: casimir_pressure(model, s, state), profile_a, profile_b, z)
-            if rough else casimir_pressure(model, z, state))
+            if rough else compute_pressure_curve(model, z, state).pressure)
         _write_csv(out / f"pressure_{key}.csv", cfg,
                    ("z_m", "pressure_Pa", "rel_theory_error"),
                    zip(z, pressure, rel_err),

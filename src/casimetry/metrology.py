@@ -1,10 +1,10 @@
 """Statistical comparison of pressure curves with measurement ensembles.
 
 Implements the error model of a repeated pressure-vs-separation scan:
-binning into narrow subintervals, outlying-set detection, random and
-systematic error combination at a stated confidence, the independent
-theory error budget, the confidence band for theory-minus-experiment
-differences, window-based model exclusion, and a deterministic
+binning into narrow subintervals, random and systematic error
+combination at a stated confidence, the independent theory error
+budget, the confidence band for theory-minus-experiment differences,
+window-based model exclusion, and a deterministic
 synthetic-ensemble generator for end-to-end self tests.
 
 Conventions used throughout: half-widths are always quoted at the
@@ -33,7 +33,6 @@ __all__ = [
     "ConfidenceBand",
     "ExclusionVerdict",
     "bin_ensemble",
-    "detect_outlying_set",
     "random_error_curve",
     "combine_errors",
     "theory_error_curve",
@@ -296,51 +295,6 @@ def bin_ensemble(ensemble: MeasurementEnsemble) -> BinnedStatistics:
     with np.errstate(invalid="ignore", divide="ignore"):
         var = np.where(n >= 2, rss / dof, math.nan)
     return BinnedStatistics(z_m, p_m, var, n, dof)
-
-
-def detect_outlying_set(ensemble: MeasurementEnsemble,
-                        significance: float = 0.01) -> list:
-    """Flag measurement sets inconsistent with the rest of the ensemble.
-
-    Each set is reduced to its mean standardized residual against the
-    grand per-bin means; the reduced values are then screened by an
-    iterative two-sided Grubbs test at the given significance.
-
-    Returns
-    -------
-    list of int
-        Indices of flagged sets, ascending.
-    """
-    if len(ensemble.sets) < 3:
-        raise ValueError("outlier screening needs at least 3 sets")
-    binned = bin_ensemble(ensemble)
-    z, p, set_idx = ensemble.all_points()
-    idx = _bin_index(z, ensemble.z_range, ensemble.bin_width)
-    rows = np.searchsorted(np.unique(idx), idx)   # bin id -> binned row
-    scale = np.sqrt(binned.variance[rows])
-    mean = binned.pressure_mean[rows]
-    ok = np.isfinite(scale) & (scale > 0)
-    scores = np.full(len(ensemble.sets), np.nan)
-    for s in range(len(ensemble.sets)):
-        m = (set_idx == s) & ok
-        if m.any():
-            scores[s] = np.mean((p[m] - mean[m]) / scale[m])
-    flagged = []
-    active = [i for i in range(len(scores)) if np.isfinite(scores[i])]
-    while len(active) >= 3:
-        vals = scores[active]
-        sd = vals.std(ddof=1)
-        if sd == 0:
-            break
-        i_worst = int(np.argmax(np.abs(vals - vals.mean())))
-        g = abs(vals[i_worst] - vals.mean()) / sd
-        n = len(vals)
-        t = _student_q(1 - significance / (2 * n), n - 2)
-        g_crit = (n - 1) / math.sqrt(n) * math.sqrt(t * t / (n - 2 + t * t))
-        if g <= g_crit:
-            break
-        flagged.append(active.pop(i_worst))
-    return sorted(flagged)
 
 
 @dataclass(frozen=True)

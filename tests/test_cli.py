@@ -244,6 +244,16 @@ class TestPressureCommand:
                      "--out", str(tmp_path)]) == 1
         assert "unknown model" in capsys.readouterr().err
 
+    def test_flat_range_needs_one_point(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[pressure]\nmodels = ideal\n"
+                       "z_min_m = 1e-6\nz_max_m = 1e-6\nz_points = 2\n")
+        assert main(["pressure", "--config", str(ini),
+                     "--out", str(tmp_path)]) == 1
+        assert ("pressure: z_points > 1 needs z_min_m < z_max_m"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "pressure_ideal.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def exclusion_run(tmp_path_factory):

@@ -280,6 +280,84 @@ class TestRoughnessBatch:
         np.testing.assert_allclose(series, expected, rtol=1e-12, atol=0)
 
 
+
+# the curve grid of the exclusion command, padded past 160-750 nm
+EXCLUSION_GRID = np.geomspace(0.92 * 160e-9, 1.02 * 750e-9, 80)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Sizes of the z arrays the engine is called on, in call order."""
+    calls = []
+
+    def spy(model, z, state, return_diagnostics=False):
+        calls.append(np.size(z))
+        return casimir_pressure(model, z, state, return_diagnostics)
+
+    monkeypatch.setattr(lifshitz, "casimir_pressure", spy)
+    return calls
+
+
+class TestCurveSeries:
+    @pytest.mark.parametrize("temperature", [300.0, 30.0])
+    @pytest.mark.parametrize("key", KEYS)
+    def test_agrees_with_the_engine(self, key, temperature, engine_calls):
+        state = ThermalState(temperature)
+        grids = (GRID80, EXCLUSION_GRID, np.geomspace(160e-9, 750e-9, 30))
+        direct = np.split(casimir_pressure(MODELS[key], np.concatenate(grids), state),
+                          np.cumsum([g.size for g in grids])[:-1])
+        engine_calls.clear()
+        for z, expected in zip(grids, direct):
+            curve = lifshitz.compute_pressure_curve(MODELS[key], z, state)
+            np.testing.assert_allclose(curve.pressure, expected, atol=0,
+                                       rtol=5e-12 if key == "ideal" else 1e-12)
+        assert engine_calls == [16, 16, 16]
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("temperature, z", [
+        (1000.0, GRID80), (300.0, np.geomspace(100e-9, 2e-6, 80))],
+        ids=["1000K", "100nm-2um"])
+    def test_missed_estimate_is_the_direct_call(self, key, temperature, z,
+                                                engine_calls):
+        state = ThermalState(temperature)
+        curve = lifshitz.compute_pressure_curve(MODELS[key], z, state)
+        assert engine_calls == [16, z.size]
+        assert np.array_equal(curve.pressure,
+                              casimir_pressure(MODELS[key], z, state))
+
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    def test_short_grid_is_one_direct_call(self, n, engine_calls):
+        z = np.geomspace(160e-9, 750e-9, n)
+        curve = lifshitz.compute_pressure_curve(MODELS["drude"], z, ST300)
+        assert engine_calls == [n]
+        assert np.array_equal(curve.pressure,
+                              casimir_pressure(MODELS["drude"], z, ST300))
+
+    def test_invalid_grid_keeps_its_message(self, engine_calls):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            lifshitz.compute_pressure_curve(MODELS["drude"], GRID80[::-1], ST300)
+        assert engine_calls == [GRID80.size]
+
+    def test_nan_error_bar_takes_the_direct_path(self, monkeypatch):
+        calls = []
+
+        def nan_bar(model, z, state, return_diagnostics=False):
+            calls.append(np.size(z))
+            values, diag = casimir_pressure(model, z, state, True)
+            # one node's error bar is NaN, the others are the engine's
+            quad_error = np.where(np.arange(np.size(z)) == 3, np.nan,
+                                  diag.quad_error)
+            diag = lifshitz.EngineDiagnostics(diag.l_max, diag.tail_bound,
+                                              quad_error, diag.escalated_rows)
+            return (values, diag) if return_diagnostics else values
+
+        monkeypatch.setattr(lifshitz, "casimir_pressure", nan_bar)
+        curve = lifshitz.compute_pressure_curve(MODELS["impedance"], GRID80, ST300)
+        assert calls == [16, GRID80.size]
+        assert np.array_equal(curve.pressure,
+                              casimir_pressure(MODELS["impedance"], GRID80, ST300))
+
+
 # strictly increasing separations, at least 0.1 % apart, 100 nm to ~20 um
 z_grids = st.builds(
     lambda start, steps: start * np.exp(np.cumsum([0.0, *steps])),

@@ -77,13 +77,6 @@ class TestQuantiles:
         for k in (1, 2, 7, 13, 400):
             assert mt._student_q(q, k) == stats.t.ppf(q, k)
 
-    def test_grubbs_quantile_is_scipy_exactly(self):
-        # detect_outlying_set asks for t at 1 - significance / (2 n), n - 2
-        for significance in (0.01, 0.05):
-            for n in range(3, 403):
-                q = 1 - significance / (2 * n)
-                assert mt._student_q(q, n - 2) == stats.t.ppf(q, n - 2)
-
 
 class TestErrorCombination:
 
@@ -428,38 +421,6 @@ class TestBinningReference:
         want = looped_smoothed_sigma(binned, bias_correct)
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.all((got == want) | np.isnan(want))
-
-
-class TestOutlierScreen:
-
-    def test_planted_offset_set_flagged_exactly(self, curves):
-        ens = mt.generate_synthetic_ensemble(curve=curves["imp"],
-                                             seed=mt.DEFAULT_SEED, n_sets=15)
-        sets = list(ens.sets)
-        z = sets[14][:, 0]
-        shifted = sets[14][:, 1] * (1.0 + 5.0 * mt.default_point_sigma(z))
-        sets[14] = np.column_stack([z, shifted])
-        planted = mt.MeasurementEnsemble(tuple(sets), ens.bin_width,
-                                         ens.z_range)
-        assert mt.detect_outlying_set(planted, 0.01) == [14]
-
-    def test_clean_ensemble_unflagged(self, curves):
-        ens = mt.generate_synthetic_ensemble(curve=curves["imp"],
-                                             seed=mt.DEFAULT_SEED, n_sets=15)
-        assert mt.detect_outlying_set(ens, 0.01) == []
-
-    def test_identical_sets_unflagged(self, default_ensemble):
-        clones = mt.MeasurementEnsemble(
-            (default_ensemble.sets[0],) * 5,
-            default_ensemble.bin_width, default_ensemble.z_range)
-        assert mt.detect_outlying_set(clones, 0.01) == []
-
-    def test_too_few_sets(self, default_ensemble):
-        pair = mt.MeasurementEnsemble(
-            default_ensemble.sets[:2], default_ensemble.bin_width,
-            default_ensemble.z_range)
-        with pytest.raises(ValueError, match="3 sets"):
-            mt.detect_outlying_set(pair, 0.01)
 
 
 class TestRandomErrorCurve:
