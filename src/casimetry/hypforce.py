@@ -62,8 +62,10 @@ class YukawaParams:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("interaction range must be positive")
+        if not math.isfinite(self.alpha_g):
+            raise ValueError("strength alpha_g must be finite")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("interaction range must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,6 @@ class LayerStack:
         if not math.isinf(layers[-1].thickness):
             raise ValueError("terminal layer must be semi-infinite")
         object.__setattr__(self, "layers", layers)
-
-    @classmethod
-    def homogeneous(cls, density: float) -> "LayerStack":
-        return cls((Layer(density, math.inf),))
 
 
 def coated_sphere_stack() -> LayerStack:
@@ -196,8 +194,8 @@ def yukawa_pressure_oracle(stack_a: LayerStack, stack_b: LayerStack,
     against the exponential kernel numerically, with no knowledge of
     the closed-form density factors.
     """
-    if not z > 0:
-        raise ValueError("separation must be positive")
+    if not 0 < z < math.inf:
+        raise ValueError("separation must be positive and finite")
     lam = params.lam
     ia = _depth_integral(stack_a, lam)
     ib = _depth_integral(stack_b, lam)
@@ -249,16 +247,16 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @np.errstate(divide="ignore", over="ignore")
-def _strongest_constraints(band, stack_a, stack_b, lams, coarse_points,
-                           rel_tol=1e-4):
+def _strongest_constraints(band, stack_a, stack_b, lams):
     # minimum over z of half_width/|P(z; 1, lam)| for every lam at once:
-    # a coarse log grid, then golden-section steps on log z in lockstep;
-    # where e^{-z/lam} underflows the objective is +inf
+    # a 60-point log grid, then golden-section steps on log z in lockstep
+    # down to a bracket of 1e-4 in log z; where e^{-z/lam} underflows the
+    # objective is +inf
     def objective(z, lam):
         return (band.half_width_at(z)
                 / np.abs(_plate_pressure(stack_a, stack_b, z, lam)))
 
-    grid = np.geomspace(band.z[0], band.z[-1], coarse_points)
+    grid = np.geomspace(band.z[0], band.z[-1], 60)
     vals = objective(grid, lams[:, None])
     if not np.all(np.isfinite(vals).any(axis=1)):
         raise ValueError("degenerate stack: zero reference pressure")
@@ -269,7 +267,7 @@ def _strongest_constraints(band, stack_a, stack_b, lams, coarse_points,
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = objective(np.exp(c), lams), objective(np.exp(d), lams)
     # a bracket at the grid's edge is one step wide, so rows finish apart
-    while (active := np.flatnonzero(b - a > rel_tol)).size:
+    while (active := np.flatnonzero(b - a > 1e-4)).size:
         left = fc[active] < fd[active]
         r, q = active[left], active[~left]
         b[r], d[r], fd[r] = d[r], c[r], fc[r]
@@ -280,19 +278,17 @@ def _strongest_constraints(band, stack_a, stack_b, lams, coarse_points,
                       lams[active])
         fc[r], fd[q] = f[left], f[~left]
     z = np.exp(0.5 * (a + b))
-    point = lo == hi   # a one-point grid has nothing to refine
-    return (np.where(point, grid[i], z),
-            np.where(point, vals.min(axis=1), objective(z, lams)))
+    return z, objective(z, lams)
 
 
 def constraint_curve(band, stack_a: LayerStack, stack_b: LayerStack,
-                     lambdas, coarse_points: int = 60) -> ConstraintCurve:
+                     lambdas) -> ConstraintCurve:
     """Invert a confidence band into bounds on the Yukawa strength.
 
     For each range lam, any allowed strength must keep the Yukawa
     pressure within the band everywhere, so the bound is the minimum
     over separation of half_width(z)/|P(z; alpha_g=1, lam)|.  The
-    minimum is located on a coarse log grid and sharpened by
+    minimum is located on a 60-point log grid and sharpened by
     golden-section refinement; z_best records the minimizer.
 
     Parameters
@@ -307,8 +303,7 @@ def constraint_curve(band, stack_a: LayerStack, stack_b: LayerStack,
     if lams.size == 0 or not np.all((lams > 0) & (lams < math.inf)):
         raise ValueError("interaction ranges must be positive and finite")
     _check_range_validity(lams[-1])
-    z_best, alpha = _strongest_constraints(band, stack_a, stack_b, lams,
-                                           coarse_points)
+    z_best, alpha = _strongest_constraints(band, stack_a, stack_b, lams)
     return ConstraintCurve(tuple(zip(lams, alpha, z_best)))
 
 

@@ -60,8 +60,8 @@ def matsubara_frequency(temperature: float, l: int) -> float:
     return 2.0 * math.pi * K_B * temperature * l / HBAR
 
 
-def default_l_max(temperature: float, z: float, y_target: float = 30.0) -> int:
-    """Smallest l_max with 2 xi_l z / c >= y_target.
+def default_l_max(temperature: float, z: float) -> int:
+    """Smallest l_max with 2 xi_l z / c >= 30.
 
     At y = 30 the geometric l-tail is below 1e-9 of the sum for every
     implemented model.
@@ -69,7 +69,7 @@ def default_l_max(temperature: float, z: float, y_target: float = 30.0) -> int:
     if not 0.0 < z < math.inf:
         raise ValueError("z must be positive and finite")
     xi1 = matsubara_frequency(temperature, 1)
-    return max(1, math.ceil(y_target * C_LIGHT / (2.0 * z * xi1)))
+    return max(1, math.ceil(30.0 * C_LIGHT / (2.0 * z * xi1)))
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ class ThermalState:
             raise ValueError("temperature must be positive and finite")
         if self.l_max is not None and self.l_max < 1:
             raise ValueError("l_max must be >= 1")
-        if not self.quad_tol > 0.0:
-            raise ValueError("quad_tol must be positive")
+        if not 0.0 < self.quad_tol < math.inf:
+            raise ValueError("quad_tol must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +522,7 @@ def casimir_free_energy(model: ReflectionModel, z, state: ThermalState,
 
 
 def entropy_probe(model: ReflectionModel, z: float,
-                  temperatures: Sequence[float], quad_tol: float = 1e-9):
+                  temperatures: Sequence[float]):
     """Entropy per area S = -dF/dT at each temperature, J/(m^2 K).
 
     temperatures must be strictly descending and positive, mirroring a
@@ -541,7 +541,7 @@ def entropy_probe(model: ReflectionModel, z: float,
         h = min(h, 0.4 * temperature)
 
         def free_energy(t: float) -> float:
-            return casimir_free_energy(model, z, ThermalState(t, None, quad_tol))
+            return casimir_free_energy(model, z, ThermalState(t))
 
         d1 = (free_energy(temperature + h) - free_energy(temperature - h)) / (2.0 * h)
         d2 = (free_energy(temperature + 2 * h) - free_energy(temperature - 2 * h)) / (4.0 * h)

@@ -34,7 +34,6 @@ __all__ = [
     "ExclusionVerdict",
     "bin_ensemble",
     "random_error_curve",
-    "combine_errors",
     "theory_error_curve",
     "confidence_band",
     "exclusion_test",
@@ -136,42 +135,26 @@ class ErrorComponent:
     label : str
         Name used in reports.
     distribution : str
-        "normal" (value is sigma), "student" (value is sigma, needs
-        dof), or "uniform" (value is the half-range).
+        "normal" (value is sigma) or "uniform" (value is the half-range).
     value : float or callable
         Magnitude, or a function of separation returning it.
     relative : bool, optional
         If true the magnitude is a fraction of |P|, else Pa.
-    dof : int, optional
-        Degrees of freedom, required for "student".
     """
 
     label: str
     distribution: str
     value: object
     relative: bool = True
-    dof: int = None
 
     def __post_init__(self):
-        if self.distribution not in ("normal", "student", "uniform"):
+        if self.distribution not in ("normal", "uniform"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.distribution == "student" and not self.dof:
-            raise ValueError("student component needs dof")
-        if np.isscalar(self.value) and self.value < 0:
-            raise ValueError("component magnitude must be nonnegative")
+        if np.isscalar(self.value) and not 0 <= self.value < math.inf:
+            raise ValueError("component magnitude must be nonnegative and finite")
 
     def value_at(self, z):
         return self.value(z) if callable(self.value) else self.value
-
-    def half_width_at(self, z, confidence):
-        """Half-width of this component at the given confidence."""
-        _check_confidence(confidence)
-        v = self.value_at(z)
-        if self.distribution == "normal":
-            return _NORMAL_Q[confidence] * v
-        if self.distribution == "student":
-            return _student_q((1 + confidence) / 2, self.dof) * v
-        return confidence * v   # quantile of a centered uniform
 
 
 @dataclass(frozen=True)
@@ -183,23 +166,6 @@ class ErrorBudget:
         if not comps or not all(isinstance(c, ErrorComponent) for c in comps):
             raise ValueError("budget needs at least one ErrorComponent")
         object.__setattr__(self, "components", comps)
-
-    def half_widths(self, p_abs, confidence, z=None):
-        """Per-component absolute half-widths at |P| = p_abs."""
-        out = []
-        for c in self.components:
-            if callable(c.value) and z is None:
-                raise ValueError(f"component {c.label!r} needs a separation")
-            h = c.half_width_at(z, confidence)
-            out.append(h * p_abs if c.relative else h)
-        return out
-
-
-def combine_errors(budget: ErrorBudget, p_abs: float, confidence: float,
-                   z: float = None, rule: str = "quantile") -> float:
-    """Total absolute error half-width for a budget at one |P|."""
-    _check_confidence(confidence)
-    return _combine(budget.half_widths(p_abs, confidence, z), rule)
 
 
 @dataclass(frozen=True)
@@ -530,10 +496,7 @@ def exclusion_test(differences, band: ConfidenceBand,
 
 
 def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
-                           reference: str, confidence: float,
-                           sphere: SphereGeometry = DEFAULT_SPHERE,
-                           dz: float = DEFAULT_SEPARATION_ERROR,
-                           optical_rel: float = DEFAULT_OPTICAL_REL) -> dict:
+                           reference: str, confidence: float) -> dict:
     """Band-test each model curve against one measured ensemble.
 
     The experimental half-width is estimated from the data itself:
@@ -565,14 +528,14 @@ def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
     binned = bin_ensemble(ensemble)
     env = random_error_curve(binned, confidence, kind="point")
     ref_curve = model_curves[reference]
-    rad = confidence * (sphere.radius_error / sphere.radius)
+    rad = confidence * (DEFAULT_SPHERE.radius_error / DEFAULT_SPHERE.radius)
 
     def expt_abs(zz):
         return np.sqrt(env.at(zz) ** 2
                        + (rad * np.abs(ref_curve.pressure_at(zz))) ** 2)
 
     def theory_rel(zz):
-        return theory_error_curve(zz, sphere, dz, optical_rel, confidence,
+        return theory_error_curve(zz, confidence=confidence,
                                   include_separation_term=False)
 
     z, p, _ = ensemble.all_points()
@@ -619,8 +582,8 @@ def generate_synthetic_ensemble(*, curve: PressureCurve = None,
         separations outside its range are clipped to it.
     noise : ErrorBudget, optional
         Pressure-space noise; defaults to default_noise_budget().
-        Uniform components are drawn once per ensemble, normal and
-        student components once per point.
+        Uniform components are drawn once per ensemble, normal
+        components once per point.
     z_jitter : float, optional
         95% half-width of the normal per-point error of the recorded
         separation; the pressure is evaluated at the true separation.
@@ -667,8 +630,7 @@ def save_ensemble_csv(ensemble: MeasurementEnsemble, path, comments=()):
     write_csv(path, _ENSEMBLE_COLUMNS, rows, comments)
 
 
-def load_ensemble_csv(path, bin_width: float = DEFAULT_BIN_WIDTH,
-                      z_range=None) -> MeasurementEnsemble:
+def load_ensemble_csv(path, z_range=None) -> MeasurementEnsemble:
     """Read an ensemble written by save_ensemble_csv.
 
     The separation range is inferred from the data unless given.
@@ -681,6 +643,6 @@ def load_ensemble_csv(path, bin_width: float = DEFAULT_BIN_WIDTH,
     if z_range is None:
         z_range = (float(data[:, 1].min()), float(data[:, 1].max()))
     try:
-        return MeasurementEnsemble(tuple(sets), bin_width, z_range)
+        return MeasurementEnsemble(tuple(sets), z_range=z_range)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

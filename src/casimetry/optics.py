@@ -363,8 +363,8 @@ class PermittivityFn:
         return cls.from_drude(DrudeParameters(omega_p, 0.0))
 
     @classmethod
-    def from_table(cls, dataset: OpticalDataset, drude: DrudeParameters,
-                   abs_tol: float = 1e-12, rel_tol: float = 1e-9) -> "PermittivityFn":
+    def from_table(cls, dataset: OpticalDataset,
+                   drude: DrudeParameters) -> "PermittivityFn":
         """Memoized dispersion-transform permittivity; a call transforms its
         uncached xi in one batch.  Values are deterministic, so the memo
         needs no lock: a race between threads only recomputes."""
@@ -375,7 +375,7 @@ class PermittivityFn:
             missing = [x for x in dict.fromkeys(keys) if x not in cache]
             if missing:
                 cache.update(zip(missing, permittivity_imag_axis(
-                    dataset, drude, np.array(missing), abs_tol, rel_tol).tolist()))
+                    dataset, drude, np.array(missing)).tolist()))
             return np.reshape([cache[x] for x in keys], np.shape(xi))
 
         return cls(fn, label=f"table({dataset.metal_name or 'metal'})")

@@ -2,11 +2,15 @@
 
 A name in ``__all__`` must resolve, and every public function and class a
 module defines must be listed, so that a deletion leaves no stale export
-and an addition is not left out of the public surface.
+and an addition is not left out of the public surface.  Every listed name
+must also have a caller outside the tests, apart from a short keep-list
+with a reason for each: no library function is called only by tests.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +38,47 @@ def test_public_definitions_are_listed(name):
 def test_package_exports_resolve():
     import casimetry
     assert all(hasattr(casimetry, n) for n in casimetry.__all__)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "demos", "perfbench")
+
+# exported names that only the tests call, each with the reason it stays
+KEEP = {
+    "reflection_sq": "acceptance criterion 3 checks the static terms with it",
+    "yukawa_plate_pressure": "acceptance criterion 6 holds it to the oracle",
+    "yukawa_pressure_oracle": "acceptance criterion 6's independent check",
+    "load_ensemble_csv": "it reads the file that save_ensemble_csv writes",
+}
+
+
+def referenced_names():
+    """Every name an ast.Name, ast.Attribute or import alias mentions in
+    the program, the demos and the benchmark, their test files left out."""
+    names = set()
+    for top in CALLER_DIRS:
+        for path in (ROOT / top).rglob("*.py"):
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.asname or node.name.rpartition(".")[2])
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exports_have_a_caller_outside_the_tests(name):
+    module = importlib.import_module(f"casimetry.{name}")
+    assert sorted(set(module.__all__) - referenced_names() - set(KEEP)) == []
+
+
+def test_keep_list_is_current():
+    exported = set()
+    for name in MODULES:
+        exported |= set(importlib.import_module(f"casimetry.{name}").__all__)
+    assert set(KEEP) <= exported
+    assert set(KEEP).isdisjoint(referenced_names())

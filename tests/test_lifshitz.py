@@ -68,8 +68,9 @@ class TestThermalState:
             ThermalState(0.0)
         with pytest.raises(ValueError):
             ThermalState(300.0, l_max=0)
-        with pytest.raises(ValueError):
-            ThermalState(300.0, quad_tol=-1e-9)
+        for bad in (-1e-9, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="quad_tol"):
+                ThermalState(300.0, quad_tol=bad)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

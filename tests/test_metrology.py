@@ -19,7 +19,9 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from casimetry import metrology as mt
-from casimetry.lifshitz import ReflectionModel, ThermalState, compute_pressure_curve
+from casimetry.corrections import SphereGeometry
+from casimetry.lifshitz import (PressureCurve, ReflectionModel, ThermalState,
+                                compute_pressure_curve)
 from casimetry.optics import DrudeParameters, PermittivityFn
 
 W_P = 1.37e16
@@ -78,107 +80,157 @@ class TestQuantiles:
             assert mt._student_q(q, k) == stats.t.ppf(q, k)
 
 
+Z_GRID = np.geomspace(160e-9, 750e-9, 25)
+# a sphere so large that its z/R curvature term falls below rounding
+FLAT = SphereGeometry(1e9)
+
+
+def theory_terms(z, sphere=mt.DEFAULT_SPHERE, dz=mt.DEFAULT_SEPARATION_ERROR,
+                 optical_rel=mt.DEFAULT_OPTICAL_REL, confidence=0.95):
+    """Curvature, optical and separation half-widths of theory_error_curve,
+    from the uniform quantile c*v and the normal quantile of scipy."""
+    z = np.asarray(z, dtype=float)
+    q = stats.norm.ppf((1 + confidence) / 2) / stats.norm.ppf(0.975)
+    return np.array([confidence * z / sphere.radius,
+                     np.full_like(z, confidence * optical_rel),
+                     q * 4.0 * dz / z])
+
+
+def scaled(curve, factor):
+    return PressureCurve(curve.z, factor * curve.pressure)
+
+
 class TestErrorCombination:
+    """The mixing rules, seen through theory_error_curve and
+    confidence_band: "quantile" is min(sum, 1.1 rss), "variance" is rss."""
 
     def test_single_normal_component(self):
-        budget = mt.ErrorBudget((mt.ErrorComponent("x", "normal", 0.01),))
-        got = mt.combine_errors(budget, 1.0, 0.95)
-        assert got == pytest.approx(stats.norm.ppf(0.975) * 0.01, rel=1e-12)
+        for confidence in (0.95, 0.99):
+            got = mt.theory_error_curve(300e-9, FLAT, dz=1e-9, optical_rel=0.0,
+                                        confidence=confidence)
+            q = stats.norm.ppf((1 + confidence) / 2) / stats.norm.ppf(0.975)
+            assert got == pytest.approx(q * 4e-9 / 300e-9, rel=1e-12)
 
     def test_single_uniform_component(self):
-        budget = mt.ErrorBudget((mt.ErrorComponent("x", "uniform", 0.004),))
-        assert mt.combine_errors(budget, 1.0, 0.95) == pytest.approx(
-            0.95 * 0.004, rel=1e-12)
-        assert mt.combine_errors(budget, 1.0, 0.99) == pytest.approx(
-            0.99 * 0.004, rel=1e-12)
-
-    def test_single_student_component(self):
-        budget = mt.ErrorBudget(
-            (mt.ErrorComponent("x", "student", 0.01, dof=5),))
-        got = mt.combine_errors(budget, 1.0, 0.95)
-        assert got == pytest.approx(stats.t.ppf(0.975, 5) * 0.01, rel=1e-12)
+        for confidence in (0.95, 0.99):
+            got = mt.theory_error_curve(300e-9, FLAT, dz=0.0,
+                                        optical_rel=0.004,
+                                        confidence=confidence)
+            assert got == pytest.approx(confidence * 0.004, rel=1e-12)
 
     def test_reference_budget_total(self):
-        # curvature 0.2%, optical 0.5%, separation-derived 0.8% of |P|
-        budget = mt.ErrorBudget((
-            mt.ErrorComponent("curvature", "uniform", 0.002),
-            mt.ErrorComponent("optical", "uniform", 0.005),
-            mt.ErrorComponent("separation", "normal",
-                              0.008 / stats.norm.ppf(0.975)),
-        ))
-        got = mt.combine_errors(budget, 1.0, 0.95)
+        # curvature 0.2%, optical 0.5% (uniform ranges), separation-derived
+        # 0.8% of |P| (95% half-width) at 300 nm
+        got = mt.theory_error_curve(300e-9, SphereGeometry(150e-6),
+                                    dz=0.6e-9, optical_rel=0.005)
         assert got == pytest.approx(1.0445512194e-2, rel=1e-8)
         assert 0.009 < got < 0.0115
 
-    def test_total_scales_with_pressure(self):
-        budget = mt.ErrorBudget((mt.ErrorComponent("x", "normal", 0.01),))
-        a = mt.combine_errors(budget, 0.5, 0.95)
-        b = mt.combine_errors(budget, 1.5, 0.95)
-        assert b == pytest.approx(3 * a, rel=1e-12)
+    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    @pytest.mark.parametrize("setting", [
+        {},
+        {"sphere": FLAT, "dz": 1e-12},          # one term dominates
+        {"sphere": SphereGeometry(40e-6), "dz": 2e-9, "optical_rel": 0.02},
+    ])
+    def test_quantile_rule_is_capped_sum(self, setting, confidence):
+        terms = theory_terms(Z_GRID, confidence=confidence, **setting)
+        want = np.minimum(terms.sum(axis=0),
+                          1.1 * np.sqrt((terms ** 2).sum(axis=0)))
+        got = mt.theory_error_curve(Z_GRID, confidence=confidence, **setting)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        bare = mt.theory_error_curve(Z_GRID, confidence=confidence,
+                                     include_separation_term=False, **setting)
+        want = np.minimum(terms[:2].sum(axis=0),
+                          1.1 * np.sqrt((terms[:2] ** 2).sum(axis=0)))
+        np.testing.assert_allclose(bare, want, rtol=1e-12)
 
-    def test_absolute_component_ignores_pressure(self):
-        budget = mt.ErrorBudget(
-            (mt.ErrorComponent("x", "normal", 0.02, relative=False),))
-        got = mt.combine_errors(budget, 123.0, 0.95)
-        assert got == pytest.approx(stats.norm.ppf(0.975) * 0.02, rel=1e-12)
+    def test_band_quantile_rule_is_capped_sum(self, curves):
+        # theory/experiment ratios from 1e-2 to 1e2 reach both branches
+        # of the quantile minimum
+        curve = curves["imp"]
+        ratio = np.geomspace(1e-2, 1e2, Z_GRID.size)
+        th, ex = 0.01, lambda z: ratio * 0.01 * np.abs(curve.pressure_at(z))
+        p_abs = np.abs(curve.pressure_at(Z_GRID))
+        quant = mt.confidence_band(lambda z: np.full_like(z, th), ex, curve,
+                                   0.95, grid=Z_GRID)
+        want = np.minimum(1 + ratio, 1.1 * np.hypot(1, ratio)) * th * p_abs
+        np.testing.assert_allclose(quant.half_width, want, rtol=1e-12)
+        assert np.any(1 + ratio < 1.1 * np.hypot(1, ratio))
+        assert np.any(1 + ratio > 1.1 * np.hypot(1, ratio))
+
+    def test_variance_rule_is_rss(self, curves):
+        curve = curves["imp"]
+        p_abs = np.abs(curve.pressure_at(Z_GRID))
+        expt = lambda z: 0.02 * np.abs(curve.pressure_at(z))
+        band = mt.confidence_band(mt.theory_error_curve, expt, curve, 0.95,
+                                  rule="variance", grid=Z_GRID)
+        want = np.hypot(mt.theory_error_curve(Z_GRID), 0.02) * p_abs
+        np.testing.assert_allclose(band.half_width, want, rtol=1e-12)
+
+    def test_total_scales_with_pressure(self, curves):
+        curve = curves["imp"]
+        bands = [mt.confidence_band(mt.theory_error_curve,
+                                    lambda z: np.zeros_like(z),
+                                    scaled(curve, k), 0.95, grid=Z_GRID)
+                 for k in (0.5, 1.5)]
+        np.testing.assert_allclose(bands[1].half_width,
+                                   3 * bands[0].half_width, rtol=1e-12)
+
+    def test_absolute_component_ignores_pressure(self, curves):
+        curve = curves["imp"]
+        for k in (0.5, 1.5):
+            band = mt.confidence_band(lambda z: np.zeros_like(z),
+                                      lambda z: np.full_like(z, 0.02),
+                                      scaled(curve, k), 0.95, grid=Z_GRID)
+            np.testing.assert_allclose(band.half_width, 0.02, rtol=1e-12)
 
     def test_enlarging_any_component_never_shrinks_total(self):
-        values = [0.002, 0.005, 0.004]
-        base = mt.ErrorBudget(tuple(
-            mt.ErrorComponent(f"c{i}", d, v) for i, (d, v) in enumerate(
-                zip(("uniform", "uniform", "normal"), values))))
-        t0 = mt.combine_errors(base, 1.0, 0.95)
-        for i in range(3):
-            grown = list(values)
-            grown[i] *= 1.5
-            budget = mt.ErrorBudget(tuple(
-                mt.ErrorComponent(f"c{j}", d, v) for j, (d, v) in enumerate(
-                    zip(("uniform", "uniform", "normal"), grown))))
-            assert mt.combine_errors(budget, 1.0, 0.95) >= t0
+        base = dict(sphere=mt.DEFAULT_SPHERE, dz=mt.DEFAULT_SEPARATION_ERROR,
+                    optical_rel=mt.DEFAULT_OPTICAL_REL)
+        t0 = mt.theory_error_curve(Z_GRID, **base)
+        for key, grown in (("sphere", SphereGeometry(148.7e-6 / 1.5)),
+                           ("dz", 1.5 * base["dz"]),
+                           ("optical_rel", 1.5 * base["optical_rel"])):
+            t1 = mt.theory_error_curve(Z_GRID, **{**base, key: grown})
+            assert np.all(t1 >= t0)
 
-    def test_higher_confidence_is_wider(self):
-        budget = mt.default_noise_budget()
-        h95 = mt.combine_errors(budget, 0.5, 0.95, z=300e-9)
-        h99 = mt.combine_errors(budget, 0.5, 0.99, z=300e-9)
-        assert h99 >= h95
+    def test_higher_confidence_is_wider(self, curves):
+        expt = lambda z: 0.01 * np.abs(curves["imp"].pressure_at(z))
+        for separation in (True, False):
+            h95, h99 = (mt.theory_error_curve(
+                Z_GRID, confidence=c, include_separation_term=separation)
+                for c in (0.95, 0.99))
+            assert np.all(h99 >= h95)
+            b95, b99 = (mt.confidence_band(
+                lambda z: mt.theory_error_curve(
+                    z, confidence=c, include_separation_term=separation),
+                expt, curves["imp"], c, grid=Z_GRID) for c in (0.95, 0.99))
+            assert np.all(b99.half_width >= b95.half_width)
 
     def test_total_at_least_dominant_component(self):
-        budget = mt.ErrorBudget((
-            mt.ErrorComponent("big", "normal", 0.02),
-            mt.ErrorComponent("small", "uniform", 0.001),
-        ))
-        biggest = stats.norm.ppf(0.975) * 0.02
-        assert mt.combine_errors(budget, 1.0, 0.95) >= 0.9 * biggest
-
-    def test_variance_rule_is_rss(self):
-        budget = mt.ErrorBudget((
-            mt.ErrorComponent("a", "normal", 0.01),
-            mt.ErrorComponent("b", "normal", 0.01),
-        ))
-        got = mt.combine_errors(budget, 1.0, 0.95, rule="variance")
-        assert got == pytest.approx(
-            math.sqrt(2) * stats.norm.ppf(0.975) * 0.01, rel=1e-12)
-
-    def test_callable_component_needs_separation(self):
-        budget = mt.ErrorBudget(
-            (mt.ErrorComponent("x", "uniform", lambda z: z / 1e-4),))
-        with pytest.raises(ValueError, match="separation"):
-            mt.combine_errors(budget, 1.0, 0.95)
-        got = mt.combine_errors(budget, 1.0, 0.95, z=300e-9)
-        assert got == pytest.approx(0.95 * 3e-3, rel=1e-12)
+        for confidence in (0.95, 0.99):
+            terms = theory_terms(Z_GRID, confidence=confidence)
+            got = mt.theory_error_curve(Z_GRID, confidence=confidence)
+            assert np.all(got >= terms.max(axis=0))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="distribution"):
-            mt.ErrorComponent("x", "lognormal", 0.01)
-        with pytest.raises(ValueError, match="dof"):
-            mt.ErrorComponent("x", "student", 0.01)
-        with pytest.raises(ValueError, match="nonnegative"):
-            mt.ErrorComponent("x", "normal", -0.01)
+        for name in ("lognormal", "student"):
+            with pytest.raises(ValueError, match="distribution"):
+                mt.ErrorComponent("x", name, 0.01)
+        for bad in (-0.01, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                mt.ErrorComponent("x", "normal", bad)
         with pytest.raises(ValueError):
             mt.ErrorBudget(())
-        budget = mt.ErrorBudget((mt.ErrorComponent("x", "normal", 0.01),))
+        with pytest.raises(ValueError):
+            mt.ErrorBudget(("not a component",))
         with pytest.raises(ValueError, match="confidence"):
-            mt.combine_errors(budget, 1.0, 0.9)
+            mt.theory_error_curve(300e-9, confidence=0.9)
+        curve = PressureCurve(Z_GRID, -np.ones_like(Z_GRID))
+        with pytest.raises(ValueError, match="combination rule"):
+            mt.confidence_band(mt.theory_error_curve,
+                               lambda z: np.zeros_like(z), curve, 0.95,
+                               rule="median")
 
 
 class TestTheoryErrorCurve:
@@ -589,6 +641,18 @@ class TestSyntheticGenerator:
         offsets = p / curves["imp"].pressure_at(z) - 1.0
         assert np.ptp(offsets) < 1e-13
         assert abs(offsets[0]) <= 0.01
+
+    def test_absolute_systematic_ignores_pressure(self, curves):
+        budget = mt.ErrorBudget((mt.ErrorComponent("x", "uniform", 1e-3,
+                                                   relative=False),))
+        ens = mt.generate_synthetic_ensemble(curve=curves["imp"],
+                                             noise=budget, z_jitter=0.0,
+                                             seed=5, n_sets=3,
+                                             points_per_set=50)
+        z, p, _ = ens.all_points()
+        offsets = p - curves["imp"].pressure_at(z)
+        assert np.ptp(offsets) < 1e-13
+        assert 0.0 < abs(offsets[0]) <= 1e-3
 
     def test_model_or_curve_required(self):
         with pytest.raises(ValueError, match="curve is required"):
