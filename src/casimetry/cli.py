@@ -16,13 +16,13 @@ Four subcommands map onto the library layers:
     Convert a confidence band (or a flat RMS noise level) into limits
     on the strength of an added Yukawa interaction.
 
-Configuration comes from an INI-style file with ``[section]`` headers
-matching the subcommand names, overridden first by environment
-variables (``CASIMETRY_<SECTION>_<KEY>``) and then by command line
-flags.  Every output file starts with comment lines recording a hash
-of the effective configuration and the physical-constants version, so
-artifacts can be traced back to the run that made them.  Runs with
-identical configuration and seed produce byte-identical files.
+A run reads the INI ``[section]`` named after its subcommand (other
+sections are checked only for their names), overridden first by
+``CASIMETRY_<SUBCOMMAND>_<KEY>`` environment variables and then by the
+subcommand's flags.  Every output file starts with comment lines
+recording a hash of that effective section and the physical-constants
+version, so artifacts can be traced back to the run that made them.
+Runs with identical configuration and seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -76,83 +76,80 @@ from .metrology import (
 from .optics import DrudeParameters, PermittivityFn, load_optical_table
 
 ENV_PREFIX = "CASIMETRY_"
-SECTIONS = ("kk", "pressure", "exclusion", "constraints")
 
 
 @dataclass
 class RunConfig:
-    """Effective, flat configuration of one run.
+    """Effective configuration of one run: its subcommand's section.
 
     Values are kept as strings until a typed getter is called; the
     hash is recomputed from the current state so flag overrides are
     part of it.
     """
 
-    sections: dict = field(default_factory=dict)
+    section: str
+    values: dict = field(default_factory=dict)
 
-    def set(self, section: str, key: str, value: str) -> None:
-        self.sections.setdefault(section, {})[key.lower()] = value
+    def set(self, key: str, value: str) -> None:
+        self.values[key.lower()] = value
 
-    def get(self, section: str, key: str, default=None, required: bool = False):
-        value = self.sections.get(section, {}).get(key.lower())
+    def get(self, key: str, default=None, required: bool = False):
+        value = self.values.get(key.lower())
         if value is None:
             if required:
-                raise ValueError(f"missing config key {section}.{key}")
+                raise ValueError(f"missing config key {self.section}.{key}")
             return default
         return value
 
-    def get_float(self, section, key, default=None, required=False):
-        value = self.get(section, key, required=required)
+    def _typed(self, key, default, kind, what):
+        value = self.get(key)
         if value is None:
             return default
         try:
-            return float(value)
+            return kind(value)
         except ValueError:
-            raise ValueError(f"config {section}.{key}: not a number: {value!r}")
+            raise ValueError(f"config {self.section}.{key}: not {what}: {value!r}")
 
-    def get_int(self, section, key, default=None, required=False):
-        value = self.get(section, key, required=required)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            raise ValueError(f"config {section}.{key}: not an integer: {value!r}")
+    def get_float(self, key, default=None):
+        return self._typed(key, default, float, "a number")
 
-    def get_list(self, section, key, default=()):
-        value = self.get(section, key)
+    def get_int(self, key, default=None):
+        return self._typed(key, default, int, "an integer")
+
+    def get_list(self, key, default=()):
+        value = self.get(key)
         if value is None:
             return list(default)
         items = [item.strip() for item in value.split(",") if item.strip()]
         if not items:
-            raise ValueError(f"config {section}.{key}: empty list")
+            raise ValueError(f"config {self.section}.{key}: empty list")
         return items
 
-    def get_path(self, section, key, required=False):
-        value = self.get(section, key, required=required)
+    def get_path(self, key, required=False):
+        value = self.get(key, required=required)
         if value is None:
             return None
         path = Path(value)
         if not path.exists():
-            raise ValueError(f"config {section}.{key}: no such file: {path}")
+            raise ValueError(f"config {self.section}.{key}: no such file: {path}")
         return path
 
     def hash(self) -> str:
-        lines = sorted(f"{section}.{key} = {value}"
-                       for section, items in self.sections.items()
-                       for key, value in items.items())
+        lines = sorted(f"{self.section}.{key} = {value}"
+                       for key, value in self.values.items())
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         return digest[:12]
 
 
-def load_run_config(path=None) -> RunConfig:
-    """Parse a config file and fold in environment overrides.
+def load_run_config(path, section: str) -> RunConfig:
+    """Read one subcommand's section and fold in its environment overrides.
 
     No file means an empty configuration; every key then takes its
-    built-in default.  Environment variables named
+    built-in default.  The file's other sections are checked only for
+    their names.  Environment variables named
     ``CASIMETRY_<SECTION>_<KEY>`` replace the file value for that key.
     """
-    cfg = RunConfig()
+    cfg = RunConfig(section)
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None,
                                            inline_comment_prefixes=("#",),
@@ -162,20 +159,31 @@ def load_run_config(path=None) -> RunConfig:
                 parser.read_file(fh, source=str(path))
         except configparser.Error as exc:
             raise ValueError(f"bad config file: {exc}")
-        for section in parser.sections():
-            if section not in SECTIONS:
-                raise ValueError(f"{path}: unknown section [{section}]")
+        for name in parser.sections():
+            if name not in _COMMANDS:
+                raise ValueError(f"{path}: unknown section [{name}]")
+        if parser.has_section(section):
             for key, value in parser.items(section):
-                cfg.set(section, key, value.strip())
+                cfg.set(key, value.strip())
     for name, value in os.environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        rest = name[len(ENV_PREFIX):]
-        section, _, key = rest.partition("_")
-        if not key or section.lower() not in SECTIONS:
-            continue
-        cfg.set(section.lower(), key.lower(), value)
+        env_section, _, key = name[len(ENV_PREFIX):].partition("_")
+        if name.startswith(ENV_PREFIX) and key and env_section.lower() == section:
+            cfg.set(key, value)
     return cfg
+
+
+def _log_grid(cfg: RunConfig, name: str, lo: float, hi: float, n: int):
+    """The log-spaced grid of keys <name>_min_m, <name>_max_m, <name>_points."""
+    lo_key, hi_key, n_key = f"{name}_min_m", f"{name}_max_m", f"{name}_points"
+    lo, hi = cfg.get_float(lo_key, lo), cfg.get_float(hi_key, hi)
+    n = cfg.get_int(n_key, n)
+    if not 0 < lo <= hi < np.inf:
+        raise ValueError(f"{cfg.section}: need 0 < {lo_key} <= {hi_key} < inf")
+    if n < 1:
+        raise ValueError(f"{cfg.section}.{n_key} must be >= 1")
+    if n > 1 and lo == hi:
+        raise ValueError(f"{cfg.section}: {n_key} > 1 needs {lo_key} < {hi_key}")
+    return np.geomspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------- writers
@@ -199,24 +207,24 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict):
 
 # ---------------------------------------------------------------- models
 
-def _drude_from_config(cfg: RunConfig, section: str) -> DrudeParameters:
+def _drude_from_config(cfg: RunConfig) -> DrudeParameters:
     return DrudeParameters(
-        omega_p=cfg.get_float(section, "plasma_frequency_rad_s", 1.37e16),
-        gamma=cfg.get_float(section, "relaxation_rad_s", 5.3e13))
+        omega_p=cfg.get_float("plasma_frequency_rad_s", 1.37e16),
+        gamma=cfg.get_float("relaxation_rad_s", 5.3e13))
 
 
-def _permittivity_from_config(cfg: RunConfig, section: str):
-    """Dielectric function for a section: tabulated if a file is named.
+def _permittivity_from_config(cfg: RunConfig):
+    """Dielectric function of a run: tabulated if a file is named.
 
     Returns (DrudeParameters, PermittivityFn).  The Drude parameters
     always exist; they extend any table beyond its frequency range.
     """
-    drude = _drude_from_config(cfg, section)
-    table = cfg.get_path(section, "optical_table")
+    drude = _drude_from_config(cfg)
+    table = cfg.get_path("optical_table")
     if table is None:
         return drude, PermittivityFn.from_drude(drude)
     dataset = load_optical_table(table.read_text(),
-                                 unit_spec=cfg.get(section, "optical_unit"),
+                                 unit_spec=cfg.get("optical_unit"),
                                  metal_name=table.stem, source=str(table))
     return drude, PermittivityFn.from_table(dataset, drude)
 
@@ -232,13 +240,13 @@ def build_model(key: str, drude: DrudeParameters,
 
 def cmd_kk(cfg: RunConfig, out: Path) -> None:
     """Write the imaginary-axis permittivity on the Matsubara grid."""
-    table = cfg.get_path("kk", "optical_table", required=True)
-    temperature = cfg.get_float("kk", "temperature_K", 300.0)
-    l_max = cfg.get_int("kk", "l_max", 500)
+    table = cfg.get_path("optical_table", required=True)
+    temperature = cfg.get_float("temperature_K", 300.0)
+    l_max = cfg.get_int("l_max", 500)
     if l_max < 1:
         raise ValueError("kk.l_max must be >= 1: the l = 0 term is not "
                          "dispersive and the grid would be empty")
-    _, eps = _permittivity_from_config(cfg, "kk")
+    _, eps = _permittivity_from_config(cfg)
     xi = [matsubara_frequency(temperature, l) for l in range(1, l_max + 1)]
     _write_csv(out / "dispersion.csv", cfg, ("xi_rad_s", "epsilon"),
                zip(xi, eps(np.array(xi))),
@@ -248,23 +256,14 @@ def cmd_kk(cfg: RunConfig, out: Path) -> None:
 
 def cmd_pressure(cfg: RunConfig, out: Path) -> None:
     """Write one pressure table per requested reflection model."""
-    model_keys = cfg.get_list("pressure", "models", ("impedance",))
-    temperature = cfg.get_float("pressure", "temperature_K", 300.0)
-    z_min = cfg.get_float("pressure", "z_min_m", 160e-9)
-    z_max = cfg.get_float("pressure", "z_max_m", 750e-9)
-    n_z = cfg.get_int("pressure", "z_points", 30)
-    confidence = cfg.get_float("pressure", "confidence", 0.95)
-    if not 0 < z_min <= z_max:
-        raise ValueError("pressure: need 0 < z_min_m <= z_max_m")
-    if n_z < 1:
-        raise ValueError("pressure.z_points must be >= 1")
-    if n_z > 1 and z_min == z_max:
-        raise ValueError("pressure: z_points > 1 needs z_min_m < z_max_m")
-    z = np.geomspace(z_min, z_max, n_z)
+    model_keys = cfg.get_list("models", ("impedance",))
+    temperature = cfg.get_float("temperature_K", 300.0)
+    z = _log_grid(cfg, "z", 160e-9, 750e-9, 30)
+    confidence = cfg.get_float("confidence", 0.95)
     state = ThermalState(temperature)
-    drude, eps = _permittivity_from_config(cfg, "pressure")
+    drude, eps = _permittivity_from_config(cfg)
 
-    paths = [cfg.get_path("pressure", f"roughness_{side}") for side in "ab"]
+    paths = [cfg.get_path(f"roughness_{side}") for side in "ab"]
     profile_a, profile_b = (RoughnessProfile.flat() if path is None
                             else load_roughness_profile(path) for path in paths)
     rough = any(path is not None for path in paths)
@@ -284,22 +283,21 @@ def cmd_pressure(cfg: RunConfig, out: Path) -> None:
 
 def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
     """Synthesize an ensemble, band-test models, write all artifacts."""
-    generator = cfg.get("exclusion", "generator", "impedance")
-    tested = cfg.get_list("exclusion", "tested",
-                          ("impedance", "drude", "schwinger"))
-    confidence = cfg.get_float("exclusion", "confidence", 0.95)
-    seed = cfg.get_int("exclusion", "seed", DEFAULT_SEED)
-    n_sets = cfg.get_int("exclusion", "n_sets", DEFAULT_N_SETS)
-    points = cfg.get_int("exclusion", "points_per_set", DEFAULT_POINTS_PER_SET)
-    z_min = cfg.get_float("exclusion", "z_min_m", DEFAULT_Z_RANGE[0])
-    z_max = cfg.get_float("exclusion", "z_max_m", DEFAULT_Z_RANGE[1])
-    temperature = cfg.get_float("exclusion", "temperature_K", 300.0)
-    noise_mode = cfg.get("exclusion", "noise", "default")
+    generator = cfg.get("generator", "impedance")
+    tested = cfg.get_list("tested", ("impedance", "drude", "schwinger"))
+    confidence = cfg.get_float("confidence", 0.95)
+    seed = cfg.get_int("seed", DEFAULT_SEED)
+    n_sets = cfg.get_int("n_sets", DEFAULT_N_SETS)
+    points = cfg.get_int("points_per_set", DEFAULT_POINTS_PER_SET)
+    z_min = cfg.get_float("z_min_m", DEFAULT_Z_RANGE[0])
+    z_max = cfg.get_float("z_max_m", DEFAULT_Z_RANGE[1])
+    temperature = cfg.get_float("temperature_K", 300.0)
+    noise_mode = cfg.get("noise", "default")
     if noise_mode not in ("default", "none"):
         raise ValueError("exclusion.noise must be 'default' or 'none'")
 
     state = ThermalState(temperature)
-    drude, eps = _permittivity_from_config(cfg, "exclusion")
+    drude, eps = _permittivity_from_config(cfg)
     keys = list(dict.fromkeys([generator, *tested]))
     # curve grid padded past the sampling range so jittered true
     # separations stay inside the interpolation table
@@ -359,35 +357,23 @@ def _load_band_csv(path: Path, fallback: float) -> ConfidenceBand:
 
 def cmd_constraints(cfg: RunConfig, out: Path) -> None:
     """Turn a residual band into Yukawa strength limits."""
-    stack_a_path = cfg.get_path("constraints", "stack_a")
-    stack_b_path = cfg.get_path("constraints", "stack_b")
-    stack_a = (load_layer_stack(stack_a_path) if stack_a_path is not None
-               else coated_sphere_stack())
-    stack_b = (load_layer_stack(stack_b_path) if stack_b_path is not None
-               else coated_plate_stack())
+    paths = [cfg.get_path(f"stack_{side}") for side in "ab"]
+    stack_a, stack_b = (default() if path is None else load_layer_stack(path)
+                        for path, default in zip(
+                            paths, (coated_sphere_stack, coated_plate_stack)))
 
-    lam_min = cfg.get_float("constraints", "lambda_min_m", 40e-9)
-    lam_max = cfg.get_float("constraints", "lambda_max_m", 370e-9)
-    n_lam = cfg.get_int("constraints", "lambda_points", 20)
-    if not 0 < lam_min <= lam_max:
-        raise ValueError("constraints: need 0 < lambda_min_m <= lambda_max_m")
-    if n_lam < 1:
-        raise ValueError("constraints.lambda_points must be >= 1")
-    lambdas = np.geomspace(lam_min, lam_max, n_lam)
-    confidence = cfg.get_float("constraints", "confidence", 0.95)
+    lambdas = _log_grid(cfg, "lambda", 40e-9, 370e-9, 20)
+    confidence = cfg.get_float("confidence", 0.95)
 
-    band_path = cfg.get_path("constraints", "band_file")
-    sigma = cfg.get_float("constraints", "sigma_Pa")
+    band_path = cfg.get_path("band_file")
+    sigma = cfg.get_float("sigma_Pa")
     if band_path is not None:
         band = _load_band_csv(band_path, confidence)
         origin = f"band_file = {band_path}"
     elif sigma is not None:
         # a flat band: the Yukawa pressure may nowhere exceed sigma
-        z_min = cfg.get_float("constraints", "z_min_m", 160e-9)
-        z_max = cfg.get_float("constraints", "z_max_m", 750e-9)
-        n_z = cfg.get_int("constraints", "z_points", 40)
-        band = ConfidenceBand(np.geomspace(z_min, z_max, n_z),
-                              np.full(n_z, sigma), confidence)
+        z = _log_grid(cfg, "z", 160e-9, 750e-9, 40)
+        band = ConfidenceBand(z, np.full(z.size, sigma), confidence)
         origin = f"sigma_Pa = {sigma}"
     else:
         raise ValueError("constraints: need either band_file or sigma_Pa")
@@ -396,7 +382,7 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
     save_constraint_csv(curve, out / "constraints.csv", _stamped(cfg, origin))
     print(f"wrote {out / 'constraints.csv'}")
 
-    ref_path = cfg.get_path("constraints", "reference_curve")
+    ref_path = cfg.get_path("reference_curve")
     if ref_path is not None:
         reference = load_constraint_csv(ref_path)
         ref_alpha = reference.alpha_at(curve.lambdas)
@@ -427,23 +413,22 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="INI config file; defaults apply without one")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override exclusion.seed")
-        p.add_argument("--confidence", type=float, default=None,
-                       choices=(0.95, 0.99),
-                       help="override the confidence level")
+        if name == "exclusion":
+            p.add_argument("--seed", type=int, help="override exclusion.seed")
+        if name in ("pressure", "exclusion", "constraints"):
+            p.add_argument("--confidence", type=float, choices=(0.95, 0.99),
+                           help=f"override {name}.confidence")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (created if missing)")
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_run_config(args.config)
-        if args.seed is not None:
-            cfg.set("exclusion", "seed", str(args.seed))
-        if args.confidence is not None:
-            for section in ("pressure", "exclusion", "constraints"):
-                cfg.set(section, "confidence", str(args.confidence))
+        cfg = load_run_config(args.config, args.command)
+        # a flag sets the key of its name in the subcommand's section
+        for flag in ("seed", "confidence"):
+            if getattr(args, flag, None) is not None:
+                cfg.set(flag, str(getattr(args, flag)))
         args.out.mkdir(parents=True, exist_ok=True)
         args.func(cfg, args.out)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -12,7 +12,7 @@ surfaces and weighted by their height distributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,7 +59,6 @@ class RoughnessProfile:
 
     heights: np.ndarray
     weights: np.ndarray
-    max_height: float = field(init=False)
 
     def __post_init__(self):
         h = np.atleast_1d(np.asarray(self.heights, dtype=float))
@@ -77,7 +76,6 @@ class RoughnessProfile:
             raise ValueError("heights must average to zero over the weights")
         object.__setattr__(self, "heights", h)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "max_height", span)
 
     @classmethod
     def flat(cls) -> "RoughnessProfile":

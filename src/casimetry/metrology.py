@@ -612,6 +612,9 @@ def generate_synthetic_ensemble(*, curve: PressureCurve = None,
         absolute = np.zeros(points_per_set)
         for c, u in zip(noise.components, sys_draws):
             v = np.asarray(c.value_at(z_true), dtype=float)
+            if not np.all((v >= 0) & (v < math.inf)):
+                raise ValueError(f"noise component {c.label!r}: magnitude "
+                                 "must be nonnegative and finite")
             if c.distribution == "uniform":
                 draw = u * v
             else:

@@ -67,58 +67,129 @@ class TestRunConfig:
         ini = tmp_path / "run.ini"
         ini.write_text("[kk]\nl_max = 7\noptical_table = x.dat\n"
                        "[pressure]\nmodels = impedance, drude\n")
-        cfg = load_run_config(ini)
-        assert cfg.get_int("kk", "l_max") == 7
-        assert cfg.get_list("pressure", "models") == ["impedance", "drude"]
+        kk = load_run_config(ini, "kk")
+        assert kk.get_int("l_max") == 7
+        assert kk.get("models") is None
+        pressure = load_run_config(ini, "pressure")
+        assert pressure.get_list("models") == ["impedance", "drude"]
+        assert pressure.get("l_max") is None
+        assert load_run_config(ini, "exclusion").values == {}
 
     def test_env_overrides_file(self, tmp_path, monkeypatch):
         ini = tmp_path / "run.ini"
         ini.write_text("[kk]\nl_max = 7\n")
         monkeypatch.setenv("CASIMETRY_KK_L_MAX", "11")
-        cfg = load_run_config(ini)
-        assert cfg.get_int("kk", "l_max") == 11
+        monkeypatch.setenv("CASIMETRY_PRESSURE_Z_POINTS", "3")
+        cfg = load_run_config(ini, "kk")
+        assert cfg.get_int("l_max") == 11
+        # another section's variable is ignored
+        assert cfg.values == {"l_max": "11"}
+        assert load_run_config(ini, "pressure").values == {"z_points": "3"}
 
     def test_unrelated_env_ignored(self, monkeypatch):
         monkeypatch.setenv("CASIMETRY_NOTASECTION_KEY", "1")
-        cfg = load_run_config(None)
-        assert cfg.sections == {}
+        monkeypatch.setenv("CASIMETRY_KK", "1")
+        cfg = load_run_config(None, "kk")
+        assert cfg.values == {}
 
     def test_unknown_section_rejected(self, tmp_path):
         ini = tmp_path / "run.ini"
-        ini.write_text("[nonsense]\nx = 1\n")
+        ini.write_text("[kk]\nl_max = 7\n[nonsense]\nx = 1\n")
         with pytest.raises(ValueError, match="unknown section"):
-            load_run_config(ini)
+            load_run_config(ini, "kk")
 
     def test_missing_required_key(self):
-        cfg = RunConfig()
+        cfg = RunConfig("kk")
         with pytest.raises(ValueError, match="kk.optical_table"):
-            cfg.get("kk", "optical_table", required=True)
+            cfg.get("optical_table", required=True)
 
     def test_bad_number(self):
-        cfg = RunConfig()
-        cfg.set("pressure", "z_min_m", "tiny")
-        with pytest.raises(ValueError, match="not a number"):
-            cfg.get_float("pressure", "z_min_m")
+        cfg = RunConfig("pressure")
+        cfg.set("z_min_m", "tiny")
+        with pytest.raises(ValueError, match="pressure.z_min_m: not a number"):
+            cfg.get_float("z_min_m")
+        cfg.set("z_points", "3.5")
+        with pytest.raises(ValueError,
+                           match="pressure.z_points: not an integer"):
+            cfg.get_int("z_points")
 
     def test_missing_path(self):
-        cfg = RunConfig()
-        cfg.set("kk", "optical_table", "/no/such/file.dat")
+        cfg = RunConfig("kk")
+        cfg.set("optical_table", "/no/such/file.dat")
         with pytest.raises(ValueError, match="no such file"):
-            cfg.get_path("kk", "optical_table")
+            cfg.get_path("optical_table")
 
     def test_hash_ignores_declaration_order(self, tmp_path):
         a = tmp_path / "a.ini"
         b = tmp_path / "b.ini"
         a.write_text("[kk]\nl_max = 7\ntemperature_K = 300\n")
         b.write_text("[kk]\ntemperature_K = 300\nl_max = 7\n")
-        assert load_run_config(a).hash() == load_run_config(b).hash()
+        assert (load_run_config(a, "kk").hash()
+                == load_run_config(b, "kk").hash())
 
     def test_hash_tracks_values(self):
-        cfg = RunConfig()
-        cfg.set("kk", "l_max", "7")
+        cfg = RunConfig("kk")
+        cfg.set("l_max", "7")
         h1 = cfg.hash()
-        cfg.set("kk", "l_max", "8")
+        cfg.set("l_max", "8")
         assert cfg.hash() != h1
+
+    def test_single_section_hash_is_frozen(self, tmp_path):
+        # sorted `section.key = value` lines of the run's section alone:
+        # the values of a one-section config hashed when every section
+        # was kept (the other sections of this file are now left out)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[kk]\nl_max = 7\ntemperature_K = 300\n"
+                       "[pressure]\nz_points = 3\n")
+        assert load_run_config(ini, "kk").hash() == "f834de79e18e"
+        assert RunConfig("kk").hash() == "e3b0c44298fc"
+
+
+class TestRunScope:
+    """A run reads, hashes and overrides only its subcommand's section."""
+
+    def run_kk(self, tmp_path, tag, extra=""):
+        write_gold_table(tmp_path / "gold.dat")
+        ini = tmp_path / f"{tag}.ini"
+        ini.write_text(f"[kk]\noptical_table = {tmp_path / 'gold.dat'}\n"
+                       f"l_max = 5\n{extra}")
+        assert main(["kk", "--config", str(ini),
+                     "--out", str(tmp_path / tag)]) == 0
+        return (tmp_path / tag / "dispersion.csv").read_bytes()
+
+    def test_other_sections_and_variables_leave_kk_alone(self, tmp_path,
+                                                        monkeypatch):
+        plain = self.run_kk(tmp_path, "plain")
+        assert self.run_kk(tmp_path, "section",
+                           "[pressure]\nz_points = 3\n") == plain
+        monkeypatch.setenv("CASIMETRY_PRESSURE_Z_POINTS", "3")
+        assert self.run_kk(tmp_path, "env") == plain
+
+    @pytest.mark.parametrize("argv", [["kk", "--seed", "3"],
+                                      ["kk", "--confidence", "0.99"],
+                                      ["pressure", "--seed", "3"],
+                                      ["constraints", "--seed", "3"]])
+    def test_flag_of_another_section_is_a_usage_error(self, tmp_path, capsys,
+                                                      argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_flag_sets_the_running_section(self, tmp_path):
+        base = ("[pressure]\nmodels = ideal\n"
+                "z_min_m = 1e-6\nz_max_m = 1e-6\nz_points = 1\n")
+        flag_ini = tmp_path / "flag.ini"
+        flag_ini.write_text(base)
+        file_ini = tmp_path / "file.ini"
+        file_ini.write_text(base + "confidence = 0.99\n")
+        assert main(["pressure", "--config", str(flag_ini), "--confidence",
+                     "0.99", "--out", str(tmp_path / "a")]) == 0
+        assert main(["pressure", "--config", str(file_ini),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert filecmp.cmp(tmp_path / "a" / "pressure_ideal.csv",
+                           tmp_path / "b" / "pressure_ideal.csv",
+                           shallow=False)
 
 
 @pytest.fixture(scope="module")
@@ -439,6 +510,20 @@ class TestConstraintsCommand:
         assert reference.alpha_at(grid.reshape(7, 1)).shape == (7, 1)
         assert cols["alpha_reference"] == pytest.approx(
             reference.alpha_at(reference.lambdas), rel=1e-9)
+
+    @pytest.mark.parametrize("keys, message", [
+        ("z_min_m = 750e-9\nz_max_m = 160e-9\n",
+         "constraints: need 0 < z_min_m <= z_max_m < inf"),
+        ("lambda_min_m = 100e-9\nlambda_max_m = 100e-9\nlambda_points = 3\n",
+         "constraints: lambda_points > 1 needs lambda_min_m < lambda_max_m"),
+    ])
+    def test_bad_grid_is_named(self, tmp_path, capsys, keys, message):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[constraints]\nsigma_Pa = 1e-3\n" + keys)
+        assert main(["constraints", "--config", str(ini),
+                     "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "constraints.csv").exists()
 
     def test_needs_band_or_sigma(self, tmp_path, capsys):
         assert main(["constraints", "--out", str(tmp_path)]) == 1

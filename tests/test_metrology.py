@@ -227,6 +227,15 @@ class TestErrorCombination:
         with pytest.raises(ValueError, match="confidence"):
             mt.theory_error_curve(300e-9, confidence=0.9)
         curve = PressureCurve(Z_GRID, -np.ones_like(Z_GRID))
+        # a callable magnitude is checked where the generator evaluates it
+        for bad in (math.nan, -0.01, math.inf):
+            budget = mt.ErrorBudget((mt.ErrorComponent(
+                "tilt", "normal", lambda z, v=bad: np.full_like(z, v)),))
+            with pytest.raises(ValueError,
+                               match="'tilt'.*nonnegative and finite"):
+                mt.generate_synthetic_ensemble(
+                    curve=curve, noise=budget, n_sets=1, points_per_set=10,
+                    z_range=(Z_GRID[0], Z_GRID[-1]))
         with pytest.raises(ValueError, match="combination rule"):
             mt.confidence_band(mt.theory_error_curve,
                                lambda z: np.zeros_like(z), curve, 0.95,
