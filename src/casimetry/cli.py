@@ -66,8 +66,6 @@ from .metrology import (
     DEFAULT_SEED,
     DEFAULT_Z_RANGE,
     ConfidenceBand,
-    ErrorBudget,
-    ErrorComponent,
     generate_synthetic_ensemble,
     run_exclusion_analysis,
     save_ensemble_csv,
@@ -291,6 +289,8 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
     points = cfg.get_int("points_per_set", DEFAULT_POINTS_PER_SET)
     z_min = cfg.get_float("z_min_m", DEFAULT_Z_RANGE[0])
     z_max = cfg.get_float("z_max_m", DEFAULT_Z_RANGE[1])
+    if not 0 < z_min < z_max < np.inf:
+        raise ValueError("exclusion: need 0 < z_min_m < z_max_m < inf")
     temperature = cfg.get_float("temperature_K", 300.0)
     noise_mode = cfg.get("noise", "default")
     if noise_mode not in ("default", "none"):
@@ -306,13 +306,10 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
                                           grid, state)
               for key in keys}
 
-    kwargs = {}
-    if noise_mode == "none":
-        silent = ErrorBudget((ErrorComponent("none", "normal", 0.0),))
-        kwargs = {"noise": silent, "z_jitter": 0.0}
     ensemble = generate_synthetic_ensemble(
+        curve=curves[generator], noise=noise_mode == "default",
         n_sets=n_sets, points_per_set=points, z_range=(z_min, z_max),
-        seed=seed, curve=curves[generator], **kwargs)
+        seed=seed)
 
     verdicts = run_exclusion_analysis(ensemble, curves, generator, confidence)
 

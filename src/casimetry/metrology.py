@@ -25,8 +25,6 @@ from .io import read_csv, write_csv
 from .lifshitz import PressureCurve
 
 __all__ = [
-    "ErrorComponent",
-    "ErrorBudget",
     "MeasurementEnsemble",
     "BinnedStatistics",
     "ErrorCurve",
@@ -40,7 +38,6 @@ __all__ = [
     "run_exclusion_analysis",
     "generate_synthetic_ensemble",
     "default_point_sigma",
-    "default_noise_budget",
     "load_ensemble_csv",
     "save_ensemble_csv",
     "DEFAULT_BIN_WIDTH",
@@ -127,48 +124,6 @@ def _combine(half_widths, rule="quantile"):
 
 
 @dataclass(frozen=True)
-class ErrorComponent:
-    """One contribution to an error budget.
-
-    Parameters
-    ----------
-    label : str
-        Name used in reports.
-    distribution : str
-        "normal" (value is sigma) or "uniform" (value is the half-range).
-    value : float or callable
-        Magnitude, or a function of separation returning it.
-    relative : bool, optional
-        If true the magnitude is a fraction of |P|, else Pa.
-    """
-
-    label: str
-    distribution: str
-    value: object
-    relative: bool = True
-
-    def __post_init__(self):
-        if self.distribution not in ("normal", "uniform"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if np.isscalar(self.value) and not 0 <= self.value < math.inf:
-            raise ValueError("component magnitude must be nonnegative and finite")
-
-    def value_at(self, z):
-        return self.value(z) if callable(self.value) else self.value
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps or not all(isinstance(c, ErrorComponent) for c in comps):
-            raise ValueError("budget needs at least one ErrorComponent")
-        object.__setattr__(self, "components", comps)
-
-
-@dataclass(frozen=True)
 class MeasurementEnsemble:
     """Repeated pressure scans over a common separation range.
 
@@ -176,12 +131,9 @@ class MeasurementEnsemble:
     """
 
     sets: tuple
-    bin_width: float = DEFAULT_BIN_WIDTH
     z_range: tuple = DEFAULT_Z_RANGE
 
     def __post_init__(self):
-        if not self.bin_width > 0:
-            raise ValueError("bin_width must be positive")
         lo, hi = self.z_range
         if not (0 < lo < hi < math.inf):
             raise ValueError("z_range must be increasing, positive and finite")
@@ -229,21 +181,21 @@ class BinnedStatistics:
     dof: np.ndarray
 
 
-def _bin_index(z, z_range, width):
+def _bin_index(z, z_range):
     lo, hi = z_range
-    n_bins = max(1, int(math.ceil((hi - lo) / width - 1e-9)))
-    idx = np.floor((z - lo) / width).astype(int)
+    n_bins = max(1, int(math.ceil((hi - lo) / DEFAULT_BIN_WIDTH - 1e-9)))
+    idx = np.floor((z - lo) / DEFAULT_BIN_WIDTH).astype(int)
     return np.clip(idx, 0, n_bins - 1)
 
 
 def bin_ensemble(ensemble: MeasurementEnsemble) -> BinnedStatistics:
-    """Group all points into separation subintervals of bin_width.
+    """Group all points into separation subintervals of DEFAULT_BIN_WIDTH.
 
     Every bin's linear fit is centred on the bin means and built from
     per-bin sums; rows come in increasing bin order.
     """
     z, p, _ = ensemble.all_points()
-    idx = _bin_index(z, ensemble.z_range, ensemble.bin_width)
+    idx = _bin_index(z, ensemble.z_range)
     _, first, inv = np.unique(idx, return_index=True, return_inverse=True)
     n = np.bincount(inv)
     z_m = np.bincount(inv, z) / n
@@ -282,11 +234,8 @@ class ErrorCurve:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "half_width", h)
 
-    def at(self, z):
-        return np.interp(z, self.z, self.half_width)
-
     def __call__(self, z):
-        return self.at(z)
+        return np.interp(z, self.z, self.half_width)
 
 
 def _c4(n):
@@ -531,7 +480,7 @@ def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
     rad = confidence * (DEFAULT_SPHERE.radius_error / DEFAULT_SPHERE.radius)
 
     def expt_abs(zz):
-        return np.sqrt(env.at(zz) ** 2
+        return np.sqrt(env(zz) ** 2
                        + (rad * np.abs(ref_curve.pressure_at(zz))) ** 2)
 
     def theory_rel(zz):
@@ -548,45 +497,31 @@ def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
     return out
 
 
-def default_noise_budget() -> ErrorBudget:
-    """Error budget of the synthetic generator's pressure noise.
-
-    Uniform components are ensemble-level systematics (drawn once per
-    ensemble); normal components are per-point scatter.  Separation
-    record error is handled separately by the generator's z_jitter.
-    """
-    r = DEFAULT_SPHERE.radius
-    return ErrorBudget((
-        ErrorComponent("optical data", "uniform", DEFAULT_OPTICAL_REL),
-        ErrorComponent("curvature", "uniform", lambda z: np.asarray(z) / r),
-        ErrorComponent("radius calibration", "uniform",
-                       DEFAULT_SPHERE.radius_error / r),
-        ErrorComponent("instrumental scatter", "normal", default_point_sigma),
-    ))
-
-
 def generate_synthetic_ensemble(*, curve: PressureCurve = None,
-                                noise: ErrorBudget = None,
+                                noise: bool = True,
                                 n_sets: int = DEFAULT_N_SETS,
                                 points_per_set: int = DEFAULT_POINTS_PER_SET,
                                 z_range=DEFAULT_Z_RANGE,
                                 seed: int = DEFAULT_SEED,
-                                z_jitter: float = DEFAULT_SEPARATION_ERROR,
                                 ) -> MeasurementEnsemble:
     """Draw a deterministic synthetic ensemble around a model curve.
+
+    The noise is the measurement's error budget.  Three relative
+    systematics are drawn uniformly once per ensemble: the optical data
+    (DEFAULT_OPTICAL_REL), the curvature z/R and the radius calibration
+    of DEFAULT_SPHERE.  Each point's recorded separation carries a
+    normal error of 95% half-width DEFAULT_SEPARATION_ERROR, with the
+    pressure evaluated at the true separation, and its pressure a
+    normal relative scatter of default_point_sigma.
 
     Parameters
     ----------
     curve : PressureCurve
         Pressure curve of the generating model; required.  True
         separations outside its range are clipped to it.
-    noise : ErrorBudget, optional
-        Pressure-space noise; defaults to default_noise_budget().
-        Uniform components are drawn once per ensemble, normal
-        components once per point.
-    z_jitter : float, optional
-        95% half-width of the normal per-point error of the recorded
-        separation; the pressure is evaluated at the true separation.
+    noise : bool, optional
+        If false every point lies on the curve at its recorded
+        separation.
     seed : int
         Ensembles are bit-reproducible given the seed.
     """
@@ -595,36 +530,26 @@ def generate_synthetic_ensemble(*, curve: PressureCurve = None,
     if n_sets < 1 or points_per_set < 1:
         raise ValueError("n_sets and points_per_set must be >= 1")
     lo, hi = z_range
-    if noise is None:
-        noise = default_noise_budget()
-    rng_sys = np.random.default_rng([seed, 999983])
-    sys_draws = [rng_sys.uniform(-1.0, 1.0)
-                 if c.distribution == "uniform" else None
-                 for c in noise.components]
+    r = DEFAULT_SPHERE.radius
+    u_opt, u_curv, u_rad = np.random.default_rng([seed, 999983]).uniform(
+        -1.0, 1.0, 3)
     sets = []
     for s in range(n_sets):
         rng = np.random.default_rng([seed, s])
         z_rec = np.sort(rng.uniform(lo, hi, points_per_set))
-        delta = rng.normal(0.0, z_jitter / _NORMAL_Q[0.95], points_per_set)
-        z_true = np.clip(z_rec - delta, curve.z[0], curve.z[-1])
-        p0 = curve.pressure_at(z_true)
-        rel = np.zeros(points_per_set)
-        absolute = np.zeros(points_per_set)
-        for c, u in zip(noise.components, sys_draws):
-            v = np.asarray(c.value_at(z_true), dtype=float)
-            if not np.all((v >= 0) & (v < math.inf)):
-                raise ValueError(f"noise component {c.label!r}: magnitude "
-                                 "must be nonnegative and finite")
-            if c.distribution == "uniform":
-                draw = u * v
-            else:
-                draw = rng.normal(0.0, 1.0, points_per_set) * v
-            if c.relative:
-                rel = rel + draw
-            else:
-                absolute = absolute + draw
-        sets.append(np.column_stack([z_rec, p0 * (1.0 + rel) + absolute]))
-    return MeasurementEnsemble(tuple(sets), DEFAULT_BIN_WIDTH, (lo, hi))
+        if noise:
+            delta = rng.normal(0.0, DEFAULT_SEPARATION_ERROR / _NORMAL_Q[0.95],
+                               points_per_set)
+            z_true = np.clip(z_rec - delta, curve.z[0], curve.z[-1])
+            rel = (u_opt * DEFAULT_OPTICAL_REL + u_curv * (z_true / r)
+                   + u_rad * (DEFAULT_SPHERE.radius_error / r)
+                   + rng.normal(0.0, 1.0, points_per_set)
+                   * default_point_sigma(z_true))
+            p = curve.pressure_at(z_true) * (1.0 + rel)
+        else:
+            p = curve.pressure_at(np.clip(z_rec, curve.z[0], curve.z[-1]))
+        sets.append(np.column_stack([z_rec, p]))
+    return MeasurementEnsemble(tuple(sets), (lo, hi))
 
 
 def save_ensemble_csv(ensemble: MeasurementEnsemble, path, comments=()):

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,25 @@ class TestExclusionCommand:
         assert main(["exclusion", "--config", str(ini),
                      "--out", str(tmp_path)]) == 1
         assert "noise" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", [
+        "z_min_m = 750e-9\nz_max_m = 160e-9",
+        "z_max_m = inf",
+        "z_min_m = 0",
+        "z_min_m = nan",
+        "z_min_m = 300e-9\nz_max_m = 300e-9",
+    ], ids=["reversed", "inf", "zero", "nan", "equal"])
+    def test_bad_separation_range(self, tmp_path, capsys, bounds):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[exclusion]\n{bounds}\n"
+                       "n_sets = 2\npoints_per_set = 40\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["exclusion", "--config", str(ini),
+                         "--out", str(tmp_path)]) == 1
+        assert ("need 0 < z_min_m < z_max_m < inf"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "ensemble.csv").exists()
 
     def test_bad_confidence(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
