@@ -217,11 +217,15 @@ class ConstraintCurve:
                         for l, a, z in self.entries)
         if not entries:
             raise ValueError("constraint curve needs at least one entry")
-        lams = np.array([e[0] for e in entries])
-        if np.any(np.diff(lams) <= 0):
-            raise ValueError("interaction ranges must be increasing")
-        if any(not (a > 0) for _, a, _ in entries):
-            raise ValueError("alpha_max must be positive")
+        lams, alpha, z_best = np.array(entries).T
+        # increasing ranges are bounded by their end points
+        if not (np.all(np.diff(lams) > 0) and 0 < lams[0] and lams[-1] < math.inf):
+            raise ValueError("interaction ranges must be increasing, "
+                             "positive and finite")
+        if not np.all((alpha > 0) & (alpha < math.inf)):
+            raise ValueError("alpha_max must be positive and finite")
+        if not np.all(np.isfinite(z_best)):
+            raise ValueError("z_best must be finite")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -253,7 +257,7 @@ def _strongest_constraints(band, stack_a, stack_b, lams):
     # down to a bracket of 1e-4 in log z; where e^{-z/lam} underflows the
     # objective is +inf
     def objective(z, lam):
-        return (band.half_width_at(z)
+        return (band(z)
                 / np.abs(_plate_pressure(stack_a, stack_b, z, lam)))
 
     grid = np.geomspace(band.z[0], band.z[-1], 60)

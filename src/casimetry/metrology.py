@@ -27,7 +27,6 @@ from .lifshitz import PressureCurve
 __all__ = [
     "MeasurementEnsemble",
     "BinnedStatistics",
-    "ErrorCurve",
     "ConfidenceBand",
     "ExclusionVerdict",
     "bin_ensemble",
@@ -58,7 +57,7 @@ DEFAULT_POINTS_PER_SET = 290
 DEFAULT_SEED = 7
 _ENSEMBLE_COLUMNS = ("set_index", "z_m", "pressure_Pa")
 
-# two-sided normal quantiles ndtri((1 + c) / 2), bit-equal to scipy's
+# two-sided normal quantiles ndtri((1 + c) / 2)
 _NORMAL_Q = {0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 _CONFIDENCES = tuple(_NORMAL_Q)
 
@@ -98,11 +97,6 @@ def default_point_sigma(z):
 def _check_confidence(confidence):
     if confidence not in _CONFIDENCES:
         raise ValueError(f"confidence must be one of {_CONFIDENCES}")
-
-
-def _student_q(q, dof):
-    from scipy.special import stdtrit   # only Student-t paths load scipy
-    return stdtrit(dof, q)
 
 
 def _combine(half_widths, rule="quantile"):
@@ -156,12 +150,9 @@ class MeasurementEnsemble:
         return sum(len(s) for s in self.sets)
 
     def all_points(self):
-        """Concatenated (z, pressure, set_index) arrays."""
-        z = np.concatenate([s[:, 0] for s in self.sets])
-        p = np.concatenate([s[:, 1] for s in self.sets])
-        idx = np.concatenate([np.full(len(s), i)
-                              for i, s in enumerate(self.sets)])
-        return z, p, idx
+        """Concatenated (z, pressure) arrays."""
+        return (np.concatenate([s[:, 0] for s in self.sets]),
+                np.concatenate([s[:, 1] for s in self.sets]))
 
 
 @dataclass(frozen=True)
@@ -181,21 +172,17 @@ class BinnedStatistics:
     dof: np.ndarray
 
 
-def _bin_index(z, z_range):
-    lo, hi = z_range
-    n_bins = max(1, int(math.ceil((hi - lo) / DEFAULT_BIN_WIDTH - 1e-9)))
-    idx = np.floor((z - lo) / DEFAULT_BIN_WIDTH).astype(int)
-    return np.clip(idx, 0, n_bins - 1)
-
-
 def bin_ensemble(ensemble: MeasurementEnsemble) -> BinnedStatistics:
     """Group all points into separation subintervals of DEFAULT_BIN_WIDTH.
 
     Every bin's linear fit is centred on the bin means and built from
     per-bin sums; rows come in increasing bin order.
     """
-    z, p, _ = ensemble.all_points()
-    idx = _bin_index(z, ensemble.z_range)
+    z, p = ensemble.all_points()
+    lo, hi = ensemble.z_range
+    n_bins = max(1, int(math.ceil((hi - lo) / DEFAULT_BIN_WIDTH - 1e-9)))
+    idx = np.clip(np.floor((z - lo) / DEFAULT_BIN_WIDTH).astype(int), 0,
+                  n_bins - 1)
     _, first, inv = np.unique(idx, return_index=True, return_inverse=True)
     n = np.bincount(inv)
     z_m = np.bincount(inv, z) / n
@@ -216,21 +203,24 @@ def bin_ensemble(ensemble: MeasurementEnsemble) -> BinnedStatistics:
 
 
 @dataclass(frozen=True)
-class ErrorCurve:
-    """Absolute error half-width versus separation."""
+class ConfidenceBand:
+    """Half-width at `confidence` versus z of a random-error envelope or
+    of the band for differences; calling it interpolates."""
 
     z: np.ndarray
     half_width: np.ndarray
+    confidence: float
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
         h = np.asarray(self.half_width, dtype=float)
-        if z.ndim != 1 or z.shape != h.shape or z.size == 0:
-            raise ValueError("z and half_width must be matching 1-d arrays")
-        if np.any(np.diff(z) <= 0):
-            raise ValueError("z must be strictly increasing")
-        if np.any(~np.isfinite(h)) or np.any(h < 0):
-            raise ValueError("half_width must be finite and nonnegative")
+        if z.ndim != 1 or z.shape != h.shape or z.size < 2:
+            raise ValueError("band needs matching 1-d arrays of length >= 2")
+        if not (np.all(np.diff(z) > 0) and np.all(np.isfinite(z))):
+            raise ValueError("band z must be finite and strictly increasing")
+        if not np.all((h > 0) & (h < math.inf)):
+            raise ValueError("band half-widths must be positive and finite")
+        _check_confidence(self.confidence)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "half_width", h)
 
@@ -245,11 +235,9 @@ def _c4(n):
     return np.sqrt(2.0 / (n - 1)) * np.exp(lg(n / 2) - lg((n - 1) / 2))
 
 
-def _smoothed_sigma(binned, bias_correct):
-    s = np.sqrt(binned.variance)
-    if bias_correct:
-        with np.errstate(invalid="ignore"):
-            s = s / _c4(np.maximum(binned.dof + 1, 2))
+def _smoothed_sigma(binned):
+    with np.errstate(invalid="ignore"):
+        s = np.sqrt(binned.variance) / _c4(np.maximum(binned.dof + 1, 2))
     half = SMOOTHING_BINS // 2
     padded = np.pad(s, half, constant_values=np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(padded, SMOOTHING_BINS)
@@ -259,8 +247,12 @@ def _smoothed_sigma(binned, bias_correct):
 
 
 def random_error_curve(binned: BinnedStatistics, confidence: float,
-                       kind: str = "mean") -> ErrorCurve:
-    """Random-error half-width versus separation from binned scatter.
+                       kind: str = "point") -> ConfidenceBand:
+    """Per-point random-error envelope versus separation from binned scatter.
+
+    The half-width is the single-point envelope q_normal * s / c4: the
+    bin scatter s, made unbiased by c4, times the normal quantile.  It
+    is what a variance-rule band for individual points needs.
 
     Parameters
     ----------
@@ -268,10 +260,7 @@ def random_error_curve(binned: BinnedStatistics, confidence: float,
     confidence : float
         0.95 or 0.99.
     kind : str, optional
-        "mean" gives the classical repeated-measurement half-width
-        t_{q,dof} s/sqrt(n) for the bin mean.  "point" gives the
-        bias-corrected single-point envelope q_normal * s, which is
-        what a variance-rule band for individual points needs.
+        "point", the only kind.
 
     Notes
     -----
@@ -279,18 +268,14 @@ def random_error_curve(binned: BinnedStatistics, confidence: float,
     respects the strong variance heterogeneity across separation.
     """
     _check_confidence(confidence)
-    if kind not in ("mean", "point"):
-        raise ValueError("kind must be 'mean' or 'point'")
-    s_sm = _smoothed_sigma(binned, bias_correct=(kind == "point"))
+    if kind != "point":
+        raise ValueError("kind must be 'point'")
+    s_sm = _smoothed_sigma(binned)
     good = np.isfinite(s_sm) & (binned.dof >= 1)
     if not good.any():
         raise ValueError("no bins with a defined variance")
-    if kind == "mean":
-        hw = (_student_q((1 + confidence) / 2, binned.dof[good]) * s_sm[good]
-              / np.sqrt(binned.count[good]))
-    else:
-        hw = _NORMAL_Q[confidence] * s_sm[good]
-    return ErrorCurve(binned.z[good], hw)
+    return ConfidenceBand(binned.z[good], _NORMAL_Q[confidence] * s_sm[good],
+                          confidence)
 
 
 def theory_error_curve(z, sphere: SphereGeometry = DEFAULT_SPHERE,
@@ -321,31 +306,6 @@ def theory_error_curve(z, sphere: SphereGeometry = DEFAULT_SPHERE,
     return _combine(hws, rule="quantile")
 
 
-@dataclass(frozen=True)
-class ConfidenceBand:
-    """Half-width of the theory-minus-experiment difference versus z."""
-
-    z: np.ndarray
-    half_width: np.ndarray
-    confidence: float
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        h = np.asarray(self.half_width, dtype=float)
-        if z.ndim != 1 or z.shape != h.shape or z.size < 2:
-            raise ValueError("band needs matching 1-d arrays of length >= 2")
-        if not (np.all(np.diff(z) > 0) and np.all(np.isfinite(z))):
-            raise ValueError("band z must be finite and strictly increasing")
-        if not np.all((h > 0) & (h < math.inf)):
-            raise ValueError("band half-widths must be positive and finite")
-        _check_confidence(self.confidence)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "half_width", h)
-
-    def half_width_at(self, z):
-        return np.interp(z, self.z, self.half_width)
-
-
 def confidence_band(theory_rel, expt_abs, model_curve: PressureCurve,
                     confidence: float, rule: str = "quantile",
                     grid=None) -> ConfidenceBand:
@@ -355,7 +315,7 @@ def confidence_band(theory_rel, expt_abs, model_curve: PressureCurve,
     ----------
     theory_rel : callable
         Relative theory error versus separation, at `confidence`.
-    expt_abs : callable or ErrorCurve
+    expt_abs : callable or ConfidenceBand
         Absolute experimental half-width versus separation, Pa, at
         `confidence`.
     model_curve : PressureCurve
@@ -364,12 +324,12 @@ def confidence_band(theory_rel, expt_abs, model_curve: PressureCurve,
     rule : str, optional
         Component combination rule, "quantile" or "variance".
     grid : array_like, optional
-        Evaluation separations; defaults to the experimental curve's
-        own grid clipped to the model curve range, else the model grid.
+        Evaluation separations; defaults to the grid of a ConfidenceBand
+        `expt_abs` clipped to the model curve range, else the model grid.
     """
-    _check_confidence(confidence)
     if grid is None:
-        grid = expt_abs.z if isinstance(expt_abs, ErrorCurve) else model_curve.z
+        grid = (expt_abs.z if isinstance(expt_abs, ConfidenceBand)
+                else model_curve.z)
     grid = np.asarray(grid, dtype=float)
     lo = max(grid.min(), model_curve.z.min())
     hi = min(grid.max(), model_curve.z.max())
@@ -423,10 +383,11 @@ def exclusion_test(differences, band: ConfidenceBand,
     nominal miss rate 1 - confidence.
     """
     d = np.asarray(differences, dtype=float)
-    if d.ndim != 2 or d.shape[1] != 2 or d.shape[0] == 0:
-        raise ValueError("differences must be a nonempty list of (z, dP)")
+    if (d.ndim != 2 or d.shape[1] != 2 or d.shape[0] == 0
+            or not np.all(np.isfinite(d))):
+        raise ValueError("differences must be a nonempty list of finite (z, dP)")
     z = d[:, 0]
-    outside = np.abs(d[:, 1]) > band.half_width_at(z)
+    outside = np.abs(d[:, 1]) > band(z)
     order = np.argsort(z, kind="stable")
     zo, n_below = z[order], np.concatenate(([0], np.cumsum(outside[order])))
     i0 = np.searchsorted(zo, band.z - WINDOW_HALF_WIDTH)
@@ -475,7 +436,7 @@ def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
         its point-by-point differences for callers that write them out.
     """
     binned = bin_ensemble(ensemble)
-    env = random_error_curve(binned, confidence, kind="point")
+    env = random_error_curve(binned, confidence)
     ref_curve = model_curves[reference]
     rad = confidence * (DEFAULT_SPHERE.radius_error / DEFAULT_SPHERE.radius)
 
@@ -487,7 +448,7 @@ def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
         return theory_error_curve(zz, confidence=confidence,
                                   include_separation_term=False)
 
-    z, p, _ = ensemble.all_points()
+    z, p = ensemble.all_points()
     out = {}
     for tag, curve in model_curves.items():
         band = confidence_band(theory_rel, expt_abs, curve, confidence,
@@ -517,8 +478,9 @@ def generate_synthetic_ensemble(*, curve: PressureCurve = None,
     Parameters
     ----------
     curve : PressureCurve
-        Pressure curve of the generating model; required.  True
-        separations outside its range are clipped to it.
+        Pressure curve of the generating model; required.  Its range
+        must cover z_range; true separations that the jitter carries
+        beyond it are clipped to it.
     noise : bool, optional
         If false every point lies on the curve at its recorded
         separation.
@@ -530,6 +492,9 @@ def generate_synthetic_ensemble(*, curve: PressureCurve = None,
     if n_sets < 1 or points_per_set < 1:
         raise ValueError("n_sets and points_per_set must be >= 1")
     lo, hi = z_range
+    if not (curve.z[0] <= lo and hi <= curve.z[-1]):
+        raise ValueError(f"z_range [{lo:.4g}, {hi:.4g}] m is not covered by the "
+                         f"generating curve's [{curve.z[0]:.4g}, {curve.z[-1]:.4g}] m")
     r = DEFAULT_SPHERE.radius
     u_opt, u_curv, u_rad = np.random.default_rng([seed, 999983]).uniform(
         -1.0, 1.0, 3)
@@ -547,7 +512,7 @@ def generate_synthetic_ensemble(*, curve: PressureCurve = None,
                    * default_point_sigma(z_true))
             p = curve.pressure_at(z_true) * (1.0 + rel)
         else:
-            p = curve.pressure_at(np.clip(z_rec, curve.z[0], curve.z[-1]))
+            p = curve.pressure_at(z_rec)
         sets.append(np.column_stack([z_rec, p]))
     return MeasurementEnsemble(tuple(sets), (lo, hi))
 

@@ -284,7 +284,7 @@ def permittivity_imag_axis(dataset: OpticalDataset, drude: DrudeParameters,
         Supplies the Drude extension of Im eps below the table; above the
         table Im eps is taken as zero.
     xi : float or array_like
-        Imaginary-axis angular frequencies, rad/s, > 0.
+        Imaginary-axis angular frequencies, rad/s, positive and finite.
     abs_tol, rel_tol : float
         Tolerance pair for the adaptive segment quadrature.
 
@@ -296,14 +296,14 @@ def permittivity_imag_axis(dataset: OpticalDataset, drude: DrudeParameters,
     Raises
     ------
     ValueError
-        If any xi <= 0.
+        If any xi is not positive and finite.
     QuadratureError
         If a segment fails to converge at the maximum refinement; the first
         such xi and its achieved error estimate are reported.
     """
     xi_arr = np.asarray(xi, dtype=float)
-    if not np.all(xi_arr > 0.0):
-        raise ValueError("xi must be positive")
+    if not np.all((xi_arr > 0.0) & (xi_arr < math.inf)):
+        raise ValueError("xi must be positive and finite")
     omega, im_eps = dataset.omega, dataset.im_eps
     # an empty segment (Im eps = 0) pads the rows of an xi that splits none
     table = _segment_nodes(np.append(omega[:-1], omega[0]), np.append(omega[1:], omega[1]),
@@ -320,11 +320,12 @@ def permittivity_imag_axis(dataset: OpticalDataset, drude: DrudeParameters,
 def drude_permittivity(drude: DrudeParameters, xi):
     """Drude permittivity 1 + wp^2/(xi (xi + gamma)) on the imaginary axis.
 
-    xi may be a scalar or an array; all entries must be positive.
+    xi may be a scalar or an array; all entries must be positive and
+    finite.
     """
     xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr <= 0.0):
-        raise ValueError("xi must be positive")
+    if not np.all((xi_arr > 0.0) & (xi_arr < math.inf)):
+        raise ValueError("xi must be positive and finite")
     out = 1.0 + drude.omega_p ** 2 / (xi_arr * (xi_arr + drude.gamma))
     return float(out) if np.isscalar(xi) else out
 
@@ -344,8 +345,8 @@ class PermittivityFn:
 
     def __call__(self, xi):
         xi_arr = np.asarray(xi, dtype=float)
-        if np.any(xi_arr <= 0.0):
-            raise ValueError("xi must be positive")
+        if not np.all((xi_arr > 0.0) & (xi_arr < math.inf)):
+            raise ValueError("xi must be positive and finite")
         value = np.asarray(self.fn(xi_arr), dtype=float)
         if np.any(~np.isfinite(value)) or np.any(value < 1.0):
             raise ValueError(

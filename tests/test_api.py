@@ -5,11 +5,14 @@ module defines must be listed, so that a deletion leaves no stale export
 and an addition is not left out of the public surface.  Every listed name
 must also have a caller outside the tests, apart from a short keep-list
 with a reason for each: no library function is called only by tests.
+The package runs on numpy alone: no module imports scipy, and the
+project's runtime dependencies name numpy only.
 """
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -107,3 +110,36 @@ def test_keep_list_is_current():
         exported |= set(importlib.import_module(f"casimetry.{name}").__all__)
     assert set(KEEP) <= exported
     assert set(KEEP).isdisjoint(referenced_names())
+
+
+def imported_modules(source):
+    """Top-level package of every module an import statement in `source`
+    names; relative imports are the package's own and are left out."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.partition(".")[0])
+    return roots
+
+
+def test_imported_modules_sees_nested_imports():
+    source = ("import numpy as np\nfrom .io import read_csv\n"
+              "def f():\n    from scipy.special import ndtri\n")
+    assert imported_modules(source) == {"numpy", "scipy"}
+
+
+def test_package_does_not_import_scipy():
+    importers = [str(path.relative_to(ROOT))
+                 for path in (ROOT / "src").rglob("*.py")
+                 if "scipy" in imported_modules(path.read_text())]
+    assert importers == []
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", r).group() for r in requirements]
+    assert names == ["numpy"]

@@ -640,7 +640,7 @@ def scipy_modules_after(script, cwd):
 
 
 class TestImports:
-    """No subcommand pays for scipy; only Student-t quantiles load it."""
+    """No subcommand loads scipy: the package runs on numpy alone."""
 
     def test_cli_jobs_load_no_scipy(self, tmp_path):
         write_gold_table(tmp_path / "gold.dat")
@@ -660,17 +660,3 @@ class TestImports:
         for name in ("dispersion.csv", "pressure_impedance.csv",
                      "verdicts.json", "constraints.csv"):
             assert (tmp_path / "out" / name).exists(), name
-
-    def test_student_quantile_loads_scipy_special(self, tmp_path):
-        loaded = scipy_modules_after("""
-            import numpy as np
-            from casimetry import metrology as mt
-            assert "scipy" not in sys.modules
-            rows = np.column_stack([np.full(14, 300.5e-9),
-                                    -0.1 + 1e-4 * np.linspace(-1, 1, 14)])
-            ens = mt.MeasurementEnsemble((rows,), z_range=(300e-9, 301.2e-9))
-            env = mt.random_error_curve(mt.bin_ensemble(ens), 0.95, "mean")
-            assert env.half_width[0] > 0
-            """, tmp_path)
-        assert "scipy.special" in loaded
-        assert not any(m.startswith("scipy.stats") for m in loaded)

@@ -261,6 +261,16 @@ class TestConstraintCurve:
         with pytest.raises(ValueError, match="positive"):
             hf.ConstraintCurve(((1e-7, 0.0, 2e-7),))
 
+    @pytest.mark.parametrize("entry,message", [
+        ((math.nan, 1.0, 2e-7), "ranges must be increasing, positive and finite"),
+        ((1e-7, 1.0, math.nan), "z_best must be finite"),
+        ((1e-7, math.inf, 2e-7), "alpha_max must be positive and finite"),
+    ])
+    def test_non_finite_entry_rejected(self, entry, message):
+        # each used to slip past a `<=` or `>` comparison
+        with pytest.raises(ValueError, match=message):
+            hf.ConstraintCurve(((5e-8, 1.0, 2e-7), entry))
+
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -271,13 +281,13 @@ def scalar_constraint(band, stack_a, stack_b, lam, coarse_points):
     params = hf.YukawaParams(1.0, lam)
 
     def objective(z):
-        return (float(band.half_width_at(z))
+        return (float(band(z))
                 / abs(hf.yukawa_plate_pressure(stack_a, stack_b, z, params)))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         grid = np.geomspace(band.z[0], band.z[-1], coarse_points)
-        vals = band.half_width_at(grid) / np.abs(
+        vals = band(grid) / np.abs(
             hf.yukawa_plate_pressure(stack_a, stack_b, grid, params))
         i = int(np.argmin(vals))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]

@@ -63,6 +63,14 @@ def single_bin_ensemble(pressures, z=300.5e-9):
     return mt.MeasurementEnsemble((rows,), z_range=(300e-9, 301.2e-9))
 
 
+def two_bin_ensemble(pressures):
+    """The same pressures in two adjacent bins: a band needs two rows."""
+    rows = [np.column_stack([np.full(len(pressures), z), pressures])
+            for z in (300.5e-9, 301.7e-9)]
+    return mt.MeasurementEnsemble((np.concatenate(rows),),
+                                  z_range=(300e-9, 302.4e-9))
+
+
 class TestQuantiles:
     """The package's quantiles equal scipy.stats bit for bit, not nearly."""
 
@@ -72,13 +80,6 @@ class TestQuantiles:
 
     def test_confidences_are_the_table_keys(self):
         assert mt._CONFIDENCES == tuple(mt._NORMAL_Q) == (0.95, 0.99)
-
-    @pytest.mark.parametrize("q", [0.975, 0.995])
-    def test_student_helper_is_scipy_exactly(self, q):
-        dof = np.arange(1, 401)
-        assert np.array_equal(mt._student_q(q, dof), stats.t.ppf(q, dof))
-        for k in (1, 2, 7, 13, 400):
-            assert mt._student_q(q, k) == stats.t.ppf(q, k)
 
 
 Z_GRID = np.geomspace(160e-9, 750e-9, 25)
@@ -413,12 +414,10 @@ def exact_bin(zs, ps):
     return zm, pm, sum((b - pm) ** 2 for b in p) / (n - 1), n - 1
 
 
-def looped_smoothed_sigma(binned, bias_correct):
+def looped_smoothed_sigma(binned):
     """The per-bin moving median that `_smoothed_sigma` replaced."""
-    s = np.sqrt(binned.variance)
-    if bias_correct:
-        with np.errstate(invalid="ignore"):
-            s = s / mt._c4(np.maximum(binned.dof + 1, 2))
+    with np.errstate(invalid="ignore"):
+        s = np.sqrt(binned.variance) / mt._c4(np.maximum(binned.dof + 1, 2))
     half = mt.SMOOTHING_BINS // 2
     out = np.empty_like(s)
     for i in range(len(s)):
@@ -434,7 +433,7 @@ class TestBinningReference:
     @given(case=binnable_ensembles())
     def test_bins_match_exact_arithmetic(self, case):
         ensemble, bins = case
-        z, p, _ = ensemble.all_points()
+        z, p = ensemble.all_points()
         binned = mt.bin_ensemble(ensemble)
         keys = np.unique(bins)
         assert binned.count.tolist() == [int((bins == k).sum()) for k in keys]
@@ -453,44 +452,41 @@ class TestBinningReference:
     @given(variance=arrays(np.float64, st.integers(1, 40),
                            elements=st.one_of(st.just(math.nan),
                                               st.floats(0.0, 1e3))),
-           bias_correct=st.booleans(), data=st.data())
-    def test_smoothing_matches_loop_exactly(self, variance, bias_correct, data):
+           data=st.data())
+    def test_smoothing_matches_loop_exactly(self, variance, data):
         n = len(variance)
         dof = data.draw(arrays(np.int64, n, elements=st.integers(0, 30)))
         binned = mt.BinnedStatistics(np.arange(1.0, n + 1), np.ones(n),
                                      variance, dof + 1, dof)
-        got = mt._smoothed_sigma(binned, bias_correct)
-        want = looped_smoothed_sigma(binned, bias_correct)
+        got = mt._smoothed_sigma(binned)
+        want = looped_smoothed_sigma(binned)
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.all((got == want) | np.isnan(want))
 
 
 class TestRandomErrorCurve:
 
-    def test_identical_values_give_zero(self):
-        binned = mt.bin_ensemble(single_bin_ensemble(np.full(14, -0.1)))
-        env = mt.random_error_curve(binned, 0.95, kind="mean")
-        assert env.half_width[0] < 1e-15
-
-    def test_student_half_width_for_fourteen_points(self):
-        p = -0.1 + 1e-4 * np.linspace(-1.0, 1.0, 14)
-        binned = mt.bin_ensemble(single_bin_ensemble(p))
-        s = np.std(p, ddof=1)
-        env = mt.random_error_curve(binned, 0.95, kind="mean")
-        expected = stats.t.ppf(0.975, 13) * s / math.sqrt(14)
-        assert env.half_width[0] == pytest.approx(expected, rel=1e-9)
-        assert stats.t.ppf(0.975, 13) == pytest.approx(2.1604, abs=2e-4)
-        env99 = mt.random_error_curve(binned, 0.99, kind="mean")
-        assert env99.half_width[0] == pytest.approx(
-            stats.t.ppf(0.995, 13) * s / math.sqrt(14), rel=1e-9)
+    def test_zero_scatter_envelope_raises(self):
+        binned = mt.bin_ensemble(two_bin_ensemble(np.full(14, -0.1)))
+        with pytest.raises(ValueError, match="positive"):
+            mt.random_error_curve(binned, 0.95)
 
     def test_point_envelope_bias_correction(self):
         p = -0.1 + 1e-4 * np.linspace(-1.0, 1.0, 14)
-        binned = mt.bin_ensemble(single_bin_ensemble(p))
-        env = mt.random_error_curve(binned, 0.95, kind="point")
+        binned = mt.bin_ensemble(two_bin_ensemble(p))
+        env = mt.random_error_curve(binned, 0.95)
         c4_14 = 0.980971437      # E[s]/sigma for n = 14
         expected = stats.norm.ppf(0.975) * np.std(p, ddof=1) / c4_14
-        assert env.half_width[0] == pytest.approx(expected, rel=1e-6)
+        assert env.half_width == pytest.approx([expected] * 2, rel=1e-6)
+
+    def test_envelope_is_a_band_at_its_confidence(self):
+        p = -0.1 + 1e-4 * np.linspace(-1.0, 1.0, 14)
+        binned = mt.bin_ensemble(two_bin_ensemble(p))
+        for confidence in (0.95, 0.99):
+            env = mt.random_error_curve(binned, confidence)
+            assert isinstance(env, mt.ConfidenceBand)
+            assert env.confidence == confidence
+            assert np.array_equal(env(env.z), env.half_width)
 
     def test_scatter_only_ensemble_reproduces_target_envelope(
             self, curves, monkeypatch):
@@ -500,7 +496,7 @@ class TestRandomErrorCurve:
         # are smooth in z and do not widen it)
         monkeypatch.setattr(mt, "DEFAULT_SEPARATION_ERROR", 0.0)
         ens = mt.generate_synthetic_ensemble(curve=curves["imp"], seed=11)
-        env = mt.random_error_curve(mt.bin_ensemble(ens), 0.95, kind="point")
+        env = mt.random_error_curve(mt.bin_ensemble(ens), 0.95)
         m = (env.z >= 170e-9) & (env.z <= 300e-9)
         ratio = env.half_width[m] / np.abs(curves["imp"].pressure_at(env.z[m]))
         assert 0.0050 < ratio.mean() < 0.0065
@@ -514,8 +510,9 @@ class TestRandomErrorCurve:
 
     def test_bad_arguments(self):
         binned = mt.bin_ensemble(single_bin_ensemble(np.full(3, -0.1)))
-        with pytest.raises(ValueError, match="kind"):
-            mt.random_error_curve(binned, 0.95, kind="median")
+        for kind in ("mean", "median"):
+            with pytest.raises(ValueError, match="kind"):
+                mt.random_error_curve(binned, 0.95, kind=kind)
         with pytest.raises(ValueError, match="confidence"):
             mt.random_error_curve(binned, 0.5)
 
@@ -546,7 +543,7 @@ class TestConfidenceBand:
 
         def ratio(z_nm):
             z = z_nm * 1e-9
-            return 100 * band.half_width_at(z) / abs(curve.pressure_at(z))
+            return 100 * band(z) / abs(curve.pressure_at(z))
 
         assert ratio(170) == pytest.approx(1.9, abs=0.3)
         for z_nm in (270, 300, 370):
@@ -624,7 +621,7 @@ class TestSyntheticGenerator:
         monkeypatch.setattr(mt, "DEFAULT_SEPARATION_ERROR", 0.0)
         ens = mt.generate_synthetic_ensemble(curve=curves["imp"], seed=5,
                                              n_sets=3, points_per_set=50)
-        z, p, _ = ens.all_points()
+        z, p = ens.all_points()
         offsets = p / curves["imp"].pressure_at(z) - 1.0
         b, a = np.polyfit(z, offsets, 1)
         assert np.max(np.abs(offsets - (a + b * z))) < 1e-13
@@ -653,8 +650,17 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="curve is required"):
             mt.generate_synthetic_ensemble(seed=1)
 
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_curve_must_cover_range(self, noise):
+        z = np.linspace(300e-9, 400e-9, 20)
+        with pytest.raises(ValueError, match=re.escape(
+                "z_range [1.6e-07, 7.5e-07] m is not covered by the "
+                "generating curve's [3e-07, 4e-07] m")):
+            mt.generate_synthetic_ensemble(
+                curve=PressureCurve(z, -1.3e-27 / z ** 4), noise=noise)
+
     def test_separations_respect_range(self, default_ensemble):
-        z, _, _ = default_ensemble.all_points()
+        z, _ = default_ensemble.all_points()
         lo, hi = default_ensemble.z_range
         assert z.min() >= lo and z.max() <= hi
 
@@ -746,6 +752,18 @@ class TestExclusionTest:
         with pytest.raises(ValueError, match="nonempty"):
             mt.exclusion_test(np.zeros((0, 2)), self.flat_band())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_differences_rejected(self, bad):
+        # a NaN fails the outside test and would count as inside the band
+        d = np.column_stack([np.linspace(210e-9, 390e-9, 40),
+                             np.full(40, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            mt.exclusion_test(d, self.flat_band())
+        d[:, 1] = 0.0
+        d[7, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mt.exclusion_test(d, self.flat_band())
+
     def test_verdict_serializes(self):
         band = self.flat_band()
         d = np.column_stack([np.linspace(210e-9, 390e-9, 50), np.zeros(50)])
@@ -792,7 +810,7 @@ class TestDefaultPipeline:
 
     def test_drude_differences_predominantly_positive(self, curves,
                                                       default_ensemble):
-        z, p, _ = default_ensemble.all_points()
+        z, p = default_ensemble.all_points()
         d = curves["drude"].pressure_at(z) - p
         assert (d > 0).mean() > 0.9
 
@@ -832,7 +850,7 @@ class TestEnsembleCsv:
         path = tmp_path / "ensemble.csv"
         mt.save_ensemble_csv(ens, path)
         back = mt.load_ensemble_csv(path)
-        z, _, _ = back.all_points()
+        z, _ = back.all_points()
         assert back.z_range == (z.min(), z.max())
 
     def test_header_enforced(self, tmp_path):

@@ -218,6 +218,20 @@ class TestAnalyticModels:
         with pytest.raises(ValueError):
             PermittivityFn.from_plasma(1e16)(0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_xi_rejected(self, bad):
+        # NaN used to come back as NaN and inf as 1.0; the wrapper named
+        # its own output check instead of the argument
+        table = PermittivityFn(lambda xi: np.full_like(xi, 2.0), "table")
+        ds = drude_table(per_decade=10)
+        for evaluate in (lambda xi: drude_permittivity(GOLD, xi),
+                         lambda xi: permittivity_imag_axis(ds, GOLD, xi),
+                         PermittivityFn.from_drude(GOLD), table):
+            for xi in (bad, np.array([1e15, bad])):
+                with pytest.raises(ValueError,
+                                   match="xi must be positive and finite"):
+                    evaluate(xi)
+
 
 class TestPermittivityFn:
     def test_validates_output(self):
