@@ -36,6 +36,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+# before numpy loads: the engine's BLAS products are too small for a per-core pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .constants import CONSTANTS_VERSION
@@ -347,9 +350,10 @@ def _load_band_csv(path: Path, fallback: float) -> ConfidenceBand:
             raise ValueError(f"{path}:{lineno}: bad or conflicting "
                              f"confidence {value.strip()!r}")
         stated = level
-    if len(data) < 2:
-        raise ValueError(f"{path}: need at least two band rows")
-    return ConfidenceBand(data[:, 0], data[:, 1], stated or fallback)
+    try:
+        return ConfidenceBand(data[:, 0], data[:, 1], stated or fallback)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_constraints(cfg: RunConfig, out: Path) -> None:

@@ -8,6 +8,7 @@ compared with library-level results.
 import filecmp
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -616,6 +617,21 @@ class TestBandFile:
                      "--out", str(tmp_path)]) == 1
         assert f"{path}:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [
+        "7.5e-07,2e-04\n1.6e-07,1e-03\n",
+        "1.6e-07,1e-03\n7.5e-07,0\n",
+        "1.6e-07,1e-03\n",
+    ], ids=["decreasing", "zero-width", "one-row"])
+    def test_bad_band_names_the_file(self, tmp_path, capsys, rows):
+        path = tmp_path / "band.csv"
+        path.write_text("z_m,half_width_Pa\n" + rows)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[constraints]\nband_file = {path}\n")
+        assert main(["constraints", "--config", str(ini),
+                     "--out", str(tmp_path)]) == 1
+        assert f"error: {path}: band " in capsys.readouterr().err
+        assert not (tmp_path / "constraints.csv").exists()
+
     def test_header_is_required(self, tmp_path):
         path = tmp_path / "band.csv"
         path.write_text("1.6e-07,1e-03\n7.5e-07,2e-04\n")
@@ -627,20 +643,54 @@ class TestBandFile:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def scipy_modules_after(script, cwd):
-    """Run `script` in a fresh interpreter; scipy modules it loaded."""
-    code = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\n"
-            + textwrap.dedent(script)
-            + "\nimport json\nprint(json.dumps(sorted(m for m in sys.modules"
-              " if m == 'scipy' or m.startswith('scipy.'))))\n")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+def run_fresh(script, cwd, **env):
+    """Run `script` in a fresh interpreter whose environment lacks
+    OPENBLAS_NUM_THREADS unless `env` sets it; the JSON value of its
+    last output line."""
+    environ = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+    environ.update(env)
+    code = f"import json, os, sys\nsys.path.insert(0, {str(SRC)!r})\n" + script
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=environ,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def scipy_modules_after(script, cwd):
+    """Run `script` in a fresh interpreter; scipy modules it loaded."""
+    return run_fresh(textwrap.dedent(script)
+                     + "\nprint(json.dumps(sorted(m for m in sys.modules"
+                       " if m == 'scipy' or m.startswith('scipy.'))))\n", cwd)
+
+
 class TestImports:
-    """No subcommand loads scipy: the package runs on numpy alone."""
+    """No subcommand loads scipy: the package runs on numpy alone.  The
+    CLI module pins OpenBLAS to one thread before numpy loads, unless
+    the variable is already set; the library modules leave it alone."""
+
+    BLAS_STATE = textwrap.dedent("""
+        tasks = "/proc/self/task"
+        threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+        print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+        """)
+
+    def test_cli_import_runs_one_blas_thread(self, tmp_path):
+        value, threads = run_fresh("import casimetry.cli\n" + self.BLAS_STATE,
+                                   tmp_path)
+        assert value == "1"
+        if threads is not None:
+            assert threads == 1
+
+    def test_explicit_blas_setting_wins(self, tmp_path):
+        value, _ = run_fresh("import casimetry.cli\n" + self.BLAS_STATE,
+                             tmp_path, OPENBLAS_NUM_THREADS="2")
+        assert value == "2"
+
+    def test_library_imports_leave_blas_alone(self, tmp_path):
+        value, _ = run_fresh("import casimetry.lifshitz, casimetry.metrology, "
+                             "casimetry.hypforce\n" + self.BLAS_STATE, tmp_path)
+        assert value is None
 
     def test_cli_jobs_load_no_scipy(self, tmp_path):
         write_gold_table(tmp_path / "gold.dat")
