@@ -365,11 +365,16 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
 
     lambdas = _log_grid(cfg, "lambda", 40e-9, 370e-9, 20)
     confidence = cfg.get_float("confidence", 0.95)
+    if confidence not in (0.95, 0.99):
+        raise ValueError(f"constraints.confidence must be 0.95 or 0.99, not {confidence}")
 
     band_path = cfg.get_path("band_file")
     sigma = cfg.get_float("sigma_Pa")
     if band_path is not None:
         band = _load_band_csv(band_path, confidence)
+        if cfg.get("confidence") is not None and band.confidence != confidence:
+            raise ValueError(f"constraints.confidence = {confidence} disagrees with "
+                             f"{band_path}: confidence = {band.confidence}")
         origin = f"band_file = {band_path}"
     elif sigma is not None:
         # a flat band: the Yukawa pressure may nowhere exceed sigma

@@ -143,10 +143,10 @@ def _check_range_validity(lam):
             "degrades there", stacklevel=3)
 
 
-def _plate_pressure(stack_a, stack_b, z, lam, alpha_g=1.0):
-    # -2 pi G alpha_g lam^2 exp(-z/lam) phi_a phi_b, broadcasting z and lam
+def _plate_pressure(phi_a, phi_b, z, lam, alpha_g=1.0):
+    # -2 pi G alpha_g lam^2 exp(-z/lam) phi_a phi_b, phi the density factors at lam
     return (-2.0 * math.pi * G_NEWTON * alpha_g * lam * lam * np.exp(-z / lam)
-            * density_factor(stack_a, lam) * density_factor(stack_b, lam))
+            * phi_a * phi_b)
 
 
 def yukawa_plate_pressure(stack_a: LayerStack, stack_b: LayerStack,
@@ -160,7 +160,9 @@ def yukawa_plate_pressure(stack_a: LayerStack, stack_b: LayerStack,
     if not np.all((z > 0) & (z < math.inf)):
         raise ValueError("separation must be positive and finite")
     _check_range_validity(params.lam)
-    out = _plate_pressure(stack_a, stack_b, z, params.lam, params.alpha_g)
+    out = _plate_pressure(density_factor(stack_a, params.lam),
+                          density_factor(stack_b, params.lam), z, params.lam,
+                          params.alpha_g)
     return float(out) if out.ndim == 0 else out
 
 
@@ -255,13 +257,15 @@ def _strongest_constraints(band, stack_a, stack_b, lams):
     # minimum over z of half_width/|P(z; 1, lam)| for every lam at once:
     # a 60-point log grid, then golden-section steps on log z in lockstep
     # down to a bracket of 1e-4 in log z; where e^{-z/lam} underflows the
-    # objective is +inf
-    def objective(z, lam):
-        return (band(z)
-                / np.abs(_plate_pressure(stack_a, stack_b, z, lam)))
+    # objective is +inf; the density factors of each lam are computed once
+    phi_a, phi_b = density_factor(stack_a, lams), density_factor(stack_b, lams)
+
+    def objective(z, rows):
+        return band(z) / np.abs(_plate_pressure(phi_a[rows], phi_b[rows], z,
+                                                lams[rows]))
 
     grid = np.geomspace(band.z[0], band.z[-1], 60)
-    vals = objective(grid, lams[:, None])
+    vals = objective(grid, np.s_[:, None])
     if not np.all(np.isfinite(vals).any(axis=1)):
         raise ValueError("degenerate stack: zero reference pressure")
     i = np.argmin(vals, axis=1)
@@ -269,7 +273,7 @@ def _strongest_constraints(band, stack_a, stack_b, lams):
     hi = grid[np.minimum(i + 1, len(grid) - 1)]
     a, b = np.log(lo), np.log(hi)
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = objective(np.exp(c), lams), objective(np.exp(d), lams)
+    fc, fd = objective(np.exp(c), np.s_[:]), objective(np.exp(d), np.s_[:])
     # a bracket at the grid's edge is one step wide, so rows finish apart
     while (active := np.flatnonzero(b - a > 1e-4)).size:
         left = fc[active] < fd[active]
@@ -278,11 +282,10 @@ def _strongest_constraints(band, stack_a, stack_b, lams):
         a[q], c[q], fc[q] = c[q], d[q], fd[q]
         c[r] = b[r] - _GOLDEN * (b[r] - a[r])
         d[q] = a[q] + _GOLDEN * (b[q] - a[q])
-        f = objective(np.exp(np.where(left, c[active], d[active])),
-                      lams[active])
+        f = objective(np.exp(np.where(left, c[active], d[active])), active)
         fc[r], fd[q] = f[left], f[~left]
     z = np.exp(0.5 * (a + b))
-    return z, objective(z, lams)
+    return z, objective(z, np.s_[:])
 
 
 def constraint_curve(band, stack_a: LayerStack, stack_b: LayerStack,

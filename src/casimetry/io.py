@@ -16,25 +16,27 @@ __all__ = ["FLOAT_FORMAT", "write_csv", "read_csv", "read_table"]
 FLOAT_FORMAT = ".10e"
 
 
-def _field(value, path) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    text = format(float(value), FLOAT_FORMAT)
-    if not math.isfinite(float(text)):
-        raise ValueError(f"{path}: {value!r} has no finite {FLOAT_FORMAT} form")
-    return text
-
-
 def write_csv(path, columns, rows, comments=()) -> None:
     """Write the comments, the header and one line per row to `path`.
 
-    A comment with a line break, or a float with no finite ``.10e`` form,
-    raises ValueError before the file is opened."""
+    A column whose first-row value is an integer holds integers, written
+    plainly; every other value is a float.  A comment with a line break,
+    or a float with no finite ``.10e`` form, raises ValueError before the
+    file is opened."""
     if any("\n" in c or "\r" in c for c in comments):
         raise ValueError(f"{path}: a comment must be a single line")
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    lines.extend(",".join(_field(v, path) for v in row) for row in rows)
+    rows = rows if isinstance(rows, np.ndarray) else list(rows)
+    data = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    # NaN, inf, and the finite values whose text form may round up to inf
+    for i, j in np.argwhere(~(np.abs(data) < 1e308)).tolist():
+        if not math.isfinite(float(format(data[i, j], FLOAT_FORMAT))):
+            raise ValueError(f"{path}: {rows[i][j]!r} has no finite {FLOAT_FORMAT} form")
+    ints = [isinstance(v, (int, np.integer)) for v in rows[0]] if len(rows) else []
+    fmt = ",".join("{:d}" if i else "{:" + FLOAT_FORMAT + "}" for i in ints)
+    fields = [[row[j] for row in rows] if i else data[:, j].tolist()
+              for j, i in enumerate(ints)]
+    lines = [f"# {c}" for c in comments] + [",".join(columns)]
+    lines.extend(fmt.format(*row) for row in zip(*fields))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

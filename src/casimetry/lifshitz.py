@@ -357,7 +357,7 @@ def _thermal_integrals(thermal, y_ls, eps_arr, weight, quad_tol):
         1e-15, 1e-2 * quad_tol * (np.abs(values) + 1e-3))))[0]
     graded = [_graded_edges(y) for y in y_ls[redo].tolist()]
     counts = np.array([len(e) for e in graded])
-    for count in np.unique(counts):
+    for count in sorted(set(counts.tolist())):
         sel = redo[counts == count]
         values[sel], errs[sel] = _panel_integrals(
             weight, np.array([e for e in graded if len(e) == count]),

@@ -15,7 +15,6 @@ fractions of |P|; separations are meters.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,8 +182,12 @@ def bin_ensemble(ensemble: MeasurementEnsemble) -> BinnedStatistics:
     n_bins = max(1, int(math.ceil((hi - lo) / DEFAULT_BIN_WIDTH - 1e-9)))
     idx = np.clip(np.floor((z - lo) / DEFAULT_BIN_WIDTH).astype(int), 0,
                   n_bins - 1)
-    _, first, inv = np.unique(idx, return_index=True, return_inverse=True)
-    n = np.bincount(inv)
+    # occupied bins become rows 0, 1, ...; inv is each point's row
+    count = np.bincount(idx, minlength=n_bins)
+    inv = (np.cumsum(count > 0) - 1)[idx]
+    n = count[count > 0]
+    first = np.full(n.size, idx.size)
+    np.minimum.at(first, inv, np.arange(idx.size))
     z_m = np.bincount(inv, z) / n
     p_m = np.bincount(inv, p) / n
     dz, dp = z - z_m[inv], p - p_m[inv]
@@ -229,10 +232,10 @@ class ConfidenceBand:
 
 
 def _c4(n):
-    # E[s] = c4 sigma for a normal sample of size n
+    # E[s] = c4 sigma for normal samples of sizes n (1-d); lgamma once per size
     n = np.asarray(n, dtype=float)
-    lg = np.vectorize(math.lgamma)
-    return np.sqrt(2.0 / (n - 1)) * np.exp(lg(n / 2) - lg((n - 1) / 2))
+    lg = {v: math.lgamma(v / 2) - math.lgamma((v - 1) / 2) for v in set(n.tolist())}
+    return np.sqrt(2.0 / (n - 1)) * np.exp([lg[v] for v in n.tolist()])
 
 
 def _smoothed_sigma(binned):
@@ -240,10 +243,11 @@ def _smoothed_sigma(binned):
         s = np.sqrt(binned.variance) / _c4(np.maximum(binned.dof + 1, 2))
     half = SMOOTHING_BINS // 2
     padded = np.pad(s, half, constant_values=np.nan)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, SMOOTHING_BINS)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # all-NaN windows
-        return np.nanmedian(windows, axis=1)
+    # median of each window's non-NaN values, which sort first (all NaN: NaN)
+    windows = np.sort(np.lib.stride_tricks.sliding_window_view(
+        padded, SMOOTHING_BINS), axis=1)
+    k, rows = (~np.isnan(windows)).sum(axis=1), np.arange(len(s))
+    return (windows[rows, np.maximum(k - 1, 0) // 2] + windows[rows, k // 2]) / 2
 
 
 def random_error_curve(binned: BinnedStatistics, confidence: float,
@@ -498,29 +502,30 @@ def generate_synthetic_ensemble(*, curve: PressureCurve = None,
     r = DEFAULT_SPHERE.radius
     u_opt, u_curv, u_rad = np.random.default_rng([seed, 999983]).uniform(
         -1.0, 1.0, 3)
-    sets = []
+    # each set draws from its own generator, in the order z, jitter, scatter
+    z_rec, delta, scatter = np.empty((3, n_sets, points_per_set))
     for s in range(n_sets):
         rng = np.random.default_rng([seed, s])
-        z_rec = np.sort(rng.uniform(lo, hi, points_per_set))
+        z_rec[s] = np.sort(rng.uniform(lo, hi, points_per_set))
         if noise:
-            delta = rng.normal(0.0, DEFAULT_SEPARATION_ERROR / _NORMAL_Q[0.95],
-                               points_per_set)
-            z_true = np.clip(z_rec - delta, curve.z[0], curve.z[-1])
-            rel = (u_opt * DEFAULT_OPTICAL_REL + u_curv * (z_true / r)
-                   + u_rad * (DEFAULT_SPHERE.radius_error / r)
-                   + rng.normal(0.0, 1.0, points_per_set)
-                   * default_point_sigma(z_true))
-            p = curve.pressure_at(z_true) * (1.0 + rel)
-        else:
-            p = curve.pressure_at(z_rec)
-        sets.append(np.column_stack([z_rec, p]))
-    return MeasurementEnsemble(tuple(sets), (lo, hi))
+            delta[s] = rng.normal(0.0, DEFAULT_SEPARATION_ERROR / _NORMAL_Q[0.95],
+                                  points_per_set)
+            scatter[s] = rng.normal(0.0, 1.0, points_per_set)
+    if noise:
+        z_true = np.clip(z_rec - delta, curve.z[0], curve.z[-1])
+        rel = (u_opt * DEFAULT_OPTICAL_REL + u_curv * (z_true / r)
+               + u_rad * (DEFAULT_SPHERE.radius_error / r)
+               + scatter * default_point_sigma(z_true))
+        p = curve.pressure_at(z_true) * (1.0 + rel)
+    else:
+        p = curve.pressure_at(z_rec)
+    return MeasurementEnsemble(tuple(np.stack([z_rec, p], axis=2)), (lo, hi))
 
 
 def save_ensemble_csv(ensemble: MeasurementEnsemble, path, comments=()):
     """Write an ensemble as CSV rows set_index,z_m,pressure_Pa."""
-    rows = ((i, z, p) for i, s in enumerate(ensemble.sets) for z, p in s)
-    write_csv(path, _ENSEMBLE_COLUMNS, rows, comments)
+    index = np.repeat(np.arange(len(ensemble.sets)), [len(s) for s in ensemble.sets])
+    write_csv(path, _ENSEMBLE_COLUMNS, zip(index.tolist(), *ensemble.all_points()), comments)
 
 
 def load_ensemble_csv(path, z_range=None) -> MeasurementEnsemble:
@@ -532,7 +537,7 @@ def load_ensemble_csv(path, z_range=None) -> MeasurementEnsemble:
     _, data = read_csv(path, _ENSEMBLE_COLUMNS, integer_columns=("set_index",))
     if not len(data):
         raise ValueError(f"{path}: no data rows")
-    sets = [data[data[:, 0] == k, 1:] for k in np.unique(data[:, 0])]
+    sets = [data[data[:, 0] == k, 1:] for k in sorted(set(data[:, 0].tolist()))]
     if z_range is None:
         z_range = (float(data[:, 1].min()), float(data[:, 1].max()))
     try:

@@ -606,6 +606,37 @@ class TestBandFile:
                      "--out", str(tmp_path)]) == 1
         assert f"{path}:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["band_file", "sigma_Pa"])
+    @pytest.mark.parametrize("value", ["0.9", "0.5"])
+    def test_bad_confidence_key_is_named(self, tmp_path, capsys, source,
+                                         value):
+        path = self.band(tmp_path)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[constraints]\nconfidence = {value}\n"
+                       + (f"band_file = {path}\n" if source == "band_file"
+                          else "sigma_Pa = 1e-3\n"))
+        assert main(["constraints", "--config", str(ini),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: constraints.confidence must be 0.95 or 0.99, not {value}" in err
+        assert str(path) not in err
+        assert not (tmp_path / "constraints.csv").exists()
+
+    def test_explicit_confidence_must_match_the_band(self, tmp_path, capsys):
+        path = self.band(tmp_path, "confidence = 0.99")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[constraints]\nband_file = {path}\n"
+                       "confidence = 0.95\nlambda_points = 3\n")
+        argv = ["constraints", "--config", str(ini), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert (f"error: constraints.confidence = 0.95 disagrees with {path}: "
+                "confidence = 0.99") in err
+        assert not (tmp_path / "constraints.csv").exists()
+        # the same level, from the key or from the flag, is no conflict
+        assert main(argv + ["--confidence", "0.99"]) == 0
+        assert (tmp_path / "constraints.csv").exists()
+
     @pytest.mark.parametrize("row", ["7.5e-07,abc", "7.5e-07,nan",
                                      "inf,2e-04", "7.5e-07"])
     def test_bad_row_names_the_line(self, tmp_path, capsys, row):
@@ -657,17 +688,20 @@ def run_fresh(script, cwd, **env):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def scipy_modules_after(script, cwd):
-    """Run `script` in a fresh interpreter; scipy modules it loaded."""
+def modules_after(script, cwd, prefix):
+    """Run `script` in a fresh interpreter; the modules named `prefix`, or
+    inside the package `prefix`, that it loaded."""
     return run_fresh(textwrap.dedent(script)
                      + "\nprint(json.dumps(sorted(m for m in sys.modules"
-                       " if m == 'scipy' or m.startswith('scipy.'))))\n", cwd)
+                       f" if m == {prefix!r} or m.startswith({prefix + '.'!r}))))\n",
+                     cwd)
 
 
 class TestImports:
-    """No subcommand loads scipy: the package runs on numpy alone.  The
-    CLI module pins OpenBLAS to one thread before numpy loads, unless
-    the variable is already set; the library modules leave it alone."""
+    """No subcommand loads scipy: the package runs on numpy alone.  No
+    subcommand or band-test step loads numpy.ma either.  The CLI module
+    pins OpenBLAS to one thread before numpy loads, unless the variable
+    is already set; the library modules leave it alone."""
 
     BLAS_STATE = textwrap.dedent("""
         tasks = "/proc/self/task"
@@ -700,13 +734,80 @@ class TestImports:
             "[exclusion]\nn_sets = 3\npoints_per_set = 60\n"
             "[constraints]\nband_file = out/band_impedance.csv\n"
             "lambda_points = 3\n")
-        loaded = scipy_modules_after("""
+        loaded = modules_after("""
             from casimetry.cli import main
             for command in ("kk", "pressure", "exclusion", "constraints"):
                 argv = [command, "--config", "run.ini", "--out", "out"]
                 assert main(argv) == 0, command
-            """, tmp_path)
+            """, tmp_path, "scipy")
         assert loaded == []
         for name in ("dispersion.csv", "pressure_impedance.csv",
                      "verdicts.json", "constraints.csv"):
             assert (tmp_path / "out" / name).exists(), name
+
+    def test_jobs_and_band_test_load_no_numpy_ma(self, tmp_path):
+        # numpy loads numpy.ma lazily, from np.unique and np.nanmedian;
+        # every step asserts, so a failure names the step that loaded it
+        write_gold_table(tmp_path / "gold.dat")
+        (tmp_path / "rough.dat").write_text("-3 1\n-1 2\n1 2\n3 1\n")
+        (tmp_path / "run.ini").write_text(
+            "[kk]\noptical_table = gold.dat\nl_max = 12\n"
+            "[pressure]\nz_points = 3\n"
+            "[exclusion]\nn_sets = 3\npoints_per_set = 60\n"
+            "[constraints]\nband_file = out/band_impedance.csv\n"
+            "lambda_points = 3\n")
+        (tmp_path / "rough.ini").write_text(
+            "[pressure]\nz_points = 3\n"
+            "roughness_a = rough.dat\nroughness_b = rough.dat\n")
+        loaded = modules_after("""
+            import numpy as np
+            from casimetry.cli import main
+            from casimetry.hypforce import (coated_plate_stack,
+                                            coated_sphere_stack, constraint_curve)
+            from casimetry.lifshitz import (ReflectionModel, ThermalState,
+                                            compute_pressure_curve)
+            from casimetry.metrology import (generate_synthetic_ensemble,
+                                             load_ensemble_csv,
+                                             run_exclusion_analysis,
+                                             save_ensemble_csv)
+            from casimetry.optics import DrudeParameters, PermittivityFn
+
+            def check(step):
+                assert "numpy.ma" not in sys.modules, step
+
+            check("imports")
+            for command, ini in (("kk", "run.ini"), ("pressure", "run.ini"),
+                                 ("pressure", "rough.ini"),
+                                 ("exclusion", "run.ini"),
+                                 ("constraints", "run.ini")):
+                argv = [command, "--config", ini, "--out", "out"]
+                assert main(argv) == 0, argv
+                check(argv)
+            gold = DrudeParameters(1.37e16, 5.3e13)
+            eps = PermittivityFn.from_drude(gold)
+            grid = np.geomspace(0.92 * 160e-9, 1.02 * 750e-9, 80)
+            state = ThermalState(300.0)
+            curves = {
+                "impedance": compute_pressure_curve(
+                    ReflectionModel.impedance(eps, gold.omega_p), grid, state),
+                "drude": compute_pressure_curve(
+                    ReflectionModel.lifshitz_drude(eps), grid, state)}
+            ensemble = generate_synthetic_ensemble(curve=curves["impedance"],
+                                                   seed=7)
+            check("generate")
+            verdicts = run_exclusion_analysis(ensemble, curves, "impedance",
+                                              0.95)
+            check("run_exclusion_analysis")
+            limits = constraint_curve(verdicts["impedance"].band,
+                                      coated_sphere_stack(),
+                                      coated_plate_stack(),
+                                      np.geomspace(40e-9, 370e-9, 5))
+            check("constraint_curve")
+            save_ensemble_csv(ensemble, "ensemble.csv")
+            back = load_ensemble_csv("ensemble.csv")
+            check("save and reload")
+            assert back.n_points == ensemble.n_points
+            assert len(limits.entries) == 5
+            """, tmp_path, "numpy.ma")
+        assert loaded == []
+        assert (tmp_path / "out" / "constraints.csv").exists()

@@ -118,6 +118,37 @@ def test_integer_columns_read_exactly(path):
     assert data.tolist() == [[0.0, 1.5], [12.0, -2.0]]
 
 
+def test_overflow_at_real_size_is_refused_before_the_file_opens(tmp_path):
+    # the finiteness check runs on the whole table at once; the hypothesis
+    # tests above draw at most 8 rows
+    data = np.column_stack([np.linspace(160e-9, 750e-9, 4000),
+                            np.full(4000, -1e-3)])
+    data[2000, 1] = 1.7976931348623157e308
+    path = tmp_path / "big.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")
+                       + ".*has no finite .10e form"):
+        write_csv(path, ("z_m", "pressure_Pa"), data)
+    assert not path.exists()
+
+
+def test_mixed_int_float_rows_read_back_exactly(tmp_path):
+    rng = np.random.default_rng(3)
+    z = rng.uniform(160e-9, 750e-9, 4000)
+    p = rng.normal(-1e-3, 1e-4, 4000)
+    # Python and numpy integers and floats, mixed from row to row
+    rows = [(k // 400 if k % 2 else np.int64(k // 400),
+             float(z[k]) if k % 3 else z[k], p[k]) for k in range(4000)]
+    path = tmp_path / "ensemble.csv"
+    write_csv(path, ("set_index", "z_m", "pressure_Pa"), rows)
+    _, back = read_csv(path, ("set_index", "z_m", "pressure_Pa"),
+                       integer_columns=("set_index",))
+    assert back[:, 0].tolist() == [k // 400 for k in range(4000)]
+    assert np.array_equal(back[:, 1:], rendered(np.column_stack([z, p])))
+    ensemble = mt.load_ensemble_csv(path)
+    assert [len(s) for s in ensemble.sets] == [400] * 10
+    assert np.array_equal(np.concatenate(ensemble.sets), back[:, 1:])
+
+
 def test_crlf_file_still_reads(path):
     path.write_bytes(b"# note\r\nx,y\r\n1.0,2.0\r\n")
     comments, data = read_csv(path, ("x", "y"))
