@@ -414,10 +414,17 @@ def exact_bin(zs, ps):
     return zm, pm, sum((b - pm) ** 2 for b in p) / (n - 1), n - 1
 
 
+def looped_c4(n):
+    """E[s]/sigma for normal samples of sizes n, one lgamma pair per element."""
+    n = np.asarray(n, dtype=float)
+    lg = [math.lgamma(k / 2) - math.lgamma((k - 1) / 2) for k in n.tolist()]
+    return np.sqrt(2.0 / (n - 1)) * np.exp(lg)
+
+
 def looped_smoothed_sigma(binned):
     """The per-bin moving median that `_smoothed_sigma` replaced."""
     with np.errstate(invalid="ignore"):
-        s = np.sqrt(binned.variance) / mt._c4(np.maximum(binned.dof + 1, 2))
+        s = np.sqrt(binned.variance) / looped_c4(np.maximum(binned.dof + 1, 2))
     half = mt.SMOOTHING_BINS // 2
     out = np.empty_like(s)
     for i in range(len(s)):
