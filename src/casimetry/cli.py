@@ -64,6 +64,7 @@ from .lifshitz import (
     matsubara_frequency,
 )
 from .metrology import (
+    CONFIDENCE_LEVELS,
     DEFAULT_N_SETS,
     DEFAULT_POINTS_PER_SET,
     DEFAULT_SEED,
@@ -346,7 +347,7 @@ def _load_band_csv(path: Path, fallback: float) -> ConfidenceBand:
             level = float(value)
         except ValueError:
             level = None
-        if level not in (0.95, 0.99) or stated not in (None, level):
+        if level not in CONFIDENCE_LEVELS or stated not in (None, level):
             raise ValueError(f"{path}:{lineno}: bad or conflicting "
                              f"confidence {value.strip()!r}")
         stated = level
@@ -365,8 +366,9 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
 
     lambdas = _log_grid(cfg, "lambda", 40e-9, 370e-9, 20)
     confidence = cfg.get_float("confidence", 0.95)
-    if confidence not in (0.95, 0.99):
-        raise ValueError(f"constraints.confidence must be 0.95 or 0.99, not {confidence}")
+    if confidence not in CONFIDENCE_LEVELS:
+        raise ValueError("constraints.confidence must be "
+                         f"{' or '.join(map(str, CONFIDENCE_LEVELS))}, not {confidence}")
 
     band_path = cfg.get_path("band_file")
     sigma = cfg.get_float("sigma_Pa")
@@ -377,6 +379,9 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
                              f"{band_path}: confidence = {band.confidence}")
         origin = f"band_file = {band_path}"
     elif sigma is not None:
+        if not 0 < sigma < np.inf:
+            raise ValueError(f"constraints.sigma_Pa must be positive and finite, "
+                             f"not {sigma}")
         # a flat band: the Yukawa pressure may nowhere exceed sigma
         z = _log_grid(cfg, "z", 160e-9, 750e-9, 40)
         band = ConfidenceBand(z, np.full(z.size, sigma), confidence)
@@ -422,7 +427,7 @@ def main(argv=None) -> int:
         if name == "exclusion":
             p.add_argument("--seed", type=int, help="override exclusion.seed")
         if name in ("pressure", "exclusion", "constraints"):
-            p.add_argument("--confidence", type=float, choices=(0.95, 0.99),
+            p.add_argument("--confidence", type=float, choices=CONFIDENCE_LEVELS,
                            help=f"override {name}.confidence")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (created if missing)")

@@ -27,6 +27,9 @@ __all__ = [
     "load_roughness_profile",
 ]
 
+# histogram levels of a gaussian profile, and its half-range in sigma
+_GAUSSIAN_LEVELS, _GAUSSIAN_CLIP = 9, 3.0
+
 
 @dataclass(frozen=True)
 class SphereGeometry:
@@ -98,24 +101,15 @@ class RoughnessProfile:
         return cls(h - w @ h, w)
 
     @classmethod
-    def gaussian(cls, sigma: float, n_points: int = 9,
-                 clip: float = 3.0) -> "RoughnessProfile":
-        """Discretized zero-mean normal height distribution.
-
-        Parameters
-        ----------
-        sigma : float
-            Rms roughness in meters.
-        n_points : int, optional
-            Number of histogram levels.
-        clip : float, optional
-            Half-range of the grid in units of sigma.
-        """
-        if not (0 <= sigma < math.inf and n_points >= 1):
-            raise ValueError("sigma must be >= 0 and n_points >= 1")
+    def gaussian(cls, sigma: float) -> "RoughnessProfile":
+        """Zero-mean normal height distribution of rms roughness `sigma`
+        in meters, on 9 levels spanning +-3 sigma."""
+        if not 0 <= sigma < math.inf:
+            raise ValueError("sigma must be >= 0 and finite")
         if sigma == 0:
             return cls.flat()
-        h = np.linspace(-clip * sigma, clip * sigma, n_points)
+        h = np.linspace(-_GAUSSIAN_CLIP * sigma, _GAUSSIAN_CLIP * sigma,
+                        _GAUSSIAN_LEVELS)
         w = np.exp(-0.5 * (h / sigma) ** 2)
         return cls.from_histogram(h, w)
 

@@ -45,10 +45,12 @@ __all__ = [
 ]
 
 _Y_MAX = 45.0
+# relative tolerance of every evaluation: quadrature error and Matsubara tail
+QUAD_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature or Matsubara truncation missed the requested tolerance."""
+    """Quadrature or Matsubara truncation missed the tolerance QUAD_TOL."""
 
 
 def matsubara_frequency(temperature: float, l: int) -> float:
@@ -74,22 +76,14 @@ def default_l_max(temperature: float, z: float) -> int:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Temperature, Matsubara truncation and quadrature tolerance.
-
-    l_max = None lets each evaluation pick the default for its separation.
-    """
+    """Temperature of an evaluation; each separation sums its Matsubara
+    terms up to default_l_max, to the tolerance QUAD_TOL."""
 
     temperature: float
-    l_max: int | None = None
-    quad_tol: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 < self.temperature < math.inf:
             raise ValueError("temperature must be positive and finite")
-        if self.l_max is not None and self.l_max < 1:
-            raise ValueError("l_max must be >= 1")
-        if not 0.0 < self.quad_tol < math.inf:
-            raise ValueError("quad_tol must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +290,7 @@ def _graded_edges(y_start: float) -> list[float]:
     return lead + [e for e in coarse if e > lead[-1] + 1e-12]
 
 
-def _panel_integrals(weight, edges, rsq_of, quad_tol, refine):
+def _panel_integrals(weight, edges, rsq_of, refine):
     """Per-row integrals and error estimates over edges (rows, panels + 1).
 
     rsq_of(y, rows) gives (r_par^2, r_perp^2) at nodes y (n, order) of the
@@ -321,7 +315,7 @@ def _panel_integrals(weight, edges, rsq_of, quad_tol, refine):
     value = gauss(24)
     err = np.abs(value - gauss(12))
     bad = np.nonzero(refine & (err > np.maximum(
-        1e-16, 1e-3 * quad_tol * (np.abs(value) + 1e-3))))[0]
+        1e-16, 1e-3 * QUAD_TOL * (np.abs(value) + 1e-3))))[0]
     if bad.size:
         refined = gauss(48, bad)
         err[bad] = np.abs(refined - value[bad])
@@ -336,7 +330,7 @@ def _panel_integrals(weight, edges, rsq_of, quad_tol, refine):
 _BLOCK_FRACTIONS = np.array([0.0, 0.045, 0.16, 0.42, 1.0])
 
 
-def _thermal_integrals(thermal, y_ls, eps_arr, weight, quad_tol):
+def _thermal_integrals(thermal, y_ls, eps_arr, weight):
     """Integrals over [y_l, Y_MAX] of l >= 1 rows, per-row error, and the
     indices of the rows integrated on graded panels.
 
@@ -352,20 +346,20 @@ def _thermal_integrals(thermal, y_ls, eps_arr, weight, quad_tol):
     fixed = np.nonzero(y_ls >= 0.5)[0]
     edges = y_ls[fixed, None] + _BLOCK_FRACTIONS * (_Y_MAX - y_ls[fixed, None])
     values[fixed], errs[fixed] = _panel_integrals(weight, edges, rsq_for(fixed),
-                                                  quad_tol, False)
+                                                  False)
     redo = np.nonzero((y_ls < 0.5) | (errs > np.maximum(
-        1e-15, 1e-2 * quad_tol * (np.abs(values) + 1e-3))))[0]
+        1e-15, 1e-2 * QUAD_TOL * (np.abs(values) + 1e-3))))[0]
     graded = [_graded_edges(y) for y in y_ls[redo].tolist()]
     counts = np.array([len(e) for e in graded])
     for count in sorted(set(counts.tolist())):
         sel = redo[counts == count]
         values[sel], errs[sel] = _panel_integrals(
             weight, np.array([e for e in graded if len(e) == count]),
-            rsq_for(sel), quad_tol, True)
+            rsq_for(sel), True)
     return values, errs, redo
 
 
-def _zero_frequency_term(rule, y_p, weight, quad_tol):
+def _zero_frequency_term(rule, y_p, weight):
     """I_0 and its error estimate for every separation; y_p = 2 z omega_p / c.
 
     TM (r2 = 1) and the TE channel of the ideal, Schwinger and Drude rules
@@ -377,7 +371,7 @@ def _zero_frequency_term(rule, y_p, weight, quad_tol):
     te, err = _panel_integrals(
         weight, np.tile(_graded_edges(0.0), (y_p.size, 1)),
         lambda y, rows: (np.zeros_like(y), rule.te_zero(y, y_p[rows, None])),
-        quad_tol, True)
+        True)
     return unit + te, err
 
 
@@ -408,9 +402,8 @@ def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
                   weight: str):
     """Scaled sums (acc, l_max, tail, err, escalated), arrays over the 1-d
     array z."""
-    tol = state.quad_tol
-    l_max = np.array([state.l_max or default_l_max(state.temperature, s)
-                      for s in z.tolist()], dtype=int)
+    l_max = np.array([default_l_max(state.temperature, s) for s in z.tolist()],
+                     dtype=int)
     xi1 = matsubara_frequency(state.temperature, 1)
     y1 = 2.0 * z * xi1 / C_LIGHT
     rule = MODELS[model.kind]
@@ -437,7 +430,7 @@ def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
         zi = np.searchsorted(ends, row, side="right")
         ls = row - (ends[zi] - n_rows[zi]) + 1
         values, errs, redo = _thermal_integrals(
-            rule.thermal, y1[zi] * ls, eps_l[ls - 1], weight, tol)
+            rule.thermal, y1[zi] * ls, eps_l[ls - 1], weight)
         np.add.at(row_sum, zi, values)
         np.add.at(row_err, zi, errs)
         np.add.at(escalated, zi[redo], 1)
@@ -447,8 +440,7 @@ def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
     y_p = 2.0 * z * model.omega_p / C_LIGHT
     for lo in range(0, z.size, _BLOCK_ROWS // 8):
         part = slice(lo, lo + _BLOCK_ROWS // 8)
-        value0[part], err0[part] = _zero_frequency_term(rule, y_p[part],
-                                                        weight, tol)
+        value0[part], err0[part] = _zero_frequency_term(rule, y_p[part], weight)
     acc = 0.5 * value0 + row_sum
     err = 0.5 * err0 + row_err + (0.5 + n_rows) * _cutoff_remainder(weight, _Y_MAX)
 
@@ -461,7 +453,7 @@ def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
 
     # written as not (x <= bound) so that a NaN fails the guard
     scale = np.abs(acc)
-    bound = 10.0 * tol * scale + 1e-280
+    bound = 10.0 * QUAD_TOL * scale + 1e-280
     failed = np.nonzero(~(tail <= bound) | ~(err <= bound))[0]
     if failed.size:
         i = failed[0]
@@ -497,7 +489,7 @@ def casimir_pressure(model: ReflectionModel, z, state: ThermalState,
         Plate separations, m, positive and finite.  A scalar gives a
         float; an array gives an array of its shape from one batched pass.
     state : ThermalState
-        Temperature, truncation, quadrature tolerance.
+        Temperature.
     return_diagnostics : bool
         When True, also return an EngineDiagnostics with the reported
         Matsubara tail bound and quadrature error estimate per point.
@@ -506,7 +498,7 @@ def casimir_pressure(model: ReflectionModel, z, state: ThermalState,
     ------
     ConvergenceError
         If the truncation tail or the quadrature error estimate of a point
-        exceeds 10x the requested relative tolerance (the first is named).
+        exceeds 10x the relative tolerance QUAD_TOL (the first is named).
     """
     return _evaluate(model, z, state, "pressure", 3, -1.0, return_diagnostics)
 

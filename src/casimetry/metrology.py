@@ -38,6 +38,7 @@ __all__ = [
     "default_point_sigma",
     "load_ensemble_csv",
     "save_ensemble_csv",
+    "CONFIDENCE_LEVELS",
     "DEFAULT_BIN_WIDTH",
     "DEFAULT_Z_RANGE",
     "DEFAULT_SEPARATION_ERROR",
@@ -58,7 +59,7 @@ _ENSEMBLE_COLUMNS = ("set_index", "z_m", "pressure_Pa")
 
 # two-sided normal quantiles ndtri((1 + c) / 2)
 _NORMAL_Q = {0.95: 1.959963984540054, 0.99: 2.5758293035489004}
-_CONFIDENCES = tuple(_NORMAL_Q)
+CONFIDENCE_LEVELS = tuple(_NORMAL_Q)
 
 # exclusion windows: half-width, minimum occupancy, outside-fraction rule
 WINDOW_HALF_WIDTH = 15e-9
@@ -94,8 +95,8 @@ def default_point_sigma(z):
 
 
 def _check_confidence(confidence):
-    if confidence not in _CONFIDENCES:
-        raise ValueError(f"confidence must be one of {_CONFIDENCES}")
+    if confidence not in CONFIDENCE_LEVELS:
+        raise ValueError(f"confidence must be one of {CONFIDENCE_LEVELS}")
 
 
 def _combine(half_widths, rule="quantile"):
@@ -282,16 +283,14 @@ def random_error_curve(binned: BinnedStatistics, confidence: float,
                           confidence)
 
 
-def theory_error_curve(z, sphere: SphereGeometry = DEFAULT_SPHERE,
-                       dz: float = DEFAULT_SEPARATION_ERROR,
-                       optical_rel: float = DEFAULT_OPTICAL_REL,
-                       confidence: float = 0.95,
+def theory_error_curve(z, confidence: float = 0.95,
                        include_separation_term: bool = True):
     """Relative theory error from curvature, optics, and separation.
 
-    Combines the uniform z/R curvature term, the uniform optical-data
-    term, and the normal-derived 4 dz/z separation term (whose input
-    is a 95% half-width) at the requested confidence.
+    Combines the uniform z/R curvature term (R of DEFAULT_SPHERE), the
+    uniform optical-data term (DEFAULT_OPTICAL_REL), and the
+    normal-derived 4 dz/z separation term (dz = DEFAULT_SEPARATION_ERROR,
+    a 95% half-width) at the requested confidence.
 
     Set include_separation_term False when the band's experimental
     input is a measured per-point envelope: recorded-separation
@@ -299,13 +298,13 @@ def theory_error_curve(z, sphere: SphereGeometry = DEFAULT_SPHERE,
     twice.
     """
     z = np.asarray(z, dtype=float)
-    if not (np.all((z > 0) & (z < math.inf)) and dz >= 0):
-        raise ValueError("z must be positive and finite, dz nonnegative")
+    if not np.all((z > 0) & (z < math.inf)):
+        raise ValueError("z must be positive and finite")
     _check_confidence(confidence)
-    hws = [confidence * (z / sphere.radius),
-           np.full_like(z, confidence * optical_rel)]
+    hws = [confidence * (z / DEFAULT_SPHERE.radius),
+           np.full_like(z, confidence * DEFAULT_OPTICAL_REL)]
     if include_separation_term:
-        sigma = (4.0 * dz / z) / _NORMAL_Q[0.95]
+        sigma = (4.0 * DEFAULT_SEPARATION_ERROR / z) / _NORMAL_Q[0.95]
         hws.append(_NORMAL_Q[confidence] * sigma)
     return _combine(hws, rule="quantile")
 

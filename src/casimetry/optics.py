@@ -178,6 +178,9 @@ def _leggauss(order: int):
 # bounds the working arrays: 2.5 MB peak for 150 xi on 300 rows, 12.5 MB at 32768
 _ORDERS = (8, 16, 32, 64)
 _BLOCK_ROWS = 4096
+# tolerance pair of the transform: absolute (shared among a xi's segments)
+# and relative
+_ABS_TOL, _REL_TOL = 1e-12, 1e-9
 
 
 def _drude_tail_integral(omega_hi: float, drude: DrudeParameters, xi):
@@ -215,7 +218,7 @@ def _segment_nodes(w_lo, w_hi, im_lo, im_hi):
     return entries
 
 
-def _transform_block(omega, im_eps, table, drude, xi, abs_tol, rel_tol):
+def _transform_block(omega, im_eps, table, drude, xi):
     # eps(i xi) - 1 over a 1-d block of xi; table holds the node data of
     # the table segments followed by one empty segment
     n = omega.size
@@ -236,7 +239,7 @@ def _transform_block(omega, im_eps, table, drude, xi, abs_tol, rel_tol):
     first = np.where(split, n + 2 * np.cumsum(split) - 2, n - 1)[:, None]
     j = np.arange(n)
     seg = np.select([j < cut, j == cut, j == cut + 1], [j, first, first + 1], j - 1).ravel()
-    seg_abs_tol = abs_tol / np.where(split, n, n - 1)    # row r belongs to xi r // n
+    seg_abs_tol = _ABS_TOL / np.where(split, n, n - 1)    # row r belongs to xi r // n
 
     def integrals(level, rows):
         half, ww, num = nodes[level]
@@ -252,7 +255,7 @@ def _transform_block(omega, im_eps, table, drude, xi, abs_tol, rel_tol):
         cur = integrals(level, active)
         value[active], err[active] = cur, np.abs(cur - prev)
         ok[active] = done = err[active] <= np.maximum(seg_abs_tol[active // n],
-                                                      rel_tol * np.abs(cur))
+                                                      _REL_TOL * np.abs(cur))
         active, prev = active[~done], cur[~done]
 
     value, err, ok = (a.reshape(-1, n) for a in (value, err, ok))
@@ -260,7 +263,7 @@ def _transform_block(omega, im_eps, table, drude, xi, abs_tol, rel_tol):
     total = (_drude_tail_integral(omega[0], drude, xi)
              + (2.0 / math.pi) * np.cumsum(value, axis=1)[:, -1])
     worst = err.max(axis=1)
-    bad = ~ok.all(axis=1) & (worst > np.maximum(abs_tol, rel_tol * np.abs(total)))
+    bad = ~ok.all(axis=1) & (worst > np.maximum(_ABS_TOL, _REL_TOL * np.abs(total)))
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureError(
@@ -269,12 +272,12 @@ def _transform_block(omega, im_eps, table, drude, xi, abs_tol, rel_tol):
     return total
 
 
-def permittivity_imag_axis(dataset: OpticalDataset, drude: DrudeParameters,
-                           xi, abs_tol: float = 1e-12, rel_tol: float = 1e-9):
+def permittivity_imag_axis(dataset: OpticalDataset, drude: DrudeParameters, xi):
     """Dispersion transform of tabulated optical data to the imaginary axis.
 
     Each (xi, table segment) pair is a row of one Gauss-Legendre ladder on
-    node data shared by all xi, run in blocks of about _BLOCK_ROWS rows.
+    node data shared by all xi, run in blocks of about _BLOCK_ROWS rows, to
+    the tolerances _ABS_TOL and _REL_TOL.
 
     Parameters
     ----------
@@ -285,8 +288,6 @@ def permittivity_imag_axis(dataset: OpticalDataset, drude: DrudeParameters,
         table Im eps is taken as zero.
     xi : float or array_like
         Imaginary-axis angular frequencies, rad/s, positive and finite.
-    abs_tol, rel_tol : float
-        Tolerance pair for the adaptive segment quadrature.
 
     Returns
     -------
@@ -313,7 +314,7 @@ def permittivity_imag_axis(dataset: OpticalDataset, drude: DrudeParameters,
     step = max(1, _BLOCK_ROWS // omega.size)
     for lo in range(0, flat.size, step):
         out[lo:lo + step] = 1.0 + _transform_block(
-            omega, im_eps, table, drude, flat[lo:lo + step], abs_tol, rel_tol)
+            omega, im_eps, table, drude, flat[lo:lo + step])
     return float(out[0]) if xi_arr.ndim == 0 else out.reshape(xi_arr.shape)
 
 

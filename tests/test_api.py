@@ -5,6 +5,9 @@ module defines must be listed, so that a deletion leaves no stale export
 and an addition is not left out of the public surface.  Every listed name
 must also have a caller outside the tests, apart from a short keep-list
 with a reason for each: no library function is called only by tests.
+Likewise every parameter with a default, of an exported function, an
+exported class's constructor or a public method, must be passed by some
+call outside the tests: no setting is made only by tests.
 The package runs on numpy alone: no module imports scipy, and the
 project's runtime dependencies name numpy only.
 """
@@ -82,13 +85,17 @@ def mentioned_names(source):
     return names
 
 
+def program_sources():
+    """The source of the program, the demos and the benchmark, their test
+    files left out."""
+    return [path.read_text() for top in CALLER_DIRS
+            for path in (ROOT / top).rglob("*.py")
+            if not path.name.startswith("test_")]
+
+
 def referenced_names():
-    """The names mentioned in the program, the demos and the benchmark,
-    their test files left out."""
-    return set().union(*(mentioned_names(path.read_text())
-                         for top in CALLER_DIRS
-                         for path in (ROOT / top).rglob("*.py")
-                         if not path.name.startswith("test_")))
+    """The names mentioned in the program, the demos and the benchmark."""
+    return set().union(*map(mentioned_names, program_sources()))
 
 
 def test_annotations_are_not_callers():
@@ -110,6 +117,113 @@ def test_keep_list_is_current():
         exported |= set(importlib.import_module(f"casimetry.{name}").__all__)
     assert set(KEEP) <= exported
     assert set(KEEP).isdisjoint(referenced_names())
+
+
+# defaulted parameters that only the tests pass, each with the reason it stays
+KEEP_PARAMS = {
+    "lifshitz.casimir_free_energy(return_diagnostics)":
+        "it mirrors casimir_pressure, and free-energy escalations are read "
+        "through it",
+    "metrology.load_ensemble_csv(z_range)":
+        "the file does not record its range, and binning starts at "
+        "z_range[0]",
+}
+
+
+def signatures(name):
+    """(label, callee, positional names, defaulted names) of every exported
+    function, exported class constructor and public method of module
+    `name`, self and cls left out; a constructor's callee is its class."""
+    module = importlib.import_module(f"casimetry.{name}")
+    found = []
+
+    def add(label, callee, fn, skip):
+        params = list(inspect.signature(fn).parameters.values())[skip:]
+        found.append((label, callee,
+                      [p.name for p in params
+                       if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)],
+                      [p.name for p in params if p.default is not p.empty]))
+
+    for export in module.__all__:
+        obj = getattr(module, export)
+        if inspect.isfunction(obj):
+            add(f"{name}.{export}", export, obj, 0)
+        elif inspect.isclass(obj):
+            if "__init__" in vars(obj):
+                add(f"{name}.{export}", export, obj.__init__, 1)
+            for attr, member in vars(obj).items():
+                fn = getattr(member, "__func__", member)
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    add(f"{name}.{export}.{attr}", attr, fn,
+                        0 if isinstance(member, staticmethod) else 1)
+    return found
+
+
+def call_sites(source):
+    """(callee, positional count, starred, keywords) of every call in
+    `source`, the callee being the called name or attribute; a keyword of
+    None stands for ``**``.  A ``cls(...)`` call inside a class is a call
+    of that class."""
+    sites = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = (owner if isinstance(func, ast.Name) and func.id == "cls"
+                      else getattr(func, "id", getattr(func, "attr", None)))
+            sites.append((callee, len(node.args),
+                          any(isinstance(a, ast.Starred) for a in node.args),
+                          {k.arg for k in node.keywords}))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def unpassed(signature, sites):
+    """The defaulted parameters of `signature` that no call in `sites`
+    gives by keyword, by position or through ``*`` or ``**``."""
+    _, callee, positional, left = signature
+    left = set(left)
+    for name, n_args, starred, keywords in sites:
+        if name == callee:
+            left -= set(positional if starred else positional[:n_args]) | keywords
+            if None in keywords:
+                left.clear()
+    return left
+
+
+def unpassed_parameters(modules):
+    """``module.name(parameter)`` for every defaulted parameter of `modules`
+    that no call in the program, the demos or the benchmark passes."""
+    sites = [site for source in program_sources() for site in call_sites(source)]
+    return {f"{sig[0]}({param})" for name in modules
+            for sig in signatures(name) for param in unpassed(sig, sites)}
+
+
+def test_call_sites_see_positions_keywords_stars_and_cls():
+    source = ("f(1, c=2)\ng(*a)\nh(**k)\n"
+              "class K:\n    @classmethod\n    def m(cls):\n        return cls(3)\n")
+    sites = call_sites(source)
+    assert sites == [("f", 1, False, {"c"}), ("g", 1, True, set()),
+                     ("h", 0, False, {None}), ("K", 1, False, set())]
+    names = ["a", "b", "c", "d"]
+    assert unpassed(("", "f", names, names[1:]), sites) == {"b", "d"}
+    assert unpassed(("", "g", names, names[1:] + ["e"]), sites) == {"e"}
+    assert unpassed(("", "h", names, names), sites) == set()
+    assert unpassed(("", "K", names, names), sites) == {"b", "c", "d"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_defaulted_parameters_have_a_caller_outside_the_tests(name):
+    assert sorted(unpassed_parameters([name]) - set(KEEP_PARAMS)) == []
+
+
+def test_parameter_keep_list_is_current():
+    assert set(KEEP_PARAMS) <= unpassed_parameters(MODULES)
 
 
 def imported_modules(source):

@@ -550,6 +550,16 @@ class TestConstraintsCommand:
         assert main(["constraints", "--out", str(tmp_path)]) == 1
         assert "band_file or sigma_Pa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+    def test_bad_sigma_is_named(self, tmp_path, capsys, value):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[constraints]\nsigma_Pa = {value}\n")
+        assert main(["constraints", "--config", str(ini),
+                     "--out", str(tmp_path)]) == 1
+        assert ("error: constraints.sigma_Pa must be positive and finite, "
+                f"not {float(value)}") in capsys.readouterr().err
+        assert not (tmp_path / "constraints.csv").exists()
+
 
 class TestBandFile:
     """Only a comment keyed exactly `confidence` sets a band's level."""

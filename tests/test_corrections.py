@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from casimetry import corrections
 from casimetry.corrections import (RoughnessProfile, SphereGeometry,
                                    load_roughness_profile, pft_pressure,
                                    roughness_corrected_pressure)
@@ -71,9 +72,10 @@ class TestRoughnessProfile:
         assert prof.weights @ prof.heights == pytest.approx(0.0, abs=1e-24)
         assert np.max(np.abs(prof.heights)) == pytest.approx(3e-9, rel=1e-12)
 
-    def test_gaussian_moments(self):
+    def test_gaussian_moments(self, monkeypatch):
         sigma = 2.2e-9
-        prof = RoughnessProfile.gaussian(sigma, n_points=31)
+        monkeypatch.setattr(corrections, "_GAUSSIAN_LEVELS", 31)
+        prof = RoughnessProfile.gaussian(sigma)
         assert prof.weights @ prof.heights == pytest.approx(0.0, abs=1e-22)
         rms = math.sqrt(prof.weights @ prof.heights ** 2)
         assert rms == pytest.approx(sigma, rel=0.02)
@@ -144,8 +146,8 @@ class TestRoughnessAveraging:
     def test_correction_small_and_decreasing(self, gold_curve):
         # synthetic profiles bounded by the measured peak heights give a
         # sub-percent correction that falls off with separation
-        a = RoughnessProfile.gaussian(2.2e-9, clip=3.0)
-        b = RoughnessProfile.gaussian(3.5e-9, clip=3.0)
+        a = RoughnessProfile.gaussian(2.2e-9)
+        b = RoughnessProfile.gaussian(3.5e-9)
         z = np.array([160e-9, 200e-9, 300e-9, 500e-9])
         p0 = gold_curve.pressure_at(z)
         p = roughness_corrected_pressure(gold_curve.pressure_at, a, b, z)
@@ -195,9 +197,10 @@ class TestRoughnessAveraging:
         p = roughness_corrected_pressure(kernel, a, a, np.array([200e-9, 310e-9]))
         assert np.isfinite(p[0]) and np.isnan(p[1])
 
-    def test_nine_pairs_pass_every_separation(self):
-        a = RoughnessProfile.gaussian(2.2e-9, 3)
-        b = RoughnessProfile.gaussian(3.5e-9, 3)
+    def test_nine_pairs_pass_every_separation(self, monkeypatch):
+        monkeypatch.setattr(corrections, "_GAUSSIAN_LEVELS", 3)
+        a = RoughnessProfile.gaussian(2.2e-9)
+        b = RoughnessProfile.gaussian(3.5e-9)
         z = np.array([160e-9, 300e-9])
         calls = []
 

@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from casimetry import hypforce as hf
-from casimetry.metrology import ConfidenceBand
+from casimetry.lifshitz import ReflectionModel, ThermalState, compute_pressure_curve
+from casimetry.metrology import (ConfidenceBand, generate_synthetic_ensemble,
+                                 run_exclusion_analysis)
+from casimetry.optics import DrudeParameters, PermittivityFn
 
 
 @pytest.fixture(scope="module")
@@ -360,6 +363,37 @@ class TestLockstepSearch:
                                 [1e-6, 3e-6, 2e-6])
         assert len(record) == 1
         assert "3e-06 m" in str(record[0].message)
+
+
+@pytest.fixture(scope="module")
+def exclusion_band():
+    """The impedance band that `casimetry exclusion` writes at 95 %, seed 1."""
+    eps = PermittivityFn.from_drude(DrudeParameters(1.37e16, 5.3e13))
+    model = ReflectionModel.impedance(eps, 1.37e16)
+    grid = np.geomspace(0.92 * 160e-9, 1.02 * 750e-9, 80)
+    curve = compute_pressure_curve(model, grid, ThermalState(300.0))
+    ensemble = generate_synthetic_ensemble(curve=curve, seed=1)
+    verdicts = run_exclusion_analysis(ensemble, {"impedance": curve},
+                                      "impedance", 0.95)
+    return verdicts["impedance"].band
+
+
+@pytest.mark.xfail(strict=True, reason="the golden-section search stops up to "
+                   "a few percent above the minimum on the band's nodes")
+def test_bound_is_the_minimum_over_the_band_nodes(stacks, exclusion_band):
+    # the band is linear between its nodes, and on each segment
+    # (a + b z) e^{z/lam} has at most an interior maximum, so the minimum
+    # of half_width / |P_Yuk| over z lies on a node
+    sphere, plate = stacks
+    band = exclusion_band
+    lams = np.geomspace(40e-9, 370e-9, 100)
+    curve = hf.constraint_curve(band, sphere, plate, lams)
+    ratio = np.array([band.half_width / np.abs(hf.yukawa_plate_pressure(
+        sphere, plate, band.z, hf.YukawaParams(1.0, lam))) for lam in lams])
+    np.testing.assert_allclose(curve.alpha_max, ratio.min(axis=1), rtol=1e-9,
+                               atol=0)
+    np.testing.assert_allclose(curve.z_best, band.z[ratio.argmin(axis=1)],
+                               rtol=1e-9, atol=0)
 
 
 class TestFileFormats:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
-from casimetry import lifshitz
+from casimetry import corrections, lifshitz
 from casimetry.cli import build_model
 from casimetry.corrections import RoughnessProfile, roughness_corrected_pressure
 from casimetry.lifshitz import (ConvergenceError, ReflectionModel,
@@ -24,10 +24,12 @@ ST300 = ThermalState(300.0)
 
 GRID80 = np.geomspace(160e-9, 750e-9, 80)
 # every separation of a 5 x 5-level roughness average at three mean gaps
-ROUGH_SEPARATIONS = (np.array([160e-9, 300e-9, 750e-9])[:, None, None]
-                     + np.add.outer(RoughnessProfile.gaussian(2.2e-9, 5).heights,
-                                    RoughnessProfile.gaussian(3.5e-9, 5).heights)
-                     ).ravel()
+with pytest.MonkeyPatch.context() as patch:
+    patch.setattr(corrections, "_GAUSSIAN_LEVELS", 5)
+    ROUGH_SEPARATIONS = (np.array([160e-9, 300e-9, 750e-9])[:, None, None]
+                         + np.add.outer(RoughnessProfile.gaussian(2.2e-9).heights,
+                                        RoughnessProfile.gaussian(3.5e-9).heights)
+                         ).ravel()
 
 # the engine before it took arrays (one scalar call per point), 300 K
 FROZEN_PRESSURE = {
@@ -79,7 +81,7 @@ class TestArrayAgreesWithScalar:
             assert diag.l_max[i] == d.l_max
             assert diag.escalated_rows[i] == d.escalated_rows
             assert diag.tail_bound[i] == pytest.approx(d.tail_bound, rel=1e-12)
-        assert np.all(diag.quad_error <= 10 * ST300.quad_tol * np.abs(values))
+        assert np.all(diag.quad_error <= 10 * lifshitz.QUAD_TOL * np.abs(values))
 
     def test_scalar_returns_python_floats(self):
         p, diag = casimir_pressure(MODELS["impedance"], 300e-9, ST300,
@@ -114,13 +116,17 @@ class TestFixedPanelRule:
     @pytest.mark.parametrize("key", KEYS)
     def test_agrees_with_ten_panels(self, key, monkeypatch):
         z = np.array([50e-9, 160e-9, 750e-9, 5e-6])
-        cases = [(ThermalState(t, None, tol), z) for t in (30.0, 300.0, 1000.0)
+        cases = [(ThermalState(t), tol, z) for t in (30.0, 300.0, 1000.0)
                  for tol in (1e-9, 1e-10)]
-        cases.append((ThermalState(3.0), np.array([300e-9])))
+        cases.append((ThermalState(3.0), 1e-9, np.array([300e-9])))
 
         def evaluate():
-            return [fn(MODELS[key], s, state) for state, s in cases
-                    for fn in (casimir_pressure, casimir_free_energy)]
+            out = []
+            for state, tol, s in cases:
+                monkeypatch.setattr(lifshitz, "QUAD_TOL", tol)
+                out += [fn(MODELS[key], s, state)
+                        for fn in (casimir_pressure, casimir_free_energy)]
+            return out
 
         four = evaluate()
         monkeypatch.setattr(lifshitz, "_BLOCK_FRACTIONS", TEN_PANEL_FRACTIONS)
@@ -189,13 +195,13 @@ class TestZeroFrequencyClosedForms:
 
 
 class TestGuards:
-    def test_failing_point_in_array_is_named(self):
+    def test_failing_point_in_array_is_named(self, monkeypatch):
+        monkeypatch.setattr(lifshitz, "default_l_max", lambda t, s: 3)
         z = np.array([10e-6, 160e-9, 12e-6])
         with pytest.raises(ConvergenceError, match=r"z=1\.6000e-07 m"):
-            casimir_pressure(MODELS["impedance"], z, ThermalState(300.0, l_max=3))
+            casimir_pressure(MODELS["impedance"], z, ST300)
         # the other two points converge on their own
-        casimir_pressure(MODELS["impedance"], z[[0, 2]],
-                         ThermalState(300.0, l_max=3))
+        casimir_pressure(MODELS["impedance"], z[[0, 2]], ST300)
 
     def test_nan_sum_fails_the_guards(self):
         # eps at the top of the float range overflows the coefficients to
@@ -247,9 +253,11 @@ class TestHashableModels:
 
 
 class TestRoughnessBatch:
-    def test_one_engine_call_for_every_separation(self):
-        a = RoughnessProfile.gaussian(2.2e-9, 5)
-        b = RoughnessProfile.gaussian(3.5e-9, 4)
+    def test_one_engine_call_for_every_separation(self, monkeypatch):
+        monkeypatch.setattr(corrections, "_GAUSSIAN_LEVELS", 5)
+        a = RoughnessProfile.gaussian(2.2e-9)
+        monkeypatch.setattr(corrections, "_GAUSSIAN_LEVELS", 4)
+        b = RoughnessProfile.gaussian(3.5e-9)
         z = np.array([160e-9, 300e-9, 750e-9])
         calls = []
 

@@ -416,12 +416,14 @@ class TestBatchedTransform:
         assert_matches_reference(ds, [*inside, ds.omega[33], 1e15])
 
     @pytest.mark.parametrize("abs_tol", [1e9, 1e10])
-    def test_absolute_tolerance_shared_between_edges(self, abs_tol):
+    def test_absolute_tolerance_shared_between_edges(self, abs_tol, monkeypatch):
         # on the step table these abs_tol / (number of edges) decide where
         # rows stop; an undivided abs_tol would stop some a level earlier
         ds = step_table(1e20)
         xi = [ds.omega[19] * 1.02, ds.omega[20] * 1.05, 1e16]
-        got = permittivity_imag_axis(ds, GOLD, np.array(xi), abs_tol, 1e-12)
+        monkeypatch.setattr(optics, "_ABS_TOL", abs_tol)
+        monkeypatch.setattr(optics, "_REL_TOL", 1e-12)
+        got = permittivity_imag_axis(ds, GOLD, np.array(xi))
         want = [reference_transform(ds, GOLD, x, abs_tol, 1e-12) for x in xi]
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
@@ -466,9 +468,9 @@ class TestBatchedTransform:
         ds = drude_table(per_decade=10)
         calls = []
 
-        def counted(dataset, drude, xi, *args):
+        def counted(dataset, drude, xi):
             calls.append(np.size(xi))
-            return permittivity_imag_axis(dataset, drude, xi, *args)
+            return permittivity_imag_axis(dataset, drude, xi)
 
         monkeypatch.setattr(optics, "permittivity_imag_axis", counted)
         fn = PermittivityFn.from_table(ds, GOLD)
