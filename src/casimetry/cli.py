@@ -118,6 +118,13 @@ class RunConfig:
     def get_int(self, key, default=None):
         return self._typed(key, default, int, "an integer")
 
+    def get_checked(self, key, default, ok, what):
+        """A number that passes ok (a NaN must fail it), else a named error."""
+        value = self.get_float(key, default)
+        if value is not None and not ok(value):
+            raise ValueError(f"{self.section}.{key} must be {what}, not {value}")
+        return value
+
     def get_list(self, key, default=()):
         value = self.get(key)
         if value is None:
@@ -240,10 +247,14 @@ def build_model(key: str, drude: DrudeParameters,
 
 # ---------------------------------------------------------------- commands
 
+_POSITIVE = (lambda v: 0 < v < np.inf, "positive and finite")
+_LEVEL = (lambda v: v in CONFIDENCE_LEVELS, " or ".join(map(str, CONFIDENCE_LEVELS)))
+
+
 def cmd_kk(cfg: RunConfig, out: Path) -> None:
     """Write the imaginary-axis permittivity on the Matsubara grid."""
     table = cfg.get_path("optical_table", required=True)
-    temperature = cfg.get_float("temperature_K", 300.0)
+    temperature = cfg.get_checked("temperature_K", 300.0, *_POSITIVE)
     l_max = cfg.get_int("l_max", 500)
     if l_max < 1:
         raise ValueError("kk.l_max must be >= 1: the l = 0 term is not "
@@ -259,9 +270,9 @@ def cmd_kk(cfg: RunConfig, out: Path) -> None:
 def cmd_pressure(cfg: RunConfig, out: Path) -> None:
     """Write one pressure table per requested reflection model."""
     model_keys = cfg.get_list("models", ("impedance",))
-    temperature = cfg.get_float("temperature_K", 300.0)
+    temperature = cfg.get_checked("temperature_K", 300.0, *_POSITIVE)
     z = _log_grid(cfg, "z", 160e-9, 750e-9, 30)
-    confidence = cfg.get_float("confidence", 0.95)
+    confidence = cfg.get_checked("confidence", 0.95, *_LEVEL)
     state = ThermalState(temperature)
     drude, eps = _permittivity_from_config(cfg)
 
@@ -287,7 +298,7 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
     """Synthesize an ensemble, band-test models, write all artifacts."""
     generator = cfg.get("generator", "impedance")
     tested = cfg.get_list("tested", ("impedance", "drude", "schwinger"))
-    confidence = cfg.get_float("confidence", 0.95)
+    confidence = cfg.get_checked("confidence", 0.95, *_LEVEL)
     seed = cfg.get_int("seed", DEFAULT_SEED)
     n_sets = cfg.get_int("n_sets", DEFAULT_N_SETS)
     points = cfg.get_int("points_per_set", DEFAULT_POINTS_PER_SET)
@@ -295,7 +306,7 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
     z_max = cfg.get_float("z_max_m", DEFAULT_Z_RANGE[1])
     if not 0 < z_min < z_max < np.inf:
         raise ValueError("exclusion: need 0 < z_min_m < z_max_m < inf")
-    temperature = cfg.get_float("temperature_K", 300.0)
+    temperature = cfg.get_checked("temperature_K", 300.0, *_POSITIVE)
     noise_mode = cfg.get("noise", "default")
     if noise_mode not in ("default", "none"):
         raise ValueError("exclusion.noise must be 'default' or 'none'")
@@ -365,13 +376,10 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
                             paths, (coated_sphere_stack, coated_plate_stack)))
 
     lambdas = _log_grid(cfg, "lambda", 40e-9, 370e-9, 20)
-    confidence = cfg.get_float("confidence", 0.95)
-    if confidence not in CONFIDENCE_LEVELS:
-        raise ValueError("constraints.confidence must be "
-                         f"{' or '.join(map(str, CONFIDENCE_LEVELS))}, not {confidence}")
+    confidence = cfg.get_checked("confidence", 0.95, *_LEVEL)
 
     band_path = cfg.get_path("band_file")
-    sigma = cfg.get_float("sigma_Pa")
+    sigma = cfg.get_checked("sigma_Pa", None, *_POSITIVE)
     if band_path is not None:
         band = _load_band_csv(band_path, confidence)
         if cfg.get("confidence") is not None and band.confidence != confidence:
@@ -379,9 +387,6 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
                              f"{band_path}: confidence = {band.confidence}")
         origin = f"band_file = {band_path}"
     elif sigma is not None:
-        if not 0 < sigma < np.inf:
-            raise ValueError(f"constraints.sigma_Pa must be positive and finite, "
-                             f"not {sigma}")
         # a flat band: the Yukawa pressure may nowhere exceed sigma
         z = _log_grid(cfg, "z", 160e-9, 750e-9, 40)
         band = ConfidenceBand(z, np.full(z.size, sigma), confidence)

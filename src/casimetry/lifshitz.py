@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -260,21 +260,56 @@ def reflection_sq(model: ReflectionModel, xi_l: float, k_perp, l: int):
 _ZETA3 = 1.2020569031595942
 _UNIT_CHANNEL = {"pressure": 2.0 * _ZETA3, "free_energy": -_ZETA3}
 
-# rows or panels per vectorized step: bounds the working arrays and keeps
-# them in cache (about twice as fast as steps of 2048)
-_BLOCK_ROWS = 512
+# rows or panels per vectorized step: 50 KB temporaries, which glibc's heap
+# reuses (100 KB ones, at 512, pass its 128 KiB trim threshold and page-fault)
+_BLOCK_ROWS = 256
 
 
-def _panel_values(weight: str, y, rp2, rt2):
+def _panel_values(weight: str, y, rp2, rt2, graded: bool):
+    em = np.exp(-y)
+    if not graded:  # every node has y >= 0.5: x = r2 e^{-y} <= e^{-1/2}, no cancellation
+        xp, xt = rp2 * em, rt2 * em
+        if weight == "pressure":
+            return y * y * (xp / (1.0 - xp) + xt / (1.0 - xt))
+        return y * (np.log1p(-xp) + np.log1p(-xt))
     # 1 - r2 e^{-y} evaluated as (1-r2) + r2 (1-e^{-y}) to stay accurate
     # when r2 -> 1 and y -> 0 simultaneously
-    em = np.exp(-y)
     grow = -np.expm1(-y)
     denom_p = (1.0 - rp2) + rp2 * grow
     denom_t = (1.0 - rt2) + rt2 * grow
     if weight == "pressure":
         return y * y * (rp2 * em / denom_p + rt2 * em / denom_t)
     return y * (np.log(denom_p) + np.log(denom_t))
+
+
+@lru_cache(maxsize=None)
+def _kronrod():
+    """Nodes (25,) and weights (25, 2) of the K25 Gauss-Kronrod rule on [-1, 1]
+    and of G12 on its odd-indexed nodes, by Laurie's algorithm (Math. Comp. 66,
+    1133 (1997)) on the Legendre recurrence a_k = 0, b_k = k^2/(4k^2 - 1)."""
+    n = 12
+    k = np.arange(1.0, 3 * n // 2 + 1)
+    b = np.r_[2.0, k * k / (4.0 * k * k - 1.0), np.zeros(n - n // 2)]
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    # Golub-Welsch on the matrix and its leading block (eigh reads the lower
+    # triangle only), then made exactly symmetric about 0
+    (x, v), (_, v12) = (np.linalg.eigh(np.diag(np.sqrt(c[1:]), -1)) for c in (b, b[:n]))
+    w = np.zeros((2 * n + 1, 2))
+    w[:, 0], w[1::2, 1] = b[0] * v[0] ** 2, b[0] * v12[0] ** 2
+    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
 
 
 def _graded_edges(y_start: float) -> list[float]:
@@ -290,34 +325,34 @@ def _graded_edges(y_start: float) -> list[float]:
     return lead + [e for e in coarse if e > lead[-1] + 1e-12]
 
 
-def _panel_integrals(weight, edges, rsq_of, refine):
+def _panel_integrals(weight, edges, rsq_of, graded):
     """Per-row integrals and error estimates over edges (rows, panels + 1).
 
     rsq_of(y, rows) gives (r_par^2, r_perp^2) at nodes y (n, order) of the
-    given rows.  Each panel takes a 12/24-node Gauss-Legendre pair; with
-    refine, a panel whose pair disagrees is redone with 48 nodes.
+    given rows.  One G12/K25 pass per panel gives the value K25 and the
+    estimate |K25 - G12|; with graded, a panel whose pair disagrees is redone
+    with 48 nodes, else every node has y >= 0.5 and takes the short forms.
     """
     n_panels = edges.shape[1] - 1
     a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     rows = np.repeat(np.arange(edges.shape[0]), n_panels)
 
-    def gauss(order, panels=slice(None)):
-        x, w = _leggauss(order)
+    def integrate(x, w, panels=slice(None)):
         half, mid, owner = 0.5 * (b - a)[panels], 0.5 * (b + a)[panels], rows[panels]
-        out = np.empty(half.size)
+        out = np.empty(w.shape[1:] + half.shape)  # one row per weight column
         for lo in range(0, half.size, _BLOCK_ROWS):
             part = slice(lo, lo + _BLOCK_ROWS)
             y = mid[part, None] + half[part, None] * x
-            out[part] = half[part] * (
-                _panel_values(weight, y, *rsq_of(y, owner[part])) @ w)
+            out[..., part] = half[part] * (_panel_values(
+                weight, y, *rsq_of(y, owner[part]), graded) @ w).T
         return out
 
-    value = gauss(24)
-    err = np.abs(value - gauss(12))
-    bad = np.nonzero(refine & (err > np.maximum(
+    value, check = integrate(*_kronrod())
+    err = np.abs(value - check)
+    bad = np.nonzero(graded & (err > np.maximum(
         1e-16, 1e-3 * QUAD_TOL * (np.abs(value) + 1e-3))))[0]
     if bad.size:
-        refined = gauss(48, bad)
+        refined = integrate(*_leggauss(48), bad)
         err[bad] = np.abs(refined - value[bad])
         value[bad] = refined
     return (value.reshape(-1, n_panels).sum(axis=1),
@@ -325,8 +360,8 @@ def _panel_integrals(weight, edges, rsq_of, refine):
 
 
 # fractional panel positions between y_l and Y_MAX for rows with y_l >= 0.5;
-# four panels resolve a curve's rows to about 1e-13 of its sum, and a row
-# whose 12/24 pair disagrees still goes to graded panels
+# four panels of the G12/K25 pair resolve a curve's rows to about 1e-13 of
+# its sum, and a row whose pair disagrees still goes to graded panels
 _BLOCK_FRACTIONS = np.array([0.0, 0.045, 0.16, 0.42, 1.0])
 
 
@@ -438,8 +473,8 @@ def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
     # so that its panel arrays stay as small as one row block's too
     value0, err0 = np.empty_like(z), np.empty_like(z)
     y_p = 2.0 * z * model.omega_p / C_LIGHT
-    for lo in range(0, z.size, _BLOCK_ROWS // 8):
-        part = slice(lo, lo + _BLOCK_ROWS // 8)
+    for lo in range(0, z.size, _BLOCK_ROWS // 4):
+        part = slice(lo, lo + _BLOCK_ROWS // 4)
         value0[part], err0[part] = _zero_frequency_term(rule, y_p[part], weight)
     acc = 0.5 * value0 + row_sum
     err = 0.5 * err0 + row_err + (0.5 + n_rows) * _cutoff_remainder(weight, _Y_MAX)

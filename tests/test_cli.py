@@ -451,7 +451,39 @@ class TestExclusionCommand:
                        "n_sets = 2\npoints_per_set = 40\n")
         assert main(["exclusion", "--config", str(ini),
                      "--out", str(tmp_path)]) == 1
-        assert "confidence" in capsys.readouterr().err
+        assert ("error: exclusion.confidence must be 0.95 or 0.99, not 0.9"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "ensemble.csv").exists()
+
+
+class TestKeysCheckedWhereRead:
+    """A bad temperature or confidence fails where its key is read, with
+    the key and the value in the message, before any file is written."""
+
+    def run(self, tmp_path, section, keys):
+        write_gold_table(tmp_path / "gold.dat")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\noptical_table = {tmp_path / 'gold.dat'}\n"
+                       + keys)
+        out = tmp_path / "out"
+        status = main([section, "--config", str(ini), "--out", str(out)])
+        return status, sorted(p.name for p in out.iterdir())
+
+    @pytest.mark.parametrize("section", ["kk", "pressure", "exclusion"])
+    @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+    def test_bad_temperature_is_named(self, tmp_path, capsys, section, value):
+        status, written = self.run(tmp_path, section, f"temperature_K = {value}\n")
+        assert (status, written) == (1, [])
+        assert (f"error: {section}.temperature_K must be positive and finite, "
+                f"not {float(value)}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["pressure", "exclusion"])
+    @pytest.mark.parametrize("value", ["0.9", "0.5"])
+    def test_bad_confidence_is_named(self, tmp_path, capsys, section, value):
+        status, written = self.run(tmp_path, section, f"confidence = {value}\n")
+        assert (status, written) == (1, [])
+        assert (f"error: {section}.confidence must be 0.95 or 0.99, "
+                f"not {value}") in capsys.readouterr().err
 
 
 class TestConstraintsCommand:
@@ -730,6 +762,12 @@ class TestImports:
         value, _ = run_fresh("import casimetry.cli\n" + self.BLAS_STATE,
                              tmp_path, OPENBLAS_NUM_THREADS="2")
         assert value == "2"
+
+    def test_cli_import_builds_no_quadrature_rule(self, tmp_path):
+        # the engine's Gauss-Kronrod rule is built on first use
+        size = run_fresh("import casimetry.cli\nfrom casimetry import lifshitz\n"
+                         "print(lifshitz._kronrod.cache_info().currsize)", tmp_path)
+        assert size == 0
 
     def test_library_imports_leave_blas_alone(self, tmp_path):
         value, _ = run_fresh("import casimetry.lifshitz, casimetry.metrology, "

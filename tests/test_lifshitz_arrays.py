@@ -64,6 +64,49 @@ TEN_PANEL_FRACTIONS = np.array(
     [0.0, 0.008, 0.02, 0.045, 0.09, 0.16, 0.27, 0.42, 0.62, 0.8, 1.0])
 
 
+def gauss_pair_panel_integrals(weight, edges, rsq_of, graded):
+    """The panel rule before the Gauss-Kronrod pair, kept as the reference
+    for lifshitz._panel_integrals: each panel's value is a 24-node
+    Gauss-Legendre sum checked by a 12-node one on its own nodes, in two
+    passes, with 1 - r2 e^{-y} as (1 - r2) + r2 (1 - e^{-y}) at every node;
+    a graded panel whose pair disagrees is redone with 48 nodes."""
+    n_panels = edges.shape[1] - 1
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    rows = np.repeat(np.arange(edges.shape[0]), n_panels)
+
+    def gauss(order, panels=slice(None)):
+        x, w = np.polynomial.legendre.leggauss(order)
+        half, mid = 0.5 * (b - a)[panels], 0.5 * (b + a)[panels]
+        y = mid[:, None] + half[:, None] * x
+        rp2, rt2 = rsq_of(y, rows[panels])
+        em, grow = np.exp(-y), -np.expm1(-y)
+        denom_p, denom_t = (1.0 - rp2) + rp2 * grow, (1.0 - rt2) + rt2 * grow
+        if weight == "pressure":
+            values = y * y * (rp2 * em / denom_p + rt2 * em / denom_t)
+        else:
+            values = y * (np.log(denom_p) + np.log(denom_t))
+        return half * (values @ w)
+
+    value = gauss(24)
+    err = np.abs(value - gauss(12))
+    bad = np.nonzero(graded & (err > np.maximum(
+        1e-16, 1e-3 * lifshitz.QUAD_TOL * (np.abs(value) + 1e-3))))[0]
+    if bad.size:
+        refined = gauss(48, bad)
+        err[bad] = np.abs(refined - value[bad])
+        value[bad] = refined
+    return (value.reshape(-1, n_panels).sum(axis=1),
+            err.reshape(-1, n_panels).sum(axis=1))
+
+
+def fixed_panel_cases():
+    """(state, QUAD_TOL, separations) of the fixed-panel comparisons."""
+    z = np.array([50e-9, 160e-9, 750e-9, 5e-6])
+    cases = [(ThermalState(t), tol, z) for t in (30.0, 300.0, 1000.0)
+             for tol in (1e-9, 1e-10)]
+    return cases + [(ThermalState(3.0), 1e-9, np.array([300e-9]))]
+
+
 class TestArrayAgreesWithScalar:
     @pytest.mark.parametrize("key", KEYS)
     @pytest.mark.parametrize("fn", [casimir_pressure, casimir_free_energy])
@@ -115,14 +158,9 @@ class TestFrozenParentValues:
 class TestFixedPanelRule:
     @pytest.mark.parametrize("key", KEYS)
     def test_agrees_with_ten_panels(self, key, monkeypatch):
-        z = np.array([50e-9, 160e-9, 750e-9, 5e-6])
-        cases = [(ThermalState(t), tol, z) for t in (30.0, 300.0, 1000.0)
-                 for tol in (1e-9, 1e-10)]
-        cases.append((ThermalState(3.0), 1e-9, np.array([300e-9])))
-
         def evaluate():
             out = []
-            for state, tol, s in cases:
+            for state, tol, s in fixed_panel_cases():
                 monkeypatch.setattr(lifshitz, "QUAD_TOL", tol)
                 out += [fn(MODELS[key], s, state)
                         for fn in (casimir_pressure, casimir_free_energy)]
@@ -145,6 +183,62 @@ class TestFixedPanelRule:
         small = [np.count_nonzero(np.arange(1, n + 1) * y < 0.5)
                  for y, n in zip(y1, diag.l_max)]
         np.testing.assert_array_equal(diag.escalated_rows, small)
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("z", [GRID80, ROUGH_SEPARATIONS],
+                             ids=["grid80", "roughness"])
+    def test_only_small_y_free_energy_rows_escalate(self, key, z):
+        # ln(1 - r2 e^{-y}) as log1p on the fixed panels: 1 - x no longer
+        # rounds (y beyond about 37), so no free-energy row escalates on noise
+        _, diag = casimir_free_energy(MODELS[key], z, ST300,
+                                      return_diagnostics=True)
+        y1 = 2.0 * z * lifshitz.matsubara_frequency(300.0, 1) / lifshitz.C_LIGHT
+        small = [np.count_nonzero(np.arange(1, n + 1) * y < 0.5)
+                 for y, n in zip(y1, diag.l_max)]
+        np.testing.assert_array_equal(diag.escalated_rows, small)
+
+
+class TestGaussKronrodRule:
+    def test_k25_is_exact_to_degree_37(self):
+        x, w = lifshitz._kronrod()
+        for k in range(38):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(w[:, 0] @ x ** k - exact) <= 2e-15, k
+
+    def test_g12_is_gauss_legendre_on_the_odd_nodes(self):
+        x, w = lifshitz._kronrod()
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        np.testing.assert_allclose(x[1::2], nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w[1::2, 1], weights, rtol=0, atol=1e-15)
+        assert np.all(w[::2, 1] == 0.0)
+
+    def test_weights_positive_and_symmetric(self):
+        x, w = lifshitz._kronrod()
+        assert x.shape == (25,) and w.shape == (25, 2)
+        assert np.all(np.diff(x) > 0) and np.all(w[:, 0] > 0)
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_agrees_with_the_gauss_pair(self, key, monkeypatch):
+        # the parent rule, two passes of 24 and 12 Gauss nodes, on the
+        # fixed-panel cases and the 80-point grid
+        cases = fixed_panel_cases() + [(ST300, 1e-9, GRID80)]
+
+        def evaluate():
+            out = []
+            for state, tol, s in cases:
+                monkeypatch.setattr(lifshitz, "QUAD_TOL", tol)
+                out.append([fn(MODELS[key], s, state)
+                            for fn in (casimir_pressure, casimir_free_energy)])
+            return out
+
+        kronrod = evaluate()
+        monkeypatch.setattr(lifshitz, "_panel_integrals",
+                            gauss_pair_panel_integrals)
+        for (p, f), (p_ref, f_ref) in zip(kronrod, evaluate()):
+            np.testing.assert_allclose(p, p_ref, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(f, f_ref, rtol=1e-12, atol=0)
 
 
 class TestBoundedMemory:
