@@ -33,7 +33,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from ._record import dataclass, field
 from pathlib import Path
 
 # before numpy loads: the engine's BLAS products are too small for a per-core pool
@@ -118,9 +118,10 @@ class RunConfig:
     def get_int(self, key, default=None):
         return self._typed(key, default, int, "an integer")
 
-    def get_checked(self, key, default, ok, what):
-        """A number that passes ok (a NaN must fail it), else a named error."""
-        value = self.get_float(key, default)
+    def get_checked(self, key, default, ok, what, integer=False):
+        """A number (an integer if asked) that passes ok (a NaN must fail
+        it), else a named error."""
+        value = (self.get_int if integer else self.get_float)(key, default)
         if value is not None and not ok(value):
             raise ValueError(f"{self.section}.{key} must be {what}, not {value}")
         return value
@@ -181,15 +182,19 @@ def load_run_config(path, section: str) -> RunConfig:
     return cfg
 
 
+_POSITIVE = (lambda v: 0 < v < np.inf, "positive and finite")
+_NON_NEGATIVE = (lambda v: 0 <= v < np.inf, "non-negative and finite")
+_COUNT = (lambda v: v >= 1, ">= 1")
+_LEVEL = (lambda v: v in CONFIDENCE_LEVELS, " or ".join(map(str, CONFIDENCE_LEVELS)))
+
+
 def _log_grid(cfg: RunConfig, name: str, lo: float, hi: float, n: int):
     """The log-spaced grid of keys <name>_min_m, <name>_max_m, <name>_points."""
     lo_key, hi_key, n_key = f"{name}_min_m", f"{name}_max_m", f"{name}_points"
     lo, hi = cfg.get_float(lo_key, lo), cfg.get_float(hi_key, hi)
-    n = cfg.get_int(n_key, n)
+    n = cfg.get_checked(n_key, n, *_COUNT, integer=True)
     if not 0 < lo <= hi < np.inf:
         raise ValueError(f"{cfg.section}: need 0 < {lo_key} <= {hi_key} < inf")
-    if n < 1:
-        raise ValueError(f"{cfg.section}.{n_key} must be >= 1")
     if n > 1 and lo == hi:
         raise ValueError(f"{cfg.section}: {n_key} > 1 needs {lo_key} < {hi_key}")
     return np.geomspace(lo, hi, n)
@@ -218,8 +223,8 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict):
 
 def _drude_from_config(cfg: RunConfig) -> DrudeParameters:
     return DrudeParameters(
-        omega_p=cfg.get_float("plasma_frequency_rad_s", 1.37e16),
-        gamma=cfg.get_float("relaxation_rad_s", 5.3e13))
+        omega_p=cfg.get_checked("plasma_frequency_rad_s", 1.37e16, *_POSITIVE),
+        gamma=cfg.get_checked("relaxation_rad_s", 5.3e13, *_NON_NEGATIVE))
 
 
 def _permittivity_from_config(cfg: RunConfig):
@@ -246,10 +251,6 @@ def build_model(key: str, drude: DrudeParameters,
 
 
 # ---------------------------------------------------------------- commands
-
-_POSITIVE = (lambda v: 0 < v < np.inf, "positive and finite")
-_LEVEL = (lambda v: v in CONFIDENCE_LEVELS, " or ".join(map(str, CONFIDENCE_LEVELS)))
-
 
 def cmd_kk(cfg: RunConfig, out: Path) -> None:
     """Write the imaginary-axis permittivity on the Matsubara grid."""
@@ -299,9 +300,10 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
     generator = cfg.get("generator", "impedance")
     tested = cfg.get_list("tested", ("impedance", "drude", "schwinger"))
     confidence = cfg.get_checked("confidence", 0.95, *_LEVEL)
-    seed = cfg.get_int("seed", DEFAULT_SEED)
-    n_sets = cfg.get_int("n_sets", DEFAULT_N_SETS)
-    points = cfg.get_int("points_per_set", DEFAULT_POINTS_PER_SET)
+    seed = cfg.get_checked("seed", DEFAULT_SEED, *_NON_NEGATIVE, integer=True)
+    n_sets = cfg.get_checked("n_sets", DEFAULT_N_SETS, *_COUNT, integer=True)
+    points = cfg.get_checked("points_per_set", DEFAULT_POINTS_PER_SET, *_COUNT,
+                             integer=True)
     z_min = cfg.get_float("z_min_m", DEFAULT_Z_RANGE[0])
     z_max = cfg.get_float("z_max_m", DEFAULT_Z_RANGE[1])
     if not 0 < z_min < z_max < np.inf:

@@ -12,7 +12,7 @@ surfaces and weighted by their height distributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from ._record import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

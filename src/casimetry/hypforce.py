@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from ._record import dataclass
 
 import numpy as np
 

@@ -18,7 +18,7 @@ bounded with the r2 <= 1 majorant and reported, never silently dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from ._record import dataclass
 from functools import lru_cache, partial
 from typing import Sequence
 

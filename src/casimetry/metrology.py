@@ -15,7 +15,7 @@ fractions of |P|; separations are meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from ._record import dataclass, field
 
 import numpy as np
 

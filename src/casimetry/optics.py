@@ -12,7 +12,7 @@ highest.  The analytic Drude/plasma form lives here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from ._record import dataclass
 from functools import lru_cache
 from typing import Callable
 

@@ -19,6 +19,7 @@ import re
 from pathlib import Path
 
 import pytest
+from test_record import is_record, stdlib_twin
 
 MODULES = ("io", "optics", "lifshitz", "corrections", "metrology", "hypforce")
 
@@ -150,7 +151,10 @@ def signatures(name):
             add(f"{name}.{export}", export, obj, 0)
         elif inspect.isclass(obj):
             if "__init__" in vars(obj):
-                add(f"{name}.{export}", export, obj.__init__, 1)
+                # a record's __init__ takes *args and **kwargs; its stdlib
+                # twin's has the fields' signature
+                init = stdlib_twin(obj).__init__ if is_record(obj) else obj.__init__
+                add(f"{name}.{export}", export, init, 1)
             for attr, member in vars(obj).items():
                 fn = getattr(member, "__func__", member)
                 if not attr.startswith("_") and inspect.isfunction(fn):

@@ -457,8 +457,9 @@ class TestExclusionCommand:
 
 
 class TestKeysCheckedWhereRead:
-    """A bad temperature or confidence fails where its key is read, with
-    the key and the value in the message, before any file is written."""
+    """A bad temperature, confidence, Drude parameter, seed or count fails
+    where its key is read, with the key and the value in the message,
+    before any file is written."""
 
     def run(self, tmp_path, section, keys):
         write_gold_table(tmp_path / "gold.dat")
@@ -476,6 +477,35 @@ class TestKeysCheckedWhereRead:
         assert (status, written) == (1, [])
         assert (f"error: {section}.temperature_K must be positive and finite, "
                 f"not {float(value)}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["kk", "pressure", "exclusion"])
+    @pytest.mark.parametrize("key, value, what", [
+        ("plasma_frequency_rad_s", "-1", "positive and finite"),
+        ("plasma_frequency_rad_s", "0", "positive and finite"),
+        ("plasma_frequency_rad_s", "inf", "positive and finite"),
+        ("relaxation_rad_s", "nan", "non-negative and finite"),
+        ("relaxation_rad_s", "-1", "non-negative and finite"),
+    ])
+    def test_bad_drude_key_is_named(self, tmp_path, capsys, section, key, value, what):
+        status, written = self.run(tmp_path, section, f"{key} = {value}\n")
+        assert (status, written) == (1, [])
+        assert (f"error: {section}.{key} must be {what}, not {float(value)}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("exclusion", "seed", "-1",
+         "exclusion.seed must be non-negative and finite, not -1"),
+        ("exclusion", "seed", "1.5", "config exclusion.seed: not an integer: '1.5'"),
+        ("exclusion", "n_sets", "0", "exclusion.n_sets must be >= 1, not 0"),
+        ("exclusion", "points_per_set", "-3",
+         "exclusion.points_per_set must be >= 1, not -3"),
+        ("pressure", "z_points", "0", "pressure.z_points must be >= 1, not 0"),
+    ])
+    def test_bad_integer_key_is_named(self, tmp_path, capsys, section, key, value,
+                                      message):
+        status, written = self.run(tmp_path, section, f"{key} = {value}\n")
+        assert (status, written) == (1, [])
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["pressure", "exclusion"])
     @pytest.mark.parametrize("value", ["0.9", "0.5"])
@@ -730,18 +760,20 @@ def run_fresh(script, cwd, **env):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def modules_after(script, cwd, prefix):
-    """Run `script` in a fresh interpreter; the modules named `prefix`, or
-    inside the package `prefix`, that it loaded."""
+def modules_after(script, cwd, *prefixes):
+    """Run `script` in a fresh interpreter; the modules named by one of
+    `prefixes`, or inside such a package, that it loaded."""
     return run_fresh(textwrap.dedent(script)
                      + "\nprint(json.dumps(sorted(m for m in sys.modules"
-                       f" if m == {prefix!r} or m.startswith({prefix + '.'!r}))))\n",
+                       f" if m in {prefixes!r}"
+                       f" or m.startswith({tuple(p + '.' for p in prefixes)!r}))))\n",
                      cwd)
 
 
 class TestImports:
     """No subcommand loads scipy: the package runs on numpy alone.  No
-    subcommand or band-test step loads numpy.ma either.  The CLI module
+    subcommand or band-test step loads numpy.ma or dataclasses either
+    (the record classes are built without it).  The CLI module
     pins OpenBLAS to one thread before numpy loads, unless the variable
     is already set; the library modules leave it alone."""
 
@@ -787,7 +819,7 @@ class TestImports:
             for command in ("kk", "pressure", "exclusion", "constraints"):
                 argv = [command, "--config", "run.ini", "--out", "out"]
                 assert main(argv) == 0, command
-            """, tmp_path, "scipy")
+            """, tmp_path, "scipy", "dataclasses")
         assert loaded == []
         for name in ("dispersion.csv", "pressure_impedance.csv",
                      "verdicts.json", "constraints.csv"):
@@ -822,6 +854,7 @@ class TestImports:
 
             def check(step):
                 assert "numpy.ma" not in sys.modules, step
+                assert "dataclasses" not in sys.modules, step
 
             check("imports")
             for command, ini in (("kk", "run.ini"), ("pressure", "run.ini"),
@@ -856,6 +889,6 @@ class TestImports:
             check("save and reload")
             assert back.n_points == ensemble.n_points
             assert len(limits.entries) == 5
-            """, tmp_path, "numpy.ma")
+            """, tmp_path, "numpy.ma", "dataclasses")
         assert loaded == []
         assert (tmp_path / "out" / "constraints.csv").exists()
