@@ -70,6 +70,7 @@ from .metrology import (
     DEFAULT_SEED,
     DEFAULT_Z_RANGE,
     ConfidenceBand,
+    SparseEnsembleError,
     generate_synthetic_ensemble,
     run_exclusion_analysis,
     save_ensemble_csv,
@@ -256,14 +257,12 @@ def cmd_kk(cfg: RunConfig, out: Path) -> None:
     """Write the imaginary-axis permittivity on the Matsubara grid."""
     table = cfg.get_path("optical_table", required=True)
     temperature = cfg.get_checked("temperature_K", 300.0, *_POSITIVE)
-    l_max = cfg.get_int("l_max", 500)
-    if l_max < 1:
-        raise ValueError("kk.l_max must be >= 1: the l = 0 term is not "
-                         "dispersive and the grid would be empty")
+    l_max = cfg.get_checked("l_max", 500, *_COUNT, integer=True)
     _, eps = _permittivity_from_config(cfg)
-    xi = [matsubara_frequency(temperature, l) for l in range(1, l_max + 1)]
+    # the xi_l = l xi_1 that the engine evaluates eps at
+    xi = matsubara_frequency(temperature, 1) * np.arange(1, l_max + 1)
     _write_csv(out / "dispersion.csv", cfg, ("xi_rad_s", "epsilon"),
-               zip(xi, eps(np.array(xi))),
+               zip(xi, eps(xi)),
                comments=(f"temperature_K = {temperature}",
                          f"source = {table.stem}"))
 
@@ -328,7 +327,11 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
         n_sets=n_sets, points_per_set=points, z_range=(z_min, z_max),
         seed=seed)
 
-    verdicts = run_exclusion_analysis(ensemble, curves, generator, confidence)
+    try:
+        verdicts = run_exclusion_analysis(ensemble, curves, generator, confidence)
+    except SparseEnsembleError as exc:
+        raise ValueError(f"exclusion.n_sets = {n_sets} and exclusion.points_per_set"
+                         f" = {points} are too few: {exc}") from None
 
     save_ensemble_csv(ensemble, out / "ensemble.csv", _stamped(
         cfg, f"generator = {generator}", f"seed = {seed}"))

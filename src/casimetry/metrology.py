@@ -28,6 +28,7 @@ __all__ = [
     "BinnedStatistics",
     "ConfidenceBand",
     "ExclusionVerdict",
+    "SparseEnsembleError",
     "bin_ensemble",
     "random_error_curve",
     "theory_error_curve",
@@ -92,6 +93,11 @@ def default_point_sigma(z):
     pct = np.sqrt(_SCATTER_BASE ** 2 + rise ** 2)
     out = pct / 100.0 / _NORMAL_Q[0.95]
     return float(out) if out.ndim == 0 else out
+
+
+class SparseEnsembleError(ValueError):
+    """Fewer than two separation bins hold two or more points, so the
+    scatter envelope, and any band built on it, is undefined."""
 
 
 def _check_confidence(confidence):
@@ -267,6 +273,11 @@ def random_error_curve(binned: BinnedStatistics, confidence: float,
     kind : str, optional
         "point", the only kind.
 
+    Raises
+    ------
+    SparseEnsembleError
+        If fewer than two bins have a defined variance.
+
     Notes
     -----
     Bin scatter is smoothed with a moving median over 11 bins, which
@@ -277,8 +288,11 @@ def random_error_curve(binned: BinnedStatistics, confidence: float,
         raise ValueError("kind must be 'point'")
     s_sm = _smoothed_sigma(binned)
     good = np.isfinite(s_sm) & (binned.dof >= 1)
-    if not good.any():
-        raise ValueError("no bins with a defined variance")
+    if (n_good := np.count_nonzero(good)) < 2:
+        raise SparseEnsembleError(
+            f"{n_good} of {good.size} occupied separation bins "
+            "have a defined variance (two or more points); the scatter "
+            "envelope needs two")
     return ConfidenceBand(binned.z[good], _NORMAL_Q[confidence] * s_sm[good],
                           confidence)
 

@@ -500,12 +500,26 @@ class TestKeysCheckedWhereRead:
         ("exclusion", "points_per_set", "-3",
          "exclusion.points_per_set must be >= 1, not -3"),
         ("pressure", "z_points", "0", "pressure.z_points must be >= 1, not 0"),
+        ("kk", "l_max", "0", "kk.l_max must be >= 1, not 0"),
     ])
     def test_bad_integer_key_is_named(self, tmp_path, capsys, section, key, value,
                                       message):
         status, written = self.run(tmp_path, section, f"{key} = {value}\n")
         assert (status, written) == (1, [])
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_sets, points, seed", [
+        (14, 1, 7), (14, 2, 7), (14, 3, 7), (14, 4, 7), (1, 40, 2)])
+    def test_too_small_ensemble_is_named(self, tmp_path, capsys, n_sets, points,
+                                         seed):
+        # fewer than two separation bins with two or more points leave the
+        # scatter envelope undefined; which draw does so is known only after it
+        status, written = self.run(tmp_path, "exclusion",
+                                   f"n_sets = {n_sets}\npoints_per_set = {points}\n"
+                                   f"seed = {seed}\n")
+        assert (status, written) == (1, [])
+        assert (f"error: exclusion.n_sets = {n_sets} and exclusion.points_per_set"
+                f" = {points} are too few: ") in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["pressure", "exclusion"])
     @pytest.mark.parametrize("value", ["0.9", "0.5"])

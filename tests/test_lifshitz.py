@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from casimetry import lifshitz
 from casimetry.constants import C_LIGHT, HBAR, K_B
@@ -223,38 +222,6 @@ class TestIdealMetalLimits:
         p_d = casimir_pressure(DRUDE, z, ST300)
         pref = K_B * 300.0 / (8.0 * math.pi * z ** 3)
         assert (p_d - p_s) / pref == pytest.approx(ZETA3, rel=1e-8)
-
-
-def _direct_pressure(model, z, temperature, l_max):
-    """Slow reference: per-l adaptive quadrature in transverse momentum."""
-
-    def term(l):
-        xi = matsubara_frequency(temperature, l)
-        xic = xi / C_LIGHT
-
-        def integrand(k):
-            q = math.sqrt(k * k + xic * xic)
-            rp, rt = reflection_sq(model, xi, k, l)
-            e = math.exp(-2.0 * q * z)
-            return k * q * (rp * e / (1 - rp * e) + rt * e / (1 - rt * e))
-
-        hi = 60.0 / (2 * z)
-        val, _ = integrate.quad(integrand, 1e-2, hi, limit=400,
-                                epsabs=1e-22, epsrel=1e-11)
-        return val
-
-    total = 0.5 * term(0) + sum(term(l) for l in range(1, l_max + 1))
-    return -K_B * temperature / math.pi * total
-
-
-class TestAgainstDirectQuadrature:
-    """Two independent evaluation routes must agree."""
-
-    @pytest.mark.parametrize("model,z", [(IMP, 500e-9), (DRUDE, 1.0e-6)])
-    def test_matches_k_space_quadrature(self, model, z):
-        p_fast = casimir_pressure(model, z, ST300)
-        p_slow = _direct_pressure(model, z, 300.0, default_l_max(300.0, z))
-        assert p_fast == pytest.approx(p_slow, rel=1e-7)
 
 
 class TestFrozenValues:

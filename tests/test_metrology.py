@@ -521,6 +521,12 @@ class TestRandomErrorCurve:
         with pytest.raises(ValueError, match="variance"):
             mt.random_error_curve(mt.bin_ensemble(ens), 0.95)
 
+    def test_one_defined_bin_raises(self):
+        # a band needs two rows, so one bin with a variance is too few
+        ens = single_bin_ensemble(np.array([-0.1, -0.2, -0.3]))
+        with pytest.raises(mt.SparseEnsembleError, match="1 of 1 "):
+            mt.random_error_curve(mt.bin_ensemble(ens), 0.95)
+
     def test_bad_arguments(self):
         binned = mt.bin_ensemble(single_bin_ensemble(np.full(3, -0.1)))
         for kind in ("mean", "median"):
