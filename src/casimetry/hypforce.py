@@ -19,6 +19,7 @@ import numpy as np
 
 from .constants import G_NEWTON
 from .io import FLOAT_FORMAT, read_csv, read_table, write_csv
+from .optics import _leggauss
 
 __all__ = [
     "YukawaParams",
@@ -169,7 +170,7 @@ def yukawa_plate_pressure(stack_a: LayerStack, stack_b: LayerStack,
 def _depth_integral(stack: LayerStack, lam: float) -> float:
     # integral of rho(xi) exp(-xi/lam) over depth, truncated where the
     # weight falls to 1e-16 of its surface value
-    nodes, weights = np.polynomial.legendre.leggauss(24)
+    nodes, weights = _leggauss(24)
     xi_max = lam * math.log(1e16)
     total = 0.0
     depth = 0.0

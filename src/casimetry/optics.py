@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from ._record import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -169,13 +169,35 @@ def load_optical_table(raw_text: str, unit_spec: str | None = None,
                           metal_name=metal_name)
 
 
+def _legval(x, c):
+    # Clenshaw sum of the Legendre series c (len >= 3) at x, as numpy's legval
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=16)
 def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    """numpy's polynomial.legendre.leggauss(order), step for step and bit for
+    bit: eigenvalues of the symmetric companion matrix (Golub & Welsch, Math.
+    Comp. 23, 221 (1969)), one Newton step, then weights 1/(P_{n-1} P_n')
+    made symmetric and scaled to sum to 2."""
+    scale = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    x = np.linalg.eigvalsh(np.diag(np.arange(1, order) * scale[:-1] * scale[1:], -1))
+    p_n = np.eye(order + 1)[-1]
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    k = np.arange(order)
+    df = _legval(x, np.where((order - 1 - k) % 2 == 0, 2.0 * k + 1, 0.0))
+    x -= _legval(x, p_n) / df
+    fm = _legval(x, p_n[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    return (x - x[::-1]) / 2, w * (2. / w.sum())
 
 
 # orders of the dispersion ladder; (xi, segment) rows per vectorized step, which
-# bounds the working arrays: 2.5 MB peak for 150 xi on 300 rows, 12.5 MB at 32768
+# bounds the working arrays: 0.9 MB peak for 150 xi on 300 rows, 6.6 MB at 32768
 _ORDERS = (8, 16, 32, 64)
 _BLOCK_ROWS = 4096
 # tolerance pair of the transform: absolute (shared among a xi's segments)
@@ -205,22 +227,25 @@ def _interpolate_im(w, w_lo, w_hi, im_lo, im_hi):
 
 
 def _segment_nodes(w_lo, w_hi, im_lo, im_hi):
-    # per order, the xi-independent (half, ww, num) of each segment: its
-    # integral of w Im eps / (w^2 + xi^2) dw is half * sum(num / (ww + xi^2))
+    # order -> the xi-independent (half, ww, num) of each segment, built on first
+    # use: its integral of w Im eps / (w^2 + xi^2) dw is half * sum(num / (ww + xi^2))
     t_lo, t_hi = np.log(w_lo), np.log(w_hi)
     half, mid = 0.5 * (t_hi - t_lo), 0.5 * (t_hi + t_lo)
     ends = (w_lo[:, None], w_hi[:, None], im_lo[:, None], im_hi[:, None])
-    entries = []
-    for nodes, weights in map(_leggauss, _ORDERS):
-        w = np.exp(mid[:, None] + half[:, None] * nodes)
+    @cache
+    def nodes(order):
+        x, weights = _leggauss(order)
+        w = np.exp(mid[:, None] + half[:, None] * x)
         # extra factor w from dw = w dt
-        entries.append((half, w * w, weights * w * w * _interpolate_im(w, *ends)))
-    return entries
+        return half, w * w, weights * w * w * _interpolate_im(w, *ends)
+    return nodes
 
 
 def _transform_block(omega, im_eps, table, drude, xi):
-    # eps(i xi) - 1 over a 1-d block of xi; table holds the node data of
-    # the table segments followed by one empty segment
+    """eps(i xi) - 1 over a 1-d block of xi; table(order) gives the node data
+    of the table segments followed by one empty segment.  A ladder step over
+    every row broadcasts it against xi^2 and picks each row's segment; only
+    the split halves and the rows that escalate past 16 nodes are gathered."""
     n = omega.size
     # the integrand has a knee at w = xi: split the segment containing it
     k = np.searchsorted(omega, xi) - 1        # omega[k] < xi <= omega[k + 1]
@@ -230,29 +255,41 @@ def _transform_block(omega, im_eps, table, drude, xi):
     im_mid = _interpolate_im(xs, w_lo, w_hi, il, ih)
     halves = _segment_nodes(*(np.column_stack(pair).ravel() for pair in
                               ((w_lo, xs), (xs, w_hi), (il, im_mid), (im_mid, ih))))
-    nodes = [[np.concatenate(p) for p in zip(t, h)] for t, h in zip(table, halves)]
 
-    # each xi owns n rows in integration order: its table segments, the split
-    # one replaced by its two halves (nodes n, n + 1, ...), or else followed
-    # by the empty segment (node n - 1)
+    # the n rows of an xi in integration order: its table segments, the split
+    # one replaced by its two halves (columns n, n + 1, ... after the table's),
+    # or else followed by the empty segment (column n - 1)
     cut = np.where(split, k, n - 1)[:, None]
     first = np.where(split, n + 2 * np.cumsum(split) - 2, n - 1)[:, None]
     j = np.arange(n)
-    seg = np.select([j < cut, j == cut, j == cut + 1], [j, first, first + 1], j - 1).ravel()
+    seg = np.select([j < cut, j == cut, j == cut + 1], [j, first, first + 1], j - 1)
     seg_abs_tol = _ABS_TOL / np.where(split, n, n - 1)    # row r belongs to xi r // n
+    xi2 = xi * xi
 
-    def integrals(level, rows):
-        half, ww, num = nodes[level]
-        s = seg[rows]
-        return half[s] * np.sum(num[s] / (ww[s] + (xi * xi)[rows // n, None]), axis=-1)
+    def integrals(order, rows):
+        if rows.size == seg.size:
+            half, ww, num = table(order)
+            # one (xi, segment, node) temporary, divided in place: a second
+            # one of its size would page-fault anew on every block
+            quot = ww + xi2[:, None, None]
+            on_table = half * np.sum(np.divide(num, quot, out=quot), axis=-1)
+            half, ww, num = halves(order)
+            on_halves = half * np.sum(num / (ww + np.repeat(xs * xs, 2)[:, None]), axis=-1)
+            by_xi = np.hstack((on_table, np.broadcast_to(on_halves, (xi.size, half.size))))
+            return np.take_along_axis(by_xi, seg, axis=1).ravel()
+        half, ww, num = map(np.concatenate, zip(table(order), halves(order)))
+        s = seg.ravel()[rows]
+        return half[s] * np.sum(num[s] / (ww[s] + xi2[rows // n, None]), axis=-1)
 
     # the 8 -> 16 -> 32 -> 64 ladder: a row escalates while its embedded error
     # estimate, the change from the previous order, misses its tolerance
     active = np.arange(seg.size)
-    prev = integrals(0, active)
+    prev = integrals(_ORDERS[0], active)
     value, err, ok = np.empty_like(prev), np.empty_like(prev), np.zeros(seg.size, bool)
-    for level in range(1, len(_ORDERS)):
-        cur = integrals(level, active)
+    for order in _ORDERS[1:]:
+        if not active.size:
+            break
+        cur = integrals(order, active)
         value[active], err[active] = cur, np.abs(cur - prev)
         ok[active] = done = err[active] <= np.maximum(seg_abs_tol[active // n],
                                                       _REL_TOL * np.abs(cur))
@@ -275,9 +312,10 @@ def _transform_block(omega, im_eps, table, drude, xi):
 def permittivity_imag_axis(dataset: OpticalDataset, drude: DrudeParameters, xi):
     """Dispersion transform of tabulated optical data to the imaginary axis.
 
-    Each (xi, table segment) pair is a row of one Gauss-Legendre ladder on
-    node data shared by all xi, run in blocks of about _BLOCK_ROWS rows, to
-    the tolerances _ABS_TOL and _REL_TOL.
+    Each (xi, table segment) pair is a row of one Gauss-Legendre ladder of
+    8, 16, 32 and 64 nodes, run in blocks of about _BLOCK_ROWS rows, to the
+    tolerances _ABS_TOL and _REL_TOL; the node data of 32 and 64 nodes are
+    built only if a row misses the tolerance at 16.
 
     Parameters
     ----------

@@ -839,6 +839,25 @@ class TestImports:
                      "verdicts.json", "constraints.csv"):
             assert (tmp_path / "out" / name).exists(), name
 
+    def test_table_jobs_load_no_numpy_polynomial(self, tmp_path):
+        # the dispersion transform's Gauss-Legendre rules come from
+        # optics._leggauss, which needs numpy alone
+        write_gold_table(tmp_path / "gold.dat")
+        (tmp_path / "run.ini").write_text(
+            "[kk]\noptical_table = gold.dat\nl_max = 12\n"
+            "[pressure]\noptical_table = gold.dat\nz_points = 3\n"
+            "models = impedance, drude\n")
+        loaded = modules_after("""
+            from casimetry.cli import main
+            from casimetry.optics import _leggauss
+            for command in ("kk", "pressure"):
+                argv = [command, "--config", "run.ini", "--out", "out"]
+                assert main(argv) == 0, command
+            assert _leggauss.cache_info().currsize, "no rule was built"
+            """, tmp_path, "numpy.polynomial")
+        assert loaded == []
+        assert (tmp_path / "out" / "pressure_drude.csv").exists()
+
     def test_jobs_and_band_test_load_no_numpy_ma(self, tmp_path):
         # numpy loads numpy.ma lazily, from np.unique and np.nanmedian;
         # every step asserts, so a failure names the step that loaded it

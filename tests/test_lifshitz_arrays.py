@@ -191,6 +191,31 @@ class TestQuadratureOracle:
         assert 48 in orders
 
 
+class TestGradedRedo:
+    """A graded panel whose pair disagrees is redone with 48 nodes.  The
+    redone panels carry too little of a sum for the oracle to see an error
+    confined to them, so one is held to QUADPACK on its own interval."""
+
+    def test_redone_panel_matches_quad(self, monkeypatch):
+        # the TE channel of the l = 0 free energy of the impedance model
+        # at 160 nm, on the graded panel [0.001, 0.01]
+        rule = lifshitz.MODELS["impedance"]
+        y_p = 2.0 * 160e-9 * GOLD.omega_p / lifshitz.C_LIGHT
+        a, b = lifshitz._graded_edges(0.0)[2:4]
+        orders = []
+        leggauss = lifshitz._leggauss
+        monkeypatch.setattr(lifshitz, "_leggauss",
+                            lambda n: orders.append(n) or leggauss(n))
+        got, _ = lifshitz._panel_integrals(
+            "free_energy", np.array([[a, b]]),
+            lambda y, rows: (np.zeros_like(y), rule.te_zero(y, y_p)), True)
+        assert orders == [48]
+        want, _ = integrate.quad(
+            lambda y: _oracle_integrands(y, 0.0, rule.te_zero(y, y_p))[1], a, b,
+            epsabs=0.0, epsrel=2e-14)
+        assert abs(got[0] - want) <= 1e-13 * abs(want)
+
+
 class TestFixedPanelRule:
     @pytest.mark.parametrize("key", KEYS)
     @pytest.mark.parametrize("z", [GRID80, ROUGH_SEPARATIONS],

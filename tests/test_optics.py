@@ -1,5 +1,7 @@
+import ast
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,6 +371,34 @@ def step_table(jump):
     return OpticalDataset(omega, n, k, metal_name="step")
 
 
+class TestLegendreRule:
+    """optics._leggauss stands in for numpy.polynomial, which no run loads."""
+
+    @pytest.mark.parametrize("order", [8, 16, 24, 32, 48, 64])
+    def test_equals_numpy_leggauss(self, order):
+        from numpy.polynomial.legendre import leggauss
+
+        for got, want in zip(optics._leggauss(order), leggauss(order)):
+            assert np.array_equal(got, want)
+
+    def test_no_module_uses_numpy_polynomial(self):
+        # code only: comments and docstrings may still name it
+        found = []
+        for path in sorted((Path(optics.__file__).parent).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    name = ast.unparse(node)
+                elif isinstance(node, ast.Import):
+                    name = " ".join(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    name = " ".join(f"{node.module}.{a.name}" for a in node.names)
+                else:
+                    continue
+                if "np.polynomial" in name or "numpy.polynomial" in name:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+        assert found == []
+
+
 class _SumOrders:
     """Stands in for numpy inside optics and records the length of the
     last axis of every non-empty sum, i.e. the quadrature orders used."""
@@ -440,6 +470,17 @@ class TestBatchedTransform:
         assert {32, 64} <= reference_orders
         assert {8, 16, 32, 64} == spy.orders
         assert_matches_reference(ds, xi)
+
+    def test_smooth_table_builds_orders_8_and_16_only(self, monkeypatch):
+        # no row of a smooth table misses the tolerance at 16 nodes, so the
+        # rules and node data of 32 and 64 are never built
+        orders = []
+        leggauss = optics._leggauss
+        monkeypatch.setattr(optics, "_leggauss",
+                            lambda n: orders.append(n) or leggauss(n))
+        xi = matsubara_frequency(300.0, 1) * np.arange(1, 152)
+        permittivity_imag_axis(drude_table(per_decade=20), GOLD, xi)
+        assert set(orders) == {8, 16}
 
     def test_both_paths_raise_when_the_ladder_runs_out(self):
         ds = step_table(1e80)
