@@ -384,7 +384,7 @@ class TestLegendreRule:
     def test_no_module_uses_numpy_polynomial(self):
         # code only: comments and docstrings may still name it
         found = []
-        for path in sorted((Path(optics.__file__).parent).glob("*.py")):
+        for path in sorted(Path(optics.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Attribute):
                     name = ast.unparse(node)
