@@ -18,7 +18,8 @@ from casimetry.corrections import (
     pft_pressure,
     roughness_corrected_pressure,
 )
-from casimetry.lifshitz import ReflectionModel, ThermalState, casimir_pressure
+from casimetry.lifshitz import (ReflectionModel, ThermalState, casimir_pressure,
+                                compute_pressure_curve)
 from casimetry.optics import DrudeParameters, PermittivityFn
 
 GOLD = DrudeParameters(omega_p=1.37e16, gamma=5.3e13)
@@ -46,8 +47,9 @@ def main():
     print(f"{'z (nm)':>8} {'smooth (Pa)':>14} {'rough (Pa)':>14} {'shift':>8}")
     separations = np.array([160e-9, 200e-9, 300e-9, 500e-9, 750e-9])
     smooth_p = smooth(separations)
-    rough_p = roughness_corrected_pressure(smooth, profile, profile,
-                                           separations)
+    rough_p = roughness_corrected_pressure(
+        lambda s: compute_pressure_curve(model, s, state).pressure,
+        profile, profile, separations)
     for z, p0, p1 in zip(separations, smooth_p, rough_p):
         print(f"{z * 1e9:>8.0f} {p0:>14.4e} {p1:>14.4e} "
               f"{100 * (p1 - p0) / abs(p0):>+7.2f}%")

@@ -132,28 +132,20 @@ def pft_pressure(force_gradient: float, sphere: SphereGeometry) -> float:
     return -force_gradient / (2.0 * math.pi * sphere.radius)
 
 
-# 9 Chebyshev points of the first kind; values there -> degree-8 coefficients
-_CHEB_ANGLES = np.pi * (np.arange(9) + 0.5) / 9
-_CHEB_FIT = np.cos(np.outer(np.arange(9), _CHEB_ANGLES)) * np.r_[1, [2] * 8][:, None] / 9
-
-
 def roughness_corrected_pressure(pressure_fn: Callable[[np.ndarray], np.ndarray],
                                  profile_a: RoughnessProfile,
                                  profile_b: RoughnessProfile,
                                  z):
     """Geometric average of the pressure over both height distributions.
 
-    Beyond 9 height pairs, ln|P| at each z is a degree-8 Chebyshev series
-    in ln s over the span of z + h_i + g_j, fitted at 9 Chebyshev points.
-    A z whose error estimate (the average without the degree-8 term)
-    exceeds 1e-12 |P|, or whose node values are not finite and of one
-    sign, takes the direct sum over every pair, as do 9 pairs or fewer.
+    pressure_fn is called once, on the distinct separations z + h_i + g_j
+    in increasing order; passing lambda s: compute_pressure_curve(model,
+    s, state).pressure lets that curve's series set the engine cost.
 
     Parameters
     ----------
     pressure_fn : callable
-        Smooth-plate pressure in Pa on a 1-d array of separations; called
-        on the series nodes of every z, then on the pairs of any direct sum.
+        Smooth-plate pressure in Pa on a 1-d array of separations.
     profile_a, profile_b : RoughnessProfile
         Height distributions of the two facing surfaces.
     z : float or array_like
@@ -180,26 +172,12 @@ def roughness_corrected_pressure(pressure_fn: Callable[[np.ndarray], np.ndarray]
             f"({profile_a.heights[i]:.3e}, {profile_b.heights[j]:.3e}) m "
             f"close the {z_arr.ravel()[k]:.3e} m gap")
     w = np.outer(profile_a.weights, profile_b.weights).ravel()
-    sep = sep.reshape(z_arr.size, w.size)
-    out, direct = np.empty(z_arr.size), np.ones(z_arr.size, dtype=bool)
-    if w.size > _CHEB_ANGLES.size:
-        lo = sep.min(axis=1, keepdims=True)
-        width = np.log(sep.max(axis=1, keepdims=True) / lo)
-        nodes = lo * np.exp(width * (1 + np.cos(_CHEB_ANGLES)) / 2)
-        values = np.asarray(pressure_fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        with np.errstate(all="ignore"):
-            ratio = values / values[:, :1]
-            coef = np.log(ratio) @ _CHEB_FIT.T
-            theta = np.arccos(np.clip(2 * np.log(sep / lo) / width - 1, -1, 1))
-            terms = np.cos(theta[..., None] * np.arange(9)) * coef[:, None, :]
-            full = np.exp(terms.sum(axis=-1)) @ w
-            err = np.abs(full - np.exp(terms[..., :-1].sum(axis=-1)) @ w)
-        out = values[:, 0] * full
-        ok = np.all(np.isfinite(ratio) & (ratio > 0), axis=1)
-        direct = ~(ok & (err <= 1e-12 * full))
-    if np.any(direct):
-        values = np.asarray(pressure_fn(sep[direct].ravel()), dtype=float)
-        out[direct] = values.reshape(-1, w.size) @ w
+    order = np.argsort(sep, axis=None)
+    ranked = sep.ravel()[order]
+    # written as not (<=) so that a NaN separation stays distinct
+    first = np.r_[True, ~(ranked[1:] <= ranked[:-1])]
+    values = np.asarray(pressure_fn(ranked[first]), dtype=float)[np.cumsum(first) - 1]
+    out = values[np.argsort(order)].reshape(z_arr.size, w.size) @ w
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 

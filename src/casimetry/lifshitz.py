@@ -279,7 +279,11 @@ def _panel_values(weight: str, y, rp2, rt2, graded: bool):
     denom_t = (1.0 - rt2) + rt2 * grow
     if weight == "pressure":
         return y * y * (rp2 * em / denom_p + rt2 * em / denom_t)
-    return y * (np.log(denom_p) + np.log(denom_t))
+    # ln(1 - x) as log1p(-x) where x = r2 e^{-y} <= 1/2: past y ~ 19 the
+    # rounded denominator is noise, on which the G12/K25 pair disagrees
+    xp, xt = rp2 * em, rt2 * em
+    return y * (np.where(xp <= 0.5, np.log1p(-xp), np.log(denom_p))
+                + np.where(xt <= 0.5, np.log1p(-xt), np.log(denom_t)))
 
 
 @lru_cache(maxsize=None)

@@ -164,8 +164,8 @@ class TestRoughnessAveraging:
         assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
 
     def test_kinked_kernel_takes_every_pair(self, gold_curve):
-        # the log-log interpolant has a kink at every grid point, so the
-        # series error estimate fails and each z takes the direct sum
+        # the log-log interpolant has a kink at every grid point; the
+        # average reads it at every pair, in one call
         a = RoughnessProfile.gaussian(2.2e-9)
         b = RoughnessProfile.gaussian(3.5e-9)
         z = np.array([160e-9, 300e-9, 500e-9, 750e-9])
@@ -176,7 +176,7 @@ class TestRoughnessAveraging:
             return gold_curve.pressure_at(s)
 
         p = roughness_corrected_pressure(kernel, a, b, z)
-        assert calls == [z.size * 9, z.size * 81]
+        assert calls == [z.size * 81]
         np.testing.assert_allclose(p, pair_sum(gold_curve.pressure_at, a, b, z),
                                    rtol=1e-15, atol=0)
 
@@ -197,6 +197,14 @@ class TestRoughnessAveraging:
         p = roughness_corrected_pressure(kernel, a, a, np.array([200e-9, 310e-9]))
         assert np.isfinite(p[0]) and np.isnan(p[1])
 
+    def test_nan_separation_keeps_its_own_value(self):
+        # a NaN fails every comparison, so it must not merge with the
+        # largest separation sorted before it
+        a = RoughnessProfile.gaussian(2.2e-9)
+        p = roughness_corrected_pressure(lambda s: -1.0 / s ** 4, a, a,
+                                         np.array([200e-9, np.nan]))
+        assert np.isfinite(p[0]) and np.isnan(p[1])
+
     def test_nine_pairs_pass_every_separation(self, monkeypatch):
         monkeypatch.setattr(corrections, "_GAUSSIAN_LEVELS", 3)
         a = RoughnessProfile.gaussian(2.2e-9)
@@ -209,11 +217,35 @@ class TestRoughnessAveraging:
             return -1.0 / s ** 4
 
         p = roughness_corrected_pressure(kernel, a, b, z)
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], (z[:, None] + np.add.outer(
-            a.heights, b.heights).ravel()).ravel())
+        assert len(calls) == 1 and np.all(np.diff(calls[0]) > 0)
+        assert np.array_equal(calls[0], np.sort((z[:, None] + np.add.outer(
+            a.heights, b.heights).ravel()).ravel()))
         assert p == pytest.approx(pair_sum(lambda s: -1.0 / s ** 4, a, b, z),
                                   rel=1e-15)
+
+    @pytest.mark.parametrize("profile, most", [
+        (RoughnessProfile(np.array([-2e-9, 0.0, 2e-9]),
+                          np.array([0.25, 0.5, 0.25])), 5),
+        (RoughnessProfile.gaussian(2.2e-9), 45)], ids=["three-level", "gaussian"])
+    def test_coinciding_pairs_share_one_separation(self, profile, most):
+        # the same profile on both faces: h_i + h_j = h_j + h_i exactly, so
+        # at most n(n + 1)/2 of the n^2 sums per z are distinct, and on the
+        # three-level grid -2 + 2 = 0 + 0 leaves 5
+        z = np.array([160e-9, 300e-9, 750e-9])
+        calls = []
+
+        def kernel(s):
+            calls.append(s.copy())
+            return -1.0 / s ** 4
+
+        p = roughness_corrected_pressure(kernel, profile, profile, z)
+        pairs = z[:, None, None] + np.add.outer(profile.heights, profile.heights)
+        assert len(calls) == 1 and np.all(np.diff(calls[0]) > 0)
+        assert np.array_equal(calls[0], np.unique(pairs))
+        assert calls[0].size <= z.size * most
+        np.testing.assert_allclose(
+            p, pair_sum(lambda s: -1.0 / s ** 4, profile, profile, z),
+            rtol=1e-15, atol=0)
 
     def test_contact_is_an_error(self):
         two = RoughnessProfile(np.array([-30e-9, 30e-9]), np.array([0.5, 0.5]))
