@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import hashlib
 import json
 import os
@@ -459,5 +460,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """The process entry: `main`, with the import-time heap frozen so that
+    no collection in the job or at exit walks it (importing this module or
+    calling `main` leaves the collector alone)."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

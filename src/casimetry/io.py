@@ -36,7 +36,7 @@ def write_csv(path, columns, rows, comments=()) -> None:
     fields = [[row[j] for row in rows] if i else data[:, j].tolist()
               for j, i in enumerate(ints)]
     lines = [f"# {c}" for c in comments] + [",".join(columns)]
-    lines.extend(fmt.format(*row) for row in zip(*fields))
+    lines.extend(map(fmt.format, *fields) if fields else ())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tomllib
 import warnings
 from pathlib import Path
 
@@ -789,7 +790,9 @@ class TestImports:
     subcommand or band-test step loads numpy.ma or dataclasses either
     (the record classes are built without it).  The CLI module
     pins OpenBLAS to one thread before numpy loads, unless the variable
-    is already set; the library modules leave it alone."""
+    is already set; the library modules leave it alone.  A CLI process
+    freezes its import-time heap before the job runs; importing the
+    module and calling `main` leave the collector alone."""
 
     BLAS_STATE = textwrap.dedent("""
         tasks = "/proc/self/task"
@@ -819,6 +822,34 @@ class TestImports:
         value, _ = run_fresh("import casimetry.lifshitz, casimetry.metrology, "
                              "casimetry.hypforce\n" + self.BLAS_STATE, tmp_path)
         assert value is None
+
+    FREEZE_COUNT = "\nimport gc\nprint(gc.get_freeze_count())\n"
+
+    def test_process_entries_freeze_the_import_heap(self, tmp_path):
+        # `python -m casimetry.cli`, then the installed `casimetry` command
+        with open(SRC.parent / "pyproject.toml", "rb") as fh:
+            script = tomllib.load(fh)["project"]["scripts"]["casimetry"]
+        module, _, name = script.partition(":")
+        for entry in ('runpy.run_module("casimetry.cli", run_name="__main__")',
+                      f"getattr(importlib.import_module({module!r}), {name!r})()"):
+            count = run_fresh(textwrap.dedent(f"""
+                import importlib, runpy
+                sys.argv = ["casimetry", "--help"]
+                try:
+                    {entry}
+                except SystemExit as exc:
+                    assert exc.code == 0, exc.code
+                """) + self.FREEZE_COUNT, tmp_path)
+            assert count > 0, entry
+
+    def test_main_in_process_leaves_the_collector_alone(self, tmp_path):
+        (tmp_path / "run.ini").write_text("[pressure]\nz_points = 3\n")
+        count = run_fresh(
+            "from casimetry.cli import main\n"
+            "assert main(['pressure', '--config', 'run.ini', '--out', 'out']) == 0\n"
+            + self.FREEZE_COUNT, tmp_path)
+        assert count == 0
+        assert (tmp_path / "out" / "pressure_impedance.csv").exists()
 
     def test_cli_jobs_load_no_scipy(self, tmp_path):
         write_gold_table(tmp_path / "gold.dat")
