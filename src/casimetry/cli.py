@@ -16,13 +16,12 @@ Four subcommands map onto the library layers:
     Convert a confidence band (or a flat RMS noise level) into limits
     on the strength of an added Yukawa interaction.
 
-A run reads the INI ``[section]`` named after its subcommand (other
-sections are checked only for their names), overridden first by
-``CASIMETRY_<SUBCOMMAND>_<KEY>`` environment variables and then by the
-subcommand's flags.  Every output file starts with comment lines
-recording a hash of that effective section and the physical-constants
-version, so artifacts can be traced back to the run that made them.
-Runs with identical configuration and seed produce byte-identical files.
+A run reads the keys that ``KEYS`` declares for its subcommand from the
+INI ``[section]`` of its name, then ``CASIMETRY_<SUBCOMMAND>_<KEY>``
+variables, then its flags; any other key is an error.  Every output file
+starts with comments recording a hash of the keys given (defaults are not
+hashed) and the constants version.  Identical configuration and seed give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -86,65 +85,38 @@ ENV_PREFIX = "CASIMETRY_"
 class RunConfig:
     """Effective configuration of one run: its subcommand's section.
 
-    Values are kept as strings until a typed getter is called; the
-    hash is recomputed from the current state so flag overrides are
-    part of it.
+    Only keys of ``KEYS[section]`` can be set, in any case, and values are
+    kept as the strings given; ``cfg[key]`` parses and checks one by its
+    row.  The hash covers the given strings alone, defaults left out.
     """
 
     section: str
     values: dict = field(default_factory=dict)
 
     def set(self, key: str, value: str) -> None:
+        if key.lower() not in map(str.lower, KEYS[self.section]):
+            raise ValueError(f"unknown key {self.section}.{key.lower()}; "
+                             f"[{self.section}] takes {', '.join(KEYS[self.section])}")
         self.values[key.lower()] = value
 
-    def get(self, key: str, default=None, required: bool = False):
-        value = self.values.get(key.lower())
-        if value is None:
-            if required:
+    def __contains__(self, key: str) -> bool:
+        return key.lower() in self.values
+
+    def __getitem__(self, key: str):
+        parse, check, default = KEYS[self.section][key]
+        text = self.values.get(key.lower())
+        if text is None:
+            if default is _REQUIRED:
                 raise ValueError(f"missing config key {self.section}.{key}")
             return default
-        return value
-
-    def _typed(self, key, default, kind, what):
-        value = self.get(key)
-        if value is None:
-            return default
         try:
-            return kind(value)
-        except ValueError:
-            raise ValueError(f"config {self.section}.{key}: not {what}: {value!r}")
-
-    def get_float(self, key, default=None):
-        return self._typed(key, default, float, "a number")
-
-    def get_int(self, key, default=None):
-        return self._typed(key, default, int, "an integer")
-
-    def get_checked(self, key, default, ok, what, integer=False):
-        """A number (an integer if asked) that passes ok (a NaN must fail
-        it), else a named error."""
-        value = (self.get_int if integer else self.get_float)(key, default)
-        if value is not None and not ok(value):
-            raise ValueError(f"{self.section}.{key} must be {what}, not {value}")
+            value = parse(text)
+        except ValueError as exc:
+            reason = f"not {_KINDS[parse]}: {text!r}" if parse in _KINDS else exc
+            raise ValueError(f"config {self.section}.{key}: {reason}") from None
+        if check is not None and not check[0](value):
+            raise ValueError(f"{self.section}.{key} must be {check[1]}, not {value}")
         return value
-
-    def get_list(self, key, default=()):
-        value = self.get(key)
-        if value is None:
-            return list(default)
-        items = [item.strip() for item in value.split(",") if item.strip()]
-        if not items:
-            raise ValueError(f"config {self.section}.{key}: empty list")
-        return items
-
-    def get_path(self, key, required=False):
-        value = self.get(key, required=required)
-        if value is None:
-            return None
-        path = Path(value)
-        if not path.exists():
-            raise ValueError(f"config {self.section}.{key}: no such file: {path}")
-        return path
 
     def hash(self) -> str:
         lines = sorted(f"{self.section}.{key} = {value}"
@@ -184,17 +156,67 @@ def load_run_config(path, section: str) -> RunConfig:
     return cfg
 
 
+def _list(text):
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise ValueError("empty list")
+    return items
+
+
+def _path(text):
+    if not Path(text).exists():
+        raise ValueError(f"no such file: {Path(text)}")
+    return Path(text)
+
+
+_KINDS = {float: "a number", int: "an integer"}  # the words of their parse errors
 _POSITIVE = (lambda v: 0 < v < np.inf, "positive and finite")
 _NON_NEGATIVE = (lambda v: 0 <= v < np.inf, "non-negative and finite")
 _COUNT = (lambda v: v >= 1, ">= 1")
 _LEVEL = (lambda v: v in CONFIDENCE_LEVELS, " or ".join(map(str, CONFIDENCE_LEVELS)))
+_NOISE = (lambda v: v in ("default", "none"), "'default' or 'none'")
+_REQUIRED = object()  # the default of a key that must be given
+_FILE = (_path, None, None)
+
+_OPTICS = {"temperature_K": (float, _POSITIVE, 300.0),
+           "plasma_frequency_rad_s": (float, _POSITIVE, 1.37e16),
+           "relaxation_rad_s": (float, _NON_NEGATIVE, 5.3e13),
+           "optical_table": _FILE, "optical_unit": (str, None, None)}
+_CONFIDENCE = {"confidence": (float, _LEVEL, 0.95)}
 
 
-def _log_grid(cfg: RunConfig, name: str, lo: float, hi: float, n: int):
+def _grid_keys(name, lo, hi, n):
+    """The rows of the log-spaced grid that _log_grid(cfg, name) reads."""
+    return {f"{name}_min_m": (float, None, lo), f"{name}_max_m": (float, None, hi),
+            f"{name}_points": (int, _COUNT, n)}
+
+
+# each subcommand's keys: name -> (parser, check or None, default); a check fails a NaN
+KEYS = {
+    "kk": {**_OPTICS, "optical_table": (_path, None, _REQUIRED),
+           "l_max": (int, _COUNT, 500)},
+    "pressure": {**_OPTICS, **_CONFIDENCE, **_grid_keys("z", 160e-9, 750e-9, 30),
+                 "models": (_list, None, ("impedance",)),
+                 "roughness_a": _FILE, "roughness_b": _FILE},
+    "exclusion": {**_OPTICS, **_CONFIDENCE, "generator": (str, None, "impedance"),
+                  "tested": (_list, None, ("impedance", "drude", "schwinger")),
+                  "seed": (int, _NON_NEGATIVE, DEFAULT_SEED),
+                  "n_sets": (int, _COUNT, DEFAULT_N_SETS),
+                  "points_per_set": (int, _COUNT, DEFAULT_POINTS_PER_SET),
+                  "z_min_m": (float, None, DEFAULT_Z_RANGE[0]),
+                  "z_max_m": (float, None, DEFAULT_Z_RANGE[1]),
+                  "noise": (str, _NOISE, "default")},
+    "constraints": {**_CONFIDENCE, **_grid_keys("lambda", 40e-9, 370e-9, 20),
+                    "band_file": _FILE, "sigma_Pa": (float, _POSITIVE, None),
+                    **_grid_keys("z", 160e-9, 750e-9, 40), "reference_curve": _FILE,
+                    "stack_a": _FILE, "stack_b": _FILE},
+}
+
+
+def _log_grid(cfg: RunConfig, name: str):
     """The log-spaced grid of keys <name>_min_m, <name>_max_m, <name>_points."""
     lo_key, hi_key, n_key = f"{name}_min_m", f"{name}_max_m", f"{name}_points"
-    lo, hi = cfg.get_float(lo_key, lo), cfg.get_float(hi_key, hi)
-    n = cfg.get_checked(n_key, n, *_COUNT, integer=True)
+    lo, hi, n = cfg[lo_key], cfg[hi_key], cfg[n_key]
     if not 0 < lo <= hi < np.inf:
         raise ValueError(f"{cfg.section}: need 0 < {lo_key} <= {hi_key} < inf")
     if n > 1 and lo == hi:
@@ -223,24 +245,17 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict):
 
 # ---------------------------------------------------------------- models
 
-def _drude_from_config(cfg: RunConfig) -> DrudeParameters:
-    return DrudeParameters(
-        omega_p=cfg.get_checked("plasma_frequency_rad_s", 1.37e16, *_POSITIVE),
-        gamma=cfg.get_checked("relaxation_rad_s", 5.3e13, *_NON_NEGATIVE))
-
-
 def _permittivity_from_config(cfg: RunConfig):
     """Dielectric function of a run: tabulated if a file is named.
 
     Returns (DrudeParameters, PermittivityFn).  The Drude parameters
     always exist; they extend any table beyond its frequency range.
     """
-    drude = _drude_from_config(cfg)
-    table = cfg.get_path("optical_table")
+    drude = DrudeParameters(cfg["plasma_frequency_rad_s"], cfg["relaxation_rad_s"])
+    table = cfg["optical_table"]
     if table is None:
         return drude, PermittivityFn.from_drude(drude)
-    dataset = load_optical_table(table.read_text(),
-                                 unit_spec=cfg.get("optical_unit"),
+    dataset = load_optical_table(table.read_text(), unit_spec=cfg["optical_unit"],
                                  metal_name=table.stem, source=str(table))
     return drude, PermittivityFn.from_table(dataset, drude)
 
@@ -256,9 +271,7 @@ def build_model(key: str, drude: DrudeParameters,
 
 def cmd_kk(cfg: RunConfig, out: Path) -> None:
     """Write the imaginary-axis permittivity on the Matsubara grid."""
-    table = cfg.get_path("optical_table", required=True)
-    temperature = cfg.get_checked("temperature_K", 300.0, *_POSITIVE)
-    l_max = cfg.get_checked("l_max", 500, *_COUNT, integer=True)
+    table, temperature, l_max = cfg["optical_table"], cfg["temperature_K"], cfg["l_max"]
     _, eps = _permittivity_from_config(cfg)
     # the xi_l = l xi_1 that the engine evaluates eps at
     xi = matsubara_frequency(temperature, 1) * np.arange(1, l_max + 1)
@@ -270,21 +283,19 @@ def cmd_kk(cfg: RunConfig, out: Path) -> None:
 
 def cmd_pressure(cfg: RunConfig, out: Path) -> None:
     """Write one pressure table per requested reflection model."""
-    model_keys = cfg.get_list("models", ("impedance",))
-    temperature = cfg.get_checked("temperature_K", 300.0, *_POSITIVE)
-    z = _log_grid(cfg, "z", 160e-9, 750e-9, 30)
-    confidence = cfg.get_checked("confidence", 0.95, *_LEVEL)
+    model_keys, temperature = cfg["models"], cfg["temperature_K"]
+    z, confidence = _log_grid(cfg, "z"), cfg["confidence"]
     state = ThermalState(temperature)
     drude, eps = _permittivity_from_config(cfg)
 
-    paths = [cfg.get_path(f"roughness_{side}") for side in "ab"]
+    paths = [cfg[f"roughness_{side}"] for side in "ab"]
     profile_a, profile_b = (RoughnessProfile.flat() if path is None
                             else load_roughness_profile(path) for path in paths)
     rough = any(path is not None for path in paths)
 
+    models = {key: build_model(key, drude, eps) for key in model_keys}  # before any write
     rel_err = theory_error_curve(z, confidence=confidence)
-    for key in model_keys:
-        model = build_model(key, drude, eps)
+    for key, model in models.items():
         pressure = (roughness_corrected_pressure(
             lambda s: compute_pressure_curve(model, s, state).pressure,
             profile_a, profile_b, z)
@@ -298,21 +309,12 @@ def cmd_pressure(cfg: RunConfig, out: Path) -> None:
 
 def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
     """Synthesize an ensemble, band-test models, write all artifacts."""
-    generator = cfg.get("generator", "impedance")
-    tested = cfg.get_list("tested", ("impedance", "drude", "schwinger"))
-    confidence = cfg.get_checked("confidence", 0.95, *_LEVEL)
-    seed = cfg.get_checked("seed", DEFAULT_SEED, *_NON_NEGATIVE, integer=True)
-    n_sets = cfg.get_checked("n_sets", DEFAULT_N_SETS, *_COUNT, integer=True)
-    points = cfg.get_checked("points_per_set", DEFAULT_POINTS_PER_SET, *_COUNT,
-                             integer=True)
-    z_min = cfg.get_float("z_min_m", DEFAULT_Z_RANGE[0])
-    z_max = cfg.get_float("z_max_m", DEFAULT_Z_RANGE[1])
+    generator, tested, confidence = cfg["generator"], cfg["tested"], cfg["confidence"]
+    seed, n_sets, points = cfg["seed"], cfg["n_sets"], cfg["points_per_set"]
+    z_min, z_max = cfg["z_min_m"], cfg["z_max_m"]
     if not 0 < z_min < z_max < np.inf:
         raise ValueError("exclusion: need 0 < z_min_m < z_max_m < inf")
-    temperature = cfg.get_checked("temperature_K", 300.0, *_POSITIVE)
-    noise_mode = cfg.get("noise", "default")
-    if noise_mode not in ("default", "none"):
-        raise ValueError("exclusion.noise must be 'default' or 'none'")
+    temperature, noise_mode = cfg["temperature_K"], cfg["noise"]
 
     state = ThermalState(temperature)
     drude, eps = _permittivity_from_config(cfg)
@@ -377,25 +379,25 @@ def _load_band_csv(path: Path, fallback: float) -> ConfidenceBand:
 
 def cmd_constraints(cfg: RunConfig, out: Path) -> None:
     """Turn a residual band into Yukawa strength limits."""
-    paths = [cfg.get_path(f"stack_{side}") for side in "ab"]
+    paths = [cfg[f"stack_{side}"] for side in "ab"]
     stack_a, stack_b = (default() if path is None else load_layer_stack(path)
                         for path, default in zip(
                             paths, (coated_sphere_stack, coated_plate_stack)))
 
-    lambdas = _log_grid(cfg, "lambda", 40e-9, 370e-9, 20)
-    confidence = cfg.get_checked("confidence", 0.95, *_LEVEL)
-
-    band_path = cfg.get_path("band_file")
-    sigma = cfg.get_checked("sigma_Pa", None, *_POSITIVE)
+    lambdas, confidence = _log_grid(cfg, "lambda"), cfg["confidence"]
+    band_path, sigma, ref_path = cfg["band_file"], cfg["sigma_Pa"], cfg["reference_curve"]
     if band_path is not None:
+        flat = [k for k in ("sigma_Pa", "z_min_m", "z_max_m", "z_points") if k in cfg]
+        if flat:
+            raise ValueError(f"constraints: band_file cannot be given with {', '.join(flat)}")
         band = _load_band_csv(band_path, confidence)
-        if cfg.get("confidence") is not None and band.confidence != confidence:
+        if "confidence" in cfg and band.confidence != confidence:
             raise ValueError(f"constraints.confidence = {confidence} disagrees with "
                              f"{band_path}: confidence = {band.confidence}")
         origin = f"band_file = {band_path}"
     elif sigma is not None:
         # a flat band: the Yukawa pressure may nowhere exceed sigma
-        z = _log_grid(cfg, "z", 160e-9, 750e-9, 40)
+        z = _log_grid(cfg, "z")
         band = ConfidenceBand(z, np.full(z.size, sigma), confidence)
         origin = f"sigma_Pa = {sigma}"
     else:
@@ -405,7 +407,6 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
     save_constraint_csv(curve, out / "constraints.csv", _stamped(cfg, origin))
     print(f"wrote {out / 'constraints.csv'}")
 
-    ref_path = cfg.get_path("reference_curve")
     if ref_path is not None:
         reference = load_constraint_csv(ref_path)
         ref_alpha = reference.alpha_at(curve.lambdas)
@@ -436,11 +437,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="INI config file; defaults apply without one")
-        if name == "exclusion":
-            p.add_argument("--seed", type=int, help="override exclusion.seed")
-        if name in ("pressure", "exclusion", "constraints"):
-            p.add_argument("--confidence", type=float, choices=CONFIDENCE_LEVELS,
-                           help=f"override {name}.confidence")
+        for flag in ("seed", "confidence"):  # each if the table declares its key
+            if flag in KEYS[name]:
+                p.add_argument(f"--{flag}", type=KEYS[name][flag][0],
+                               help=f"override {name}.{flag}")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (created if missing)")
         p.set_defaults(func=fn)
@@ -449,9 +449,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.config, args.command)
         # a flag sets the key of its name in the subcommand's section
-        for flag in ("seed", "confidence"):
-            if getattr(args, flag, None) is not None:
-                cfg.set(flag, str(getattr(args, flag)))
+        for flag, value in vars(args).items():
+            if flag in KEYS[args.command] and value is not None:
+                cfg.set(flag, str(value))
         args.out.mkdir(parents=True, exist_ok=True)
         args.func(cfg, args.out)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casimetry.cli import RunConfig, _load_band_csv, load_run_config, main
+from casimetry import cli
+from casimetry.cli import KEYS, RunConfig, _load_band_csv, load_run_config, main
 from casimetry.hypforce import load_constraint_csv
 from casimetry.lifshitz import matsubara_frequency
 from casimetry.metrology import load_ensemble_csv, theory_error_curve
@@ -71,11 +72,11 @@ class TestRunConfig:
         ini.write_text("[kk]\nl_max = 7\noptical_table = x.dat\n"
                        "[pressure]\nmodels = impedance, drude\n")
         kk = load_run_config(ini, "kk")
-        assert kk.get_int("l_max") == 7
-        assert kk.get("models") is None
+        assert kk["l_max"] == 7
+        assert "models" not in kk
         pressure = load_run_config(ini, "pressure")
-        assert pressure.get_list("models") == ["impedance", "drude"]
-        assert pressure.get("l_max") is None
+        assert pressure["models"] == ["impedance", "drude"]
+        assert "l_max" not in pressure
         assert load_run_config(ini, "exclusion").values == {}
 
     def test_env_overrides_file(self, tmp_path, monkeypatch):
@@ -84,7 +85,7 @@ class TestRunConfig:
         monkeypatch.setenv("CASIMETRY_KK_L_MAX", "11")
         monkeypatch.setenv("CASIMETRY_PRESSURE_Z_POINTS", "3")
         cfg = load_run_config(ini, "kk")
-        assert cfg.get_int("l_max") == 11
+        assert cfg["l_max"] == 11
         # another section's variable is ignored
         assert cfg.values == {"l_max": "11"}
         assert load_run_config(ini, "pressure").values == {"z_points": "3"}
@@ -104,23 +105,23 @@ class TestRunConfig:
     def test_missing_required_key(self):
         cfg = RunConfig("kk")
         with pytest.raises(ValueError, match="kk.optical_table"):
-            cfg.get("optical_table", required=True)
+            cfg["optical_table"]
 
     def test_bad_number(self):
         cfg = RunConfig("pressure")
         cfg.set("z_min_m", "tiny")
         with pytest.raises(ValueError, match="pressure.z_min_m: not a number"):
-            cfg.get_float("z_min_m")
+            cfg["z_min_m"]
         cfg.set("z_points", "3.5")
         with pytest.raises(ValueError,
                            match="pressure.z_points: not an integer"):
-            cfg.get_int("z_points")
+            cfg["z_points"]
 
     def test_missing_path(self):
         cfg = RunConfig("kk")
         cfg.set("optical_table", "/no/such/file.dat")
         with pytest.raises(ValueError, match="no such file"):
-            cfg.get_path("optical_table")
+            cfg["optical_table"]
 
     def test_hash_ignores_declaration_order(self, tmp_path):
         a = tmp_path / "a.ini"
@@ -146,6 +147,55 @@ class TestRunConfig:
                        "[pressure]\nz_points = 3\n")
         assert load_run_config(ini, "kk").hash() == "f834de79e18e"
         assert RunConfig("kk").hash() == "e3b0c44298fc"
+
+
+class TestDeclaredKeys:
+    """A section accepts only the keys of its table in cli.KEYS, from the
+    file, the environment or a flag; any other key fails before any file
+    is written, naming <section>.<key> and the accepted keys."""
+
+    def test_misspelt_file_keys_fail(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[exclusion]\nn_set = 3\npoints_per_sett = 5\n")
+        out = tmp_path / "out"
+        assert main(["exclusion", "--config", str(ini), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: unknown key exclusion.n_set; [exclusion] takes "
+                f"{', '.join(KEYS['exclusion'])}\n") in err
+        assert not out.exists()
+
+    def test_misspelt_variable_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CASIMETRY_PRESSURE_Z_POINT", "3")
+        out = tmp_path / "out"
+        assert main(["pressure", "--out", str(out)]) == 1
+        assert "error: unknown key pressure.z_point; " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_key_goes_through_the_table(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("unknown key kk.seed; [kk] takes")):
+            RunConfig("kk").set("seed", "3")
+
+    def test_mixed_case_keys_read_in_their_declared_spelling(self, tmp_path,
+                                                             monkeypatch):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[kk]\ntemperature_K = 30\n[constraints]\nSIGMA_PA = 1e-3\n")
+        assert load_run_config(ini, "kk")["temperature_K"] == 30.0
+        assert load_run_config(ini, "constraints")["sigma_Pa"] == 1e-3
+        monkeypatch.setenv("CASIMETRY_KK_TEMPERATURE_K", "40")
+        monkeypatch.setenv("CASIMETRY_CONSTRAINTS_SIGMA_PA", "0")
+        assert load_run_config(ini, "kk")["temperature_K"] == 40.0
+        with pytest.raises(ValueError, match=re.escape(
+                "constraints.sigma_Pa must be positive and finite, not 0.0")):
+            load_run_config(ini, "constraints")["sigma_Pa"]
+
+    @pytest.mark.parametrize("command", KEYS)
+    @pytest.mark.parametrize("flag", ["seed", "confidence"])
+    def test_flags_are_the_declared_keys(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert (f"--{flag}" in capsys.readouterr().out) == (flag in KEYS[command])
 
 
 class TestRunScope:
@@ -311,12 +361,14 @@ class TestPressureCommand:
         # roughness strengthens the attraction at every separation
         assert np.all(r["pressure_Pa"] < s["pressure_Pa"])
 
-    def test_unknown_model_is_an_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("models", ["casimir", "impedance, casimir"])
+    def test_unknown_model_is_an_error(self, tmp_path, capsys, models):
         ini = tmp_path / "run.ini"
-        ini.write_text("[pressure]\nmodels = casimir\nz_points = 1\n")
+        ini.write_text(f"[pressure]\nmodels = {models}\nz_points = 1\n")
         assert main(["pressure", "--config", str(ini),
                      "--out", str(tmp_path)]) == 1
         assert "unknown model" in capsys.readouterr().err
+        assert not list(tmp_path.glob("pressure_*.csv"))
 
     def test_flat_range_needs_one_point(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
@@ -530,6 +582,31 @@ class TestKeysCheckedWhereRead:
         assert (f"error: {section}.confidence must be 0.95 or 0.99, "
                 f"not {value}") in capsys.readouterr().err
 
+    # a value of each parser that it rejects; a path's is a missing file
+    BAD = {float: "abc", int: "1.5", cli._list: " , ", str: "bogus"}
+
+    @pytest.mark.parametrize("section, key", [(section, key) for section in KEYS
+                                              for key in KEYS[section]])
+    def test_bad_value_of_each_key_fails_before_any_file(self, tmp_path, capsys,
+                                                         section, key):
+        parse, check, _ = KEYS[section][key]
+        write_gold_table(tmp_path / "gold.dat")
+        # a key that lets every other key of the section be read, then the bad one
+        keys = dict([("sigma_Pa", "1e-3") if section == "constraints"
+                     else ("optical_table", tmp_path / "gold.dat")])
+        keys[key] = self.BAD.get(parse, tmp_path / "missing.dat")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n"
+                       + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out = tmp_path / "out"
+        assert main([section, "--config", str(ini), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        # the library checks a model name or an optical unit, and quotes it
+        named = (f"'{keys[key]}'" if parse is str and check is None
+                 else f"{section}.{key}")
+        assert err.startswith("error: ") and named in err
+        assert list(out.iterdir()) == []
+
 
 class TestConstraintsCommand:
     def test_from_exclusion_band(self, exclusion_run, tmp_path):
@@ -621,6 +698,22 @@ class TestConstraintsCommand:
         assert main(["constraints", "--config", str(ini),
                      "--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "constraints.csv").exists()
+
+    @pytest.mark.parametrize("flat, named", [
+        ("sigma_Pa = 1e-3\n", "sigma_Pa"),
+        ("z_min_m = 200e-9\nz_points = 5\n", "z_min_m, z_points"),
+        ("z_max_m = 700e-9\nsigma_Pa = 1e-3\n", "sigma_Pa, z_max_m"),
+    ])
+    def test_band_file_excludes_the_flat_band(self, tmp_path, capsys, flat, named):
+        band = tmp_path / "band.csv"
+        band.write_text("z_m,half_width_Pa\n1.6e-07,1e-03\n7.5e-07,2e-04\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[constraints]\nband_file = {band}\n{flat}")
+        assert main(["constraints", "--config", str(ini),
+                     "--out", str(tmp_path)]) == 1
+        assert (f"error: constraints: band_file cannot be given with {named}\n"
+                in capsys.readouterr().err)
         assert not (tmp_path / "constraints.csv").exists()
 
     def test_needs_band_or_sigma(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ EPS = PermittivityFn.from_drude(GOLD)
 KEYS = tuple(lifshitz.MODELS)
 MODELS = {key: build_model(key, GOLD, EPS) for key in KEYS}
 ST300 = ThermalState(300.0)
+ZETA3 = 1.2020569031595942854
 
 GRID80 = np.geomspace(160e-9, 750e-9, 80)
 # every separation of a 5 x 5-level roughness average at three mean gaps
@@ -190,6 +191,38 @@ class TestQuadratureOracle:
         # takes the graded panels' 48-node redo, which no benchmark job
         # reaches: keep a case on it.  Every other redo was noise, now gone.
         assert (48 in orders) == lifshitz.MODELS[key].needs_omega_p
+
+
+def ideal_free_energy(z, temperature):
+    """F of the ideal metal from its Matsubara sum done in closed form.
+
+    With x = 4 pi z k_B T / (hbar c) = y_1, the l = 0 term is zeta(3)/2
+    exactly and the l >= 1 rows sum, term by term in n, to
+    F = -(k_B T / 4 pi z^2) [zeta(3)/2 + sum_n (x e^{nx} / (n^2 (e^{nx} - 1)^2)
+    + 1 / (n^3 (e^{nx} - 1)))].  The n-series runs to n x > 60, where a term
+    is below 1e-26 of the sum."""
+    x = (4.0 * math.pi * z * lifshitz.K_B * temperature
+         / (lifshitz.HBAR * lifshitz.C_LIGHT))
+    n = np.arange(1, math.ceil(60.0 / x) + 1)
+    grow = np.expm1(n * x)
+    terms = x / (n ** 2 * grow * -np.expm1(-n * x)) + 1.0 / (n ** 3 * grow)
+    total = math.fsum(terms)
+    assert terms[-1] < 1e-26 * total
+    return -lifshitz.K_B * temperature / (4.0 * math.pi * z ** 2) * (ZETA3 / 2 + total)
+
+
+class TestIdealFreeEnergyOracle:
+    """The engine's ideal-metal F against the closed-form sum above, which
+    shares no quadrature with it: every gap lies inside the reported error
+    bar, quad_error + tail_bound, plus rounding."""
+
+    @pytest.mark.parametrize("temperature", [3.0, 10.0, 30.0, 300.0])
+    @pytest.mark.parametrize("z", [160e-9, 300e-9, 750e-9])
+    def test_within_the_reported_error_bar(self, temperature, z):
+        got, diag = casimir_free_energy(MODELS["ideal"], z, ThermalState(temperature),
+                                        return_diagnostics=True)
+        want = ideal_free_energy(z, temperature)
+        assert abs(got - want) <= diag.quad_error + diag.tail_bound + 1e-15 * abs(got)
 
 
 class TestGradedRedo:
