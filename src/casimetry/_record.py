@@ -16,6 +16,12 @@ class field(SimpleNamespace):  # noqa: N801  (as the dataclasses function)
     compare = repr = True
 
 
+def read_only(array):
+    """`array`, made read-only, so that what a record keeps of it stays valid."""
+    array.flags.writeable = False
+    return array
+
+
 def _frozen(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 

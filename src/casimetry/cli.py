@@ -231,9 +231,10 @@ def _stamped(cfg: RunConfig, *comments) -> tuple:
             f"constants_version: {CONSTANTS_VERSION}", *comments)
 
 
-def _write_csv(path: Path, cfg: RunConfig, columns, rows, comments=()):
-    write_csv(path, columns, rows, _stamped(cfg, *comments))
+def _write_csv(path: Path, cfg: RunConfig, columns, data, comments=()) -> list:
+    texts = write_csv(path, columns, data, _stamped(cfg, *comments))
     print(f"wrote {path}")
+    return texts
 
 
 def _write_json(path: Path, cfg: RunConfig, payload: dict):
@@ -254,6 +255,8 @@ def _permittivity_from_config(cfg: RunConfig):
     drude = DrudeParameters(cfg["plasma_frequency_rad_s"], cfg["relaxation_rad_s"])
     table = cfg["optical_table"]
     if table is None:
+        if "optical_unit" in cfg:
+            raise ValueError(f"{cfg.section}: optical_unit needs an optical_table")
         return drude, PermittivityFn.from_drude(drude)
     dataset = load_optical_table(table.read_text(), unit_spec=cfg["optical_unit"],
                                  metal_name=table.stem, source=str(table))
@@ -276,7 +279,7 @@ def cmd_kk(cfg: RunConfig, out: Path) -> None:
     # the xi_l = l xi_1 that the engine evaluates eps at
     xi = matsubara_frequency(temperature, 1) * np.arange(1, l_max + 1)
     _write_csv(out / "dispersion.csv", cfg, ("xi_rad_s", "epsilon"),
-               zip(xi, eps(xi)),
+               (xi, eps(xi)),
                comments=(f"temperature_K = {temperature}",
                          f"source = {table.stem}"))
 
@@ -302,7 +305,7 @@ def cmd_pressure(cfg: RunConfig, out: Path) -> None:
             if rough else compute_pressure_curve(model, z, state).pressure)
         _write_csv(out / f"pressure_{key}.csv", cfg,
                    ("z_m", "pressure_Pa", "rel_theory_error"),
-                   zip(z, pressure, rel_err),
+                   (z, pressure, rel_err),
                    comments=(f"model = {key}",
                              f"temperature_K = {temperature}"))
 
@@ -337,16 +340,19 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
         raise ValueError(f"exclusion.n_sets = {n_sets} and exclusion.points_per_set"
                          f" = {points} are too few: {exc}") from None
 
-    save_ensemble_csv(ensemble, out / "ensemble.csv", _stamped(
+    # shared columns are formatted once: every differences file has the
+    # ensemble's z, and the bands of curves that cover one grid share it
+    _, z_text, _ = save_ensemble_csv(ensemble, out / "ensemble.csv", _stamped(
         cfg, f"generator = {generator}", f"seed = {seed}"))
     print(f"wrote {out / 'ensemble.csv'}")
+    grid_text = {}  # band grid bytes -> its text
     for tag, verdict in verdicts.items():
-        band = verdict.band
-        _write_csv(out / f"band_{tag}.csv", cfg, ("z_m", "half_width_Pa"),
-                   zip(band.z, band.half_width),
-                   comments=(f"confidence = {band.confidence}",))
+        band, key = verdict.band, verdict.band.z.tobytes()
+        grid_text[key] = _write_csv(out / f"band_{tag}.csv", cfg, ("z_m", "half_width_Pa"),
+                                    (grid_text.get(key, band.z), band.half_width),
+                                    comments=(f"confidence = {band.confidence}",))[0]
         _write_csv(out / f"differences_{tag}.csv", cfg,
-                   ("z_m", "difference_Pa"), verdict.differences,
+                   ("z_m", "difference_Pa"), (z_text, verdict.differences[:, 1]),
                    comments=(f"model = {tag}",))
     _write_json(out / "verdicts.json", cfg, {
         "confidence": confidence,
@@ -410,8 +416,8 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
     if ref_path is not None:
         reference = load_constraint_csv(ref_path)
         ref_alpha = reference.alpha_at(curve.lambdas)
-        overlay = zip(curve.lambdas, curve.alpha_max, ref_alpha,
-                      curve.alpha_max / ref_alpha)
+        overlay = (curve.lambdas, curve.alpha_max, ref_alpha,
+                   curve.alpha_max / ref_alpha)
         _write_csv(out / "overlay.csv", cfg,
                    ("lambda_m", "alpha_max", "alpha_reference", "ratio"),
                    overlay, comments=(f"reference = {ref_path}",))

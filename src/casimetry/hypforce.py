@@ -3,10 +3,9 @@
 A hypothetical correction to Newtonian gravity of strength alpha_g
 and range lam adds a plate-plate pressure proportional to the product
 of two stack density factors.  This module evaluates that pressure in
-closed form for arbitrary layer counts, cross-checks it with a
-brute-force depth integration, and inverts a confidence band into the
-strongest constraint alpha_max(lam) with the separation of best
-sensitivity.
+closed form for arbitrary layer counts, and inverts a confidence band
+into the strongest constraint alpha_max(lam) with the separation of
+best sensitivity.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 
 from .constants import G_NEWTON
 from .io import FLOAT_FORMAT, read_csv, read_table, write_csv
-from .optics import _leggauss
 
 __all__ = [
     "YukawaParams",
@@ -27,7 +25,6 @@ __all__ = [
     "LayerStack",
     "ConstraintCurve",
     "yukawa_plate_pressure",
-    "yukawa_pressure_oracle",
     "density_factor",
     "constraint_curve",
     "coated_sphere_stack",
@@ -167,45 +164,6 @@ def yukawa_plate_pressure(stack_a: LayerStack, stack_b: LayerStack,
     return float(out) if out.ndim == 0 else out
 
 
-def _depth_integral(stack: LayerStack, lam: float) -> float:
-    # integral of rho(xi) exp(-xi/lam) over depth, truncated where the
-    # weight falls to 1e-16 of its surface value
-    nodes, weights = _leggauss(24)
-    xi_max = lam * math.log(1e16)
-    total = 0.0
-    depth = 0.0
-    for layer in stack.layers:
-        top = depth
-        bottom = min(depth + layer.thickness, xi_max)
-        if top >= xi_max:
-            break
-        n_panels = max(1, int(math.ceil((bottom - top) / (lam / 3.0))))
-        edges = np.linspace(top, bottom, n_panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            total += (layer.density * 0.5 * (b - a)
-                      * np.dot(weights, np.exp(-x / lam)))
-        depth = bottom
-    return total
-
-
-def yukawa_pressure_oracle(stack_a: LayerStack, stack_b: LayerStack,
-                           z: float, params: YukawaParams) -> float:
-    """Brute-force check of the plate pressure by depth integration.
-
-    Integrates the piecewise-constant density profiles of both stacks
-    against the exponential kernel numerically, with no knowledge of
-    the closed-form density factors.
-    """
-    if not 0 < z < math.inf:
-        raise ValueError("separation must be positive and finite")
-    lam = params.lam
-    ia = _depth_integral(stack_a, lam)
-    ib = _depth_integral(stack_b, lam)
-    return (-2.0 * math.pi * G_NEWTON * params.alpha_g
-            * math.exp(-z / lam) * ia * ib)
-
-
 @dataclass(frozen=True)
 class ConstraintCurve:
     """Strongest allowed strength versus interaction range.
@@ -340,7 +298,7 @@ def save_constraint_csv(curve: ConstraintCurve, path, comments=()):
     if np.any(np.diff(on_disk) <= 0):
         raise ValueError(f"{path}: interaction ranges collide in the "
                          f"{FLOAT_FORMAT} format")
-    write_csv(path, _CONSTRAINT_COLUMNS, curve.entries, comments)
+    write_csv(path, _CONSTRAINT_COLUMNS, np.array(curve.entries).T, comments)
 
 
 def load_constraint_csv(path) -> ConstraintCurve:

@@ -14,31 +14,40 @@ import numpy as np
 __all__ = ["FLOAT_FORMAT", "write_csv", "read_csv", "read_table"]
 
 FLOAT_FORMAT = ".10e"
+_FLOAT = "{:" + FLOAT_FORMAT + "}"
 
 
-def write_csv(path, columns, rows, comments=()) -> None:
+def write_csv(path, columns, data, comments=()) -> list:
     """Write the comments, the header and one line per row to `path`.
 
-    A column whose first-row value is an integer holds integers, written
-    plainly; every other value is a float.  A comment with a line break,
-    or a float with no finite ``.10e`` form, raises ValueError before the
-    file is opened."""
+    `data` holds one column per header name: integers are written plainly,
+    other numbers as floats, and a list of str as given.  Returns the
+    columns' text, for files that share a column.  A comment with a line
+    break, a float with no finite ``.10e`` form, or columns that do not
+    fit the header raise ValueError before the file is opened."""
     if any("\n" in c or "\r" in c for c in comments):
         raise ValueError(f"{path}: a comment must be a single line")
-    rows = rows if isinstance(rows, np.ndarray) else list(rows)
-    data = np.array(rows, dtype=float).reshape(len(rows), len(columns))
-    # NaN, inf, and the finite values whose text form may round up to inf
-    for i, j in np.argwhere(~(np.abs(data) < 1e308)).tolist():
-        if not math.isfinite(float(format(data[i, j], FLOAT_FORMAT))):
-            raise ValueError(f"{path}: {rows[i][j]!r} has no finite {FLOAT_FORMAT} form")
-    ints = [isinstance(v, (int, np.integer)) for v in rows[0]] if len(rows) else []
-    fmt = ",".join("{:d}" if i else "{:" + FLOAT_FORMAT + "}" for i in ints)
-    fields = [[row[j] for row in rows] if i else data[:, j].tolist()
-              for j, i in enumerate(ints)]
+    texts = [c if isinstance(c, list) and c and isinstance(c[0], str)
+             else _column_text(path, np.asarray(c)) for c in data]
+    if len(texts) != len(columns) or len(set(map(len, texts))) > 1:
+        raise ValueError(f"{path}: expected {len(columns)} columns of one length")
     lines = [f"# {c}" for c in comments] + [",".join(columns)]
-    lines.extend(map(fmt.format, *fields) if fields else ())
+    lines.extend(map(",".join, zip(*texts)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    return texts
+
+
+def _column_text(path, values):
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    floats = values.tolist()
+    texts = list(map(_FLOAT.format, floats))
+    # NaN, inf, and the finite values whose text form may round up to inf
+    for i in np.flatnonzero(~(np.abs(values) < 1e308)).tolist():
+        if not math.isfinite(float(texts[i])):
+            raise ValueError(f"{path}: {floats[i]!r} has no finite {FLOAT_FORMAT} form")
+    return texts
 
 
 def read_csv(path, columns, integer_columns=()):

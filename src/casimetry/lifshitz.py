@@ -18,7 +18,7 @@ bounded with the r2 <= 1 majorant and reported, never silently dropped.
 from __future__ import annotations
 
 import math
-from ._record import dataclass
+from ._record import dataclass, read_only
 from functools import lru_cache, partial
 from typing import Sequence
 
@@ -582,14 +582,14 @@ def entropy_probe(model: ReflectionModel, z: float,
 
 @dataclass(frozen=True)
 class PressureCurve:
-    """Separation grid and pressures of one model."""
+    """Separation grid and pressures of one model, held read-only."""
 
     z: np.ndarray
     pressure: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        p = np.asarray(self.pressure, dtype=float)
+        z = read_only(np.array(self.z, dtype=float))
+        p = read_only(np.array(self.pressure, dtype=float))
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "pressure", p)
         if z.ndim != 1 or z.size == 0:
@@ -601,6 +601,7 @@ class PressureCurve:
             raise ValueError("z must be positive, finite and strictly increasing")
         if not np.all((p < 0.0) & (p > -math.inf)):
             raise ValueError("pressures must be negative (attractive) and finite")
+        object.__setattr__(self, "_log_grid", (np.log(z), np.log(-p)))  # pressure_at's axes
 
     def pressure_at(self, z):
         """Log-log interpolated pressure at z (within the curve range)."""
@@ -611,8 +612,7 @@ class PressureCurve:
         if self.z.size == 1:
             out = np.full(zq.shape, self.pressure[0])
         else:
-            out = -np.exp(np.interp(np.log(zq), np.log(self.z),
-                                    np.log(-self.pressure)))
+            out = -np.exp(np.interp(np.log(zq), *self._log_grid))
         return float(out) if np.isscalar(z) else out
 
 

@@ -15,7 +15,8 @@ fractions of |P|; separations are meters.
 from __future__ import annotations
 
 import math
-from ._record import dataclass, field
+from functools import lru_cache
+from ._record import dataclass, field, read_only
 
 import numpy as np
 
@@ -127,7 +128,8 @@ def _combine(half_widths, rule="quantile"):
 class MeasurementEnsemble:
     """Repeated pressure scans over a common separation range.
 
-    Each set is an (n, 2) array of (z, pressure) rows.
+    Each set is an (n, 2) array of (z, pressure) rows, held read-only,
+    so the points and the binned statistics can be kept.
     """
 
     sets: tuple
@@ -139,7 +141,7 @@ class MeasurementEnsemble:
             raise ValueError("z_range must be increasing, positive and finite")
         sets = []
         for i, s in enumerate(self.sets):
-            a = np.asarray(s, dtype=float)
+            a = read_only(np.array(s, dtype=float))
             if (a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 1
                     or not np.all(np.isfinite(a))):
                 raise ValueError(f"set {i} must be a nonempty (n, 2) array of finite values")
@@ -150,15 +152,16 @@ class MeasurementEnsemble:
             raise ValueError("ensemble needs at least one set")
         object.__setattr__(self, "sets", tuple(sets))
         object.__setattr__(self, "z_range", (float(lo), float(hi)))
+        object.__setattr__(self, "_points", tuple(
+            read_only(np.concatenate([s[:, k] for s in sets])) for k in (0, 1)))
 
     @property
     def n_points(self):
         return sum(len(s) for s in self.sets)
 
     def all_points(self):
-        """Concatenated (z, pressure) arrays."""
-        return (np.concatenate([s[:, 0] for s in self.sets]),
-                np.concatenate([s[:, 1] for s in self.sets]))
+        """Concatenated (z, pressure) arrays, read-only."""
+        return self._points
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,7 @@ class BinnedStatistics:
     variance is computed about a within-bin linear trend (dof = n - 2)
     so the curve's slope does not inflate the scatter; bins too small
     to detrend fall back to the plain sample variance, and singleton
-    bins carry variance nan with dof 0.
+    bins carry variance nan with dof 0.  The arrays are read-only copies.
     """
 
     z: np.ndarray
@@ -177,13 +180,21 @@ class BinnedStatistics:
     count: np.ndarray
     dof: np.ndarray
 
+    def __post_init__(self):
+        for name in ("z", "pressure_mean", "variance", "count", "dof"):
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name))))
+        object.__setattr__(self, "_envelopes", {})  # confidence -> random_error_curve's band
+
 
 def bin_ensemble(ensemble: MeasurementEnsemble) -> BinnedStatistics:
     """Group all points into separation subintervals of DEFAULT_BIN_WIDTH.
 
     Every bin's linear fit is centred on the bin means and built from
-    per-bin sums; rows come in increasing bin order.
+    per-bin sums; rows come in increasing bin order.  An ensemble is
+    binned once.
     """
+    if "_binned" in vars(ensemble):
+        return ensemble._binned
     z, p = ensemble.all_points()
     lo, hi = ensemble.z_range
     n_bins = max(1, int(math.ceil((hi - lo) / DEFAULT_BIN_WIDTH - 1e-9)))
@@ -209,21 +220,22 @@ def bin_ensemble(ensemble: MeasurementEnsemble) -> BinnedStatistics:
     dof = np.where(fit, n - 2, n - 1)
     with np.errstate(invalid="ignore", divide="ignore"):
         var = np.where(n >= 2, rss / dof, math.nan)
-    return BinnedStatistics(z_m, p_m, var, n, dof)
+    object.__setattr__(ensemble, "_binned", BinnedStatistics(z_m, p_m, var, n, dof))
+    return ensemble._binned
 
 
 @dataclass(frozen=True)
 class ConfidenceBand:
     """Half-width at `confidence` versus z of a random-error envelope or
-    of the band for differences; calling it interpolates."""
+    of the band for differences, held read-only; calling it interpolates."""
 
     z: np.ndarray
     half_width: np.ndarray
     confidence: float
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        h = np.asarray(self.half_width, dtype=float)
+        z = read_only(np.array(self.z, dtype=float))
+        h = read_only(np.array(self.half_width, dtype=float))
         if z.ndim != 1 or z.shape != h.shape or z.size < 2:
             raise ValueError("band needs matching 1-d arrays of length >= 2")
         if not (np.all(np.diff(z) > 0) and np.all(np.isfinite(z))):
@@ -241,8 +253,9 @@ class ConfidenceBand:
 def _c4(n):
     # E[s] = c4 sigma for normal samples of sizes n (1-d); lgamma once per size
     n = np.asarray(n, dtype=float)
-    lg = {v: math.lgamma(v / 2) - math.lgamma((v - 1) / 2) for v in set(n.tolist())}
-    return np.sqrt(2.0 / (n - 1)) * np.exp([lg[v] for v in n.tolist()])
+    sizes = np.array(sorted(set(n.tolist())))
+    lg = np.array([math.lgamma(v / 2) - math.lgamma((v - 1) / 2) for v in sizes.tolist()])
+    return np.sqrt(2.0 / (n - 1)) * np.exp(lg[np.searchsorted(sizes, n)])
 
 
 def _smoothed_sigma(binned):
@@ -281,20 +294,23 @@ def random_error_curve(binned: BinnedStatistics, confidence: float,
     Notes
     -----
     Bin scatter is smoothed with a moving median over 11 bins, which
-    respects the strong variance heterogeneity across separation.
+    respects the strong variance heterogeneity across separation.  Each
+    confidence level's envelope is built once per binned statistics.
     """
     _check_confidence(confidence)
     if kind != "point":
         raise ValueError("kind must be 'point'")
-    s_sm = _smoothed_sigma(binned)
-    good = np.isfinite(s_sm) & (binned.dof >= 1)
-    if (n_good := np.count_nonzero(good)) < 2:
-        raise SparseEnsembleError(
-            f"{n_good} of {good.size} occupied separation bins "
-            "have a defined variance (two or more points); the scatter "
-            "envelope needs two")
-    return ConfidenceBand(binned.z[good], _NORMAL_Q[confidence] * s_sm[good],
-                          confidence)
+    if confidence not in binned._envelopes:
+        s_sm = _smoothed_sigma(binned)
+        good = np.isfinite(s_sm) & (binned.dof >= 1)
+        if (n_good := np.count_nonzero(good)) < 2:
+            raise SparseEnsembleError(
+                f"{n_good} of {good.size} occupied separation bins "
+                "have a defined variance (two or more points); the scatter "
+                "envelope needs two")
+        binned._envelopes[confidence] = ConfidenceBand(
+            binned.z[good], _NORMAL_Q[confidence] * s_sm[good], confidence)
+    return binned._envelopes[confidence]
 
 
 def theory_error_curve(z, confidence: float = 0.95,
@@ -405,10 +421,8 @@ def exclusion_test(differences, band: ConfidenceBand,
         raise ValueError("differences must be a nonempty list of finite (z, dP)")
     z = d[:, 0]
     outside = np.abs(d[:, 1]) > band(z)
-    order = np.argsort(z, kind="stable")
-    zo, n_below = z[order], np.concatenate(([0], np.cumsum(outside[order])))
-    i0 = np.searchsorted(zo, band.z - WINDOW_HALF_WIDTH)
-    i1 = np.searchsorted(zo, band.z + WINDOW_HALF_WIDTH)
+    order, i0, i1 = _windows(z.tobytes(), band.z.tobytes())
+    n_below = np.concatenate(([0], np.cumsum(outside[order])))
     flags = ((i1 - i0 >= MIN_WINDOW_POINTS)
              & (2 * (n_below[i1] - n_below[i0]) > i1 - i0))
     # maximal runs of flagged grid points: [start, stop) pairs
@@ -420,6 +434,16 @@ def exclusion_test(differences, band: ConfidenceBand,
     accepted = not windows and frac <= 2.0 * (1.0 - band.confidence)
     return ExclusionVerdict(model_tag, band.confidence, len(outside),
                             n_out, frac, tuple(windows), accepted, band, d)
+
+
+@lru_cache(maxsize=1)
+def _windows(z_bytes, grid_bytes):
+    # stable order of z, and each grid point's window [i0, i1) in sorted z;
+    # keyed by bytes, so the models tested on one ensemble and grid share it
+    z, grid = np.frombuffer(z_bytes), np.frombuffer(grid_bytes)
+    order = np.argsort(z, kind="stable")
+    return tuple(map(read_only, (order, *np.searchsorted(
+        z[order], [grid - WINDOW_HALF_WIDTH, grid + WINDOW_HALF_WIDTH]))))
 
 
 def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
@@ -451,20 +475,17 @@ def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
     dict
         Mapping tag -> ExclusionVerdict, each carrying its band and
         its point-by-point differences for callers that write them out.
+
+    The models share the binning, the envelope, the sort of z, the window
+    indices and both half-widths, which are evaluated once on the
+    envelope grid: every curve covers the data, so that grid is each band's.
     """
-    binned = bin_ensemble(ensemble)
-    env = random_error_curve(binned, confidence)
-    ref_curve = model_curves[reference]
+    env = random_error_curve(bin_ensemble(ensemble), confidence)
     rad = confidence * (DEFAULT_SPHERE.radius_error / DEFAULT_SPHERE.radius)
-
-    def expt_abs(zz):
-        return np.sqrt(env(zz) ** 2
-                       + (rad * np.abs(ref_curve.pressure_at(zz))) ** 2)
-
-    def theory_rel(zz):
-        return theory_error_curve(zz, confidence=confidence,
-                                  include_separation_term=False)
-
+    ref_abs = rad * np.abs(model_curves[reference].pressure_at(env.z))
+    expt_abs = ConfidenceBand(env.z, np.sqrt(env.half_width ** 2 + ref_abs ** 2), confidence)
+    theory_rel = ConfidenceBand(env.z, theory_error_curve(
+        env.z, confidence=confidence, include_separation_term=False), confidence)
     z, p = ensemble.all_points()
     out = {}
     for tag, curve in model_curves.items():
@@ -535,10 +556,10 @@ def generate_synthetic_ensemble(*, curve: PressureCurve = None,
     return MeasurementEnsemble(tuple(np.stack([z_rec, p], axis=2)), (lo, hi))
 
 
-def save_ensemble_csv(ensemble: MeasurementEnsemble, path, comments=()):
-    """Write an ensemble as CSV rows set_index,z_m,pressure_Pa."""
+def save_ensemble_csv(ensemble: MeasurementEnsemble, path, comments=()) -> list:
+    """Write an ensemble as CSV rows set_index,z_m,pressure_Pa, as write_csv."""
     index = np.repeat(np.arange(len(ensemble.sets)), [len(s) for s in ensemble.sets])
-    write_csv(path, _ENSEMBLE_COLUMNS, zip(index.tolist(), *ensemble.all_points()), comments)
+    return write_csv(path, _ENSEMBLE_COLUMNS, (index, *ensemble.all_points()), comments)
 
 
 def load_ensemble_csv(path, z_range=None) -> MeasurementEnsemble:

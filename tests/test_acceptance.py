@@ -43,6 +43,8 @@ from casimetry.optics import (
 # oracle; it is imported, not copied, so the two cannot drift apart.
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from checks import ideal_pressure  # noqa: E402
+# criterion 6's depth-integration oracle, kept with the hypforce tests
+from test_hypforce import yukawa_pressure_oracle  # noqa: E402
 
 ZETA3 = 1.2020569031595943
 GOLD = DrudeParameters(omega_p=1.37e16, gamma=5.3e13)
@@ -295,8 +297,8 @@ def test_criterion_6_yukawa_closed_form_vs_oracle():
             for z in z_grid:
                 closed = hypforce.yukawa_plate_pressure(sphere, plate,
                                                         float(z), params)
-                oracle = hypforce.yukawa_pressure_oracle(sphere, plate,
-                                                         float(z), params)
+                oracle = yukawa_pressure_oracle(sphere, plate, float(z),
+                                                params)
                 worst = max(worst, abs(closed / oracle - 1.0))
     ok = report("criterion 6: layered closed form matches depth oracle",
                 worst < 1e-8, f"worst rel dev {worst:.2e}")

@@ -582,6 +582,16 @@ class TestKeysCheckedWhereRead:
         assert (f"error: {section}.confidence must be 0.95 or 0.99, "
                 f"not {value}") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["pressure", "exclusion"])
+    def test_unit_without_table_is_named(self, tmp_path, capsys, section):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\noptical_unit = um\n")
+        out = tmp_path / "out"
+        assert main([section, "--config", str(ini), "--out", str(out)]) == 1
+        assert (f"error: {section}: optical_unit needs an optical_table\n"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
     # a value of each parser that it rejects; a path's is a missing file
     BAD = {float: "abc", int: "1.5", cli._list: " , ", str: "bogus"}
 

@@ -50,9 +50,9 @@ def test_table_round_trip(path, data, comments):
     columns = tuple(f"c{k}" for k in range(data.shape[1]))
     if not fits(comments, data):
         with pytest.raises(ValueError, match=re.escape(str(path))):
-            write_csv(path, columns, data, comments)
+            write_csv(path, columns, data.T, comments)
         return
-    write_csv(path, columns, data, comments)
+    write_csv(path, columns, data.T, comments)
     assert b"\r" not in path.read_bytes()
     back_comments, back = read_csv(path, columns)
     assert back_comments == list(enumerate(comments, 1))
@@ -111,11 +111,29 @@ def test_constraint_round_trip(path, curve, comments):
 
 
 def test_integer_columns_read_exactly(path):
-    write_csv(path, ("i", "x"), [(0, 1.5), (12, -2.0)])
+    write_csv(path, ("i", "x"), [(0, 12), (1.5, -2.0)])
     assert path.read_text() == ("i,x\n0,1.5000000000e+00\n"
                                 "12,-2.0000000000e+00\n")
     _, data = read_csv(path, ("i", "x"), integer_columns=("i",))
     assert data.tolist() == [[0.0, 1.5], [12.0, -2.0]]
+
+
+def test_returned_text_writes_the_same_bytes(tmp_path):
+    z = np.linspace(160e-9, 750e-9, 7)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    texts = write_csv(first, ("i", "z_m"), (np.arange(7), z), ["note"])
+    assert texts == [[str(i) for i in range(7)], [format(v, ".10e") for v in z]]
+    assert write_csv(second, ("i", "z_m"), texts, ["note"]) == texts
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("data", [([1.0, 2.0],), ([1.0, 2.0], [3.0]),
+                                  ([1.0], [2.0], [3.0])])
+def test_columns_must_fit_the_header(tmp_path, data):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        write_csv(path, ("x", "y"), data)
+    assert not path.exists()
 
 
 def test_overflow_at_real_size_is_refused_before_the_file_opens(tmp_path):
@@ -127,7 +145,7 @@ def test_overflow_at_real_size_is_refused_before_the_file_opens(tmp_path):
     path = tmp_path / "big.csv"
     with pytest.raises(ValueError, match=re.escape(f"{path}: ")
                        + ".*has no finite .10e form"):
-        write_csv(path, ("z_m", "pressure_Pa"), data)
+        write_csv(path, ("z_m", "pressure_Pa"), data.T)
     assert not path.exists()
 
 
@@ -135,11 +153,11 @@ def test_mixed_int_float_rows_read_back_exactly(tmp_path):
     rng = np.random.default_rng(3)
     z = rng.uniform(160e-9, 750e-9, 4000)
     p = rng.normal(-1e-3, 1e-4, 4000)
-    # Python and numpy integers and floats, mixed from row to row
+    # Python and numpy integers and floats, mixed within each column
     rows = [(k // 400 if k % 2 else np.int64(k // 400),
              float(z[k]) if k % 3 else z[k], p[k]) for k in range(4000)]
     path = tmp_path / "ensemble.csv"
-    write_csv(path, ("set_index", "z_m", "pressure_Pa"), rows)
+    write_csv(path, ("set_index", "z_m", "pressure_Pa"), list(zip(*rows)))
     _, back = read_csv(path, ("set_index", "z_m", "pressure_Pa"),
                        integer_columns=("set_index",))
     assert back[:, 0].tolist() == [k // 400 for k in range(4000)]

@@ -850,6 +850,118 @@ class TestSelfConsistency:
         assert 0.035 < mean < 0.065
 
 
+def band_and_test_per_model(ensemble, curves, reference, confidence):
+    """run_exclusion_analysis as a band and a test for each model, on a
+    fresh copy of the ensemble, with nothing shared between the models."""
+    ensemble = mt.MeasurementEnsemble(ensemble.sets, ensemble.z_range)
+    env = mt.random_error_curve(mt.bin_ensemble(ensemble), confidence)
+    ref = curves[reference]
+    rad = confidence * (mt.DEFAULT_SPHERE.radius_error / mt.DEFAULT_SPHERE.radius)
+
+    def expt_abs(zz):
+        return np.sqrt(env(zz) ** 2 + (rad * np.abs(ref.pressure_at(zz))) ** 2)
+
+    def theory_rel(zz):
+        return mt.theory_error_curve(zz, confidence=confidence,
+                                     include_separation_term=False)
+
+    z, p = ensemble.all_points()
+    out = {}
+    for tag, curve in curves.items():
+        band = mt.confidence_band(theory_rel, expt_abs, curve, confidence,
+                                  rule="variance", grid=env.z)
+        mt._windows.cache_clear()
+        out[tag] = mt.exclusion_test(
+            np.column_stack([z, curve.pressure_at(z) - p]), band, model_tag=tag)
+    return out
+
+
+def assert_same_verdicts(got, want):
+    """Counts, windows and verdicts, and the band and differences behind
+    them, bit for bit."""
+    assert list(got) == list(want)
+    for tag in want:
+        assert got[tag] == want[tag]
+        for name in ("z", "half_width"):
+            assert np.array_equal(getattr(got[tag].band, name),
+                                  getattr(want[tag].band, name))
+        assert np.array_equal(got[tag].differences, want[tag].differences)
+
+
+class TestOnePassBandTest:
+    """run_exclusion_analysis shares its ensemble's binning, envelope, sort,
+    window indices and half-widths across models and calls; the results
+    are those of a band and a test per model."""
+
+    @pytest.fixture(scope="class")
+    def with_narrow(self, curves):
+        # a curve on the sampling range only, not the padded generator grid
+        grid = np.geomspace(*mt.DEFAULT_Z_RANGE, 50)
+        return {**curves,
+                "narrow": PressureCurve(grid, curves["schw"].pressure_at(grid))}
+
+    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    def test_equals_a_band_and_a_test_per_model(self, curves, with_narrow,
+                                                confidence):
+        for seed in range(1, 21):
+            ens = mt.generate_synthetic_ensemble(curve=curves["imp"], seed=seed)
+            assert_same_verdicts(
+                mt.run_exclusion_analysis(ens, with_narrow, "imp", confidence),
+                band_and_test_per_model(ens, with_narrow, "imp", confidence))
+
+    def test_kept_arrays_are_read_only(self, curves):
+        sets = tuple(mt.generate_synthetic_ensemble(
+            curve=curves["imp"], seed=3, n_sets=2, points_per_set=200).sets)
+        source = [np.array(s) for s in sets]
+        ens = mt.MeasurementEnsemble(source)
+        binned = mt.bin_ensemble(ens)
+        env = mt.random_error_curve(binned, 0.95)
+        kept = [*ens.sets, *ens.all_points(), binned.z, binned.pressure_mean,
+                binned.variance, binned.count, binned.dof, env.z, env.half_width,
+                curves["imp"].z, curves["imp"].pressure]
+        for array in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        # the ensemble holds a copy: its source stays writable, and
+        # writing into it changes nothing that was kept
+        source[0][0, 1] = 1.0
+        assert ens.sets[0][0, 1] == sets[0][0, 1]
+        assert mt.bin_ensemble(ens) is binned
+
+    def test_envelope_is_smoothed_once_per_confidence(self, curves,
+                                                      monkeypatch):
+        calls = []
+
+        def spy(binned):
+            calls.append(binned)
+            return smoothed(binned)
+
+        smoothed = mt._smoothed_sigma
+        monkeypatch.setattr(mt, "_smoothed_sigma", spy)
+        ens = mt.generate_synthetic_ensemble(curve=curves["imp"], seed=4)
+        verdicts = mt.run_exclusion_analysis(ens, curves, "imp", 0.95)
+        binned = mt.bin_ensemble(ens)
+        env = mt.random_error_curve(binned, 0.95, kind="point")
+        assert len(calls) == 1 and calls[0] is binned
+        assert mt.bin_ensemble(ens) is binned
+        assert np.array_equal(verdicts["imp"].band.z, env.z)
+        mt.run_exclusion_analysis(ens, curves, "imp", 0.99)
+        assert mt.random_error_curve(binned, 0.99) is mt.random_error_curve(
+            binned, 0.99)
+        assert len(calls) == 2
+
+    def test_levels_in_turn_match_fresh_ensembles(self, curves):
+        # the model_exclusion demo tests 95 % and then 99 % on one ensemble
+        for seed in (7, 12):
+            shared = mt.generate_synthetic_ensemble(curve=curves["imp"], seed=seed)
+            for confidence in (0.95, 0.99):
+                fresh = mt.generate_synthetic_ensemble(curve=curves["imp"],
+                                                       seed=seed)
+                assert_same_verdicts(
+                    mt.run_exclusion_analysis(shared, curves, "imp", confidence),
+                    mt.run_exclusion_analysis(fresh, curves, "imp", confidence))
+
+
 class TestEnsembleCsv:
 
     def test_round_trip(self, curves, tmp_path):
