@@ -294,15 +294,13 @@ def cmd_pressure(cfg: RunConfig, out: Path) -> None:
     paths = [cfg[f"roughness_{side}"] for side in "ab"]
     profile_a, profile_b = (RoughnessProfile.flat() if path is None
                             else load_roughness_profile(path) for path in paths)
-    rough = any(path is not None for path in paths)
 
     models = {key: build_model(key, drude, eps) for key in model_keys}  # before any write
     rel_err = theory_error_curve(z, confidence=confidence)
     for key, model in models.items():
-        pressure = (roughness_corrected_pressure(
+        pressure = roughness_corrected_pressure(
             lambda s: compute_pressure_curve(model, s, state).pressure,
             profile_a, profile_b, z)
-            if rough else compute_pressure_curve(model, z, state).pressure)
         _write_csv(out / f"pressure_{key}.csv", cfg,
                    ("z_m", "pressure_Pa", "rel_theory_error"),
                    (z, pressure, rel_err),
@@ -341,16 +339,16 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
                          f" = {points} are too few: {exc}") from None
 
     # shared columns are formatted once: every differences file has the
-    # ensemble's z, and the bands of curves that cover one grid share it
+    # ensemble's z, and every band lives on the one envelope grid
     _, z_text, _ = save_ensemble_csv(ensemble, out / "ensemble.csv", _stamped(
         cfg, f"generator = {generator}", f"seed = {seed}"))
     print(f"wrote {out / 'ensemble.csv'}")
-    grid_text = {}  # band grid bytes -> its text
+    grid = next(iter(verdicts.values())).band.z
     for tag, verdict in verdicts.items():
-        band, key = verdict.band, verdict.band.z.tobytes()
-        grid_text[key] = _write_csv(out / f"band_{tag}.csv", cfg, ("z_m", "half_width_Pa"),
-                                    (grid_text.get(key, band.z), band.half_width),
-                                    comments=(f"confidence = {band.confidence}",))[0]
+        band = verdict.band
+        grid = _write_csv(out / f"band_{tag}.csv", cfg, ("z_m", "half_width_Pa"),
+                          (grid, band.half_width),
+                          comments=(f"confidence = {band.confidence}",))[0]
         _write_csv(out / f"differences_{tag}.csv", cfg,
                    ("z_m", "difference_Pa"), (z_text, verdict.differences[:, 1]),
                    comments=(f"model = {tag}",))

@@ -172,12 +172,9 @@ def roughness_corrected_pressure(pressure_fn: Callable[[np.ndarray], np.ndarray]
             f"({profile_a.heights[i]:.3e}, {profile_b.heights[j]:.3e}) m "
             f"close the {z_arr.ravel()[k]:.3e} m gap")
     w = np.outer(profile_a.weights, profile_b.weights).ravel()
-    order = np.argsort(sep, axis=None)
-    ranked = sep.ravel()[order]
-    # written as not (<=) so that a NaN separation stays distinct
-    first = np.r_[True, ~(ranked[1:] <= ranked[:-1])]
-    values = np.asarray(pressure_fn(ranked[first]), dtype=float)[np.cumsum(first) - 1]
-    out = values[np.argsort(order)].reshape(z_arr.size, w.size) @ w
+    distinct, inv = np.unique(sep, return_inverse=True)
+    values = np.asarray(pressure_fn(distinct), dtype=float)[inv]
+    out = values.reshape(z_arr.size, w.size) @ w
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 

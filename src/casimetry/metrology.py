@@ -253,9 +253,9 @@ class ConfidenceBand:
 def _c4(n):
     # E[s] = c4 sigma for normal samples of sizes n (1-d); lgamma once per size
     n = np.asarray(n, dtype=float)
-    sizes = np.array(sorted(set(n.tolist())))
+    sizes, inv = np.unique(n, return_inverse=True)
     lg = np.array([math.lgamma(v / 2) - math.lgamma((v - 1) / 2) for v in sizes.tolist()])
-    return np.sqrt(2.0 / (n - 1)) * np.exp(lg[np.searchsorted(sizes, n)])
+    return np.sqrt(2.0 / (n - 1)) * np.exp(lg[inv])
 
 
 def _smoothed_sigma(binned):
@@ -339,41 +339,31 @@ def theory_error_curve(z, confidence: float = 0.95,
     return _combine(hws, rule="quantile")
 
 
-def confidence_band(theory_rel, expt_abs, model_curve: PressureCurve,
-                    confidence: float, rule: str = "quantile",
-                    grid=None) -> ConfidenceBand:
+def confidence_band(theory_rel, expt_abs: ConfidenceBand, model_curve: PressureCurve,
+                    confidence: float, rule: str = "quantile") -> ConfidenceBand:
     """Build the band for differences between a model curve and data.
+
+    The band lives on the grid of `expt_abs`, the separations of the data;
+    the model curve must cover it (pressure_at raises ValueError if not).
 
     Parameters
     ----------
     theory_rel : callable
         Relative theory error versus separation, at `confidence`.
-    expt_abs : callable or ConfidenceBand
+    expt_abs : ConfidenceBand
         Absolute experimental half-width versus separation, Pa, at
-        `confidence`.
+        `confidence`; anything else raises TypeError.
     model_curve : PressureCurve
         Curve of the model under test.
     confidence : float
     rule : str, optional
         Component combination rule, "quantile" or "variance".
-    grid : array_like, optional
-        Evaluation separations; defaults to the grid of a ConfidenceBand
-        `expt_abs` clipped to the model curve range, else the model grid.
     """
-    if grid is None:
-        grid = (expt_abs.z if isinstance(expt_abs, ConfidenceBand)
-                else model_curve.z)
-    grid = np.asarray(grid, dtype=float)
-    lo = max(grid.min(), model_curve.z.min())
-    hi = min(grid.max(), model_curve.z.max())
-    keep = (grid >= lo) & (grid <= hi)
-    if not keep.any():
-        raise ValueError("band grid does not overlap the model curve")
-    grid = grid[keep]
-    p_abs = np.abs(model_curve.pressure_at(grid))
-    th = np.asarray(theory_rel(grid), dtype=float) * p_abs
-    ex = np.asarray(expt_abs(grid), dtype=float)
-    return ConfidenceBand(grid, _combine([th, ex], rule), confidence)
+    if not isinstance(expt_abs, ConfidenceBand):
+        raise TypeError("expt_abs must be a ConfidenceBand; its grid is the band's")
+    grid = expt_abs.z
+    th = np.asarray(theory_rel(grid), dtype=float) * np.abs(model_curve.pressure_at(grid))
+    return ConfidenceBand(grid, _combine([th, expt_abs.half_width], rule), confidence)
 
 
 @dataclass(frozen=True)
@@ -478,7 +468,7 @@ def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
 
     The models share the binning, the envelope, the sort of z, the window
     indices and both half-widths, which are evaluated once on the
-    envelope grid: every curve covers the data, so that grid is each band's.
+    envelope grid, each band's grid.
     """
     env = random_error_curve(bin_ensemble(ensemble), confidence)
     rad = confidence * (DEFAULT_SPHERE.radius_error / DEFAULT_SPHERE.radius)
@@ -489,8 +479,7 @@ def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
     z, p = ensemble.all_points()
     out = {}
     for tag, curve in model_curves.items():
-        band = confidence_band(theory_rel, expt_abs, curve, confidence,
-                               rule="variance", grid=env.z)
+        band = confidence_band(theory_rel, expt_abs, curve, confidence, rule="variance")
         d = np.column_stack([z, curve.pressure_at(z) - p])
         out[tag] = exclusion_test(d, band, model_tag=tag)
     return out
@@ -571,7 +560,8 @@ def load_ensemble_csv(path, z_range=None) -> MeasurementEnsemble:
     _, data = read_csv(path, _ENSEMBLE_COLUMNS, integer_columns=("set_index",))
     if not len(data):
         raise ValueError(f"{path}: no data rows")
-    sets = [data[data[:, 0] == k, 1:] for k in sorted(set(data[:, 0].tolist()))]
+    keys, inv = np.unique(data[:, 0], return_inverse=True)
+    sets = [data[inv == k, 1:] for k in range(keys.size)]
     if z_range is None:
         z_range = (float(data[:, 1].min()), float(data[:, 1].max()))
     try:

@@ -458,6 +458,15 @@ class TestExclusionCommand:
         assert any("confidence = 0.95" in c for c in comments)
         assert np.all(cols["half_width_Pa"] > 0)
 
+    def test_bands_share_one_grid(self, exclusion_run):
+        # every band lives on the ensemble's envelope grid, byte for byte
+        _, _, out = exclusion_run
+        grids = {path.name: [line.partition(",")[0] for line in
+                             path.read_text().splitlines() if line[0] != "#"]
+                 for path in out.glob("band_*.csv")}
+        assert sorted(grids) == ["band_drude.csv", "band_impedance.csv"]
+        assert grids["band_drude.csv"] == grids["band_impedance.csv"]
+
     def test_zero_noise_reproduces_the_generator(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[exclusion]\ntested = impedance, drude\n"
@@ -993,7 +1002,7 @@ class TestImports:
         assert (tmp_path / "out" / "pressure_drude.csv").exists()
 
     def test_jobs_and_band_test_load_no_numpy_ma(self, tmp_path):
-        # numpy loads numpy.ma lazily, from np.unique and np.nanmedian;
+        # numpy loads numpy.ma lazily, from np.nanmedian (not np.unique);
         # every step asserts, so a failure names the step that loaded it
         write_gold_table(tmp_path / "gold.dat")
         (tmp_path / "rough.dat").write_text("-3 1\n-1 2\n1 2\n3 1\n")

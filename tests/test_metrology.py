@@ -85,6 +85,14 @@ class TestQuantiles:
 Z_GRID = np.geomspace(160e-9, 750e-9, 25)
 # a sphere so large that its z/R curvature term falls below rounding
 FLAT = SphereGeometry(1e9)
+# an experimental half-width whose square underflows to 0 Pa^2, so a
+# band built on it is exactly its theory term
+NEGLIGIBLE = 1e-200
+
+
+def expt_band(half_width, z=Z_GRID, confidence=0.95):
+    """An experimental band on z, the grid of every band built from it."""
+    return mt.ConfidenceBand(z, np.broadcast_to(half_width, np.shape(z)), confidence)
 
 
 def theory_terms(z, sphere=mt.DEFAULT_SPHERE, dz=mt.DEFAULT_SEPARATION_ERROR,
@@ -161,10 +169,9 @@ class TestErrorCombination:
         # of the quantile minimum
         curve = curves["imp"]
         ratio = np.geomspace(1e-2, 1e2, Z_GRID.size)
-        th, ex = 0.01, lambda z: ratio * 0.01 * np.abs(curve.pressure_at(z))
         p_abs = np.abs(curve.pressure_at(Z_GRID))
-        quant = mt.confidence_band(lambda z: np.full_like(z, th), ex, curve,
-                                   0.95, grid=Z_GRID)
+        th, ex = 0.01, expt_band(ratio * 0.01 * p_abs)
+        quant = mt.confidence_band(lambda z: np.full_like(z, th), ex, curve, 0.95)
         want = np.minimum(1 + ratio, 1.1 * np.hypot(1, ratio)) * th * p_abs
         np.testing.assert_allclose(quant.half_width, want, rtol=1e-12)
         assert np.any(1 + ratio < 1.1 * np.hypot(1, ratio))
@@ -173,17 +180,15 @@ class TestErrorCombination:
     def test_variance_rule_is_rss(self, curves):
         curve = curves["imp"]
         p_abs = np.abs(curve.pressure_at(Z_GRID))
-        expt = lambda z: 0.02 * np.abs(curve.pressure_at(z))
-        band = mt.confidence_band(mt.theory_error_curve, expt, curve, 0.95,
-                                  rule="variance", grid=Z_GRID)
+        band = mt.confidence_band(mt.theory_error_curve, expt_band(0.02 * p_abs),
+                                  curve, 0.95, rule="variance")
         want = np.hypot(mt.theory_error_curve(Z_GRID), 0.02) * p_abs
         np.testing.assert_allclose(band.half_width, want, rtol=1e-12)
 
     def test_total_scales_with_pressure(self, curves):
         curve = curves["imp"]
-        bands = [mt.confidence_band(mt.theory_error_curve,
-                                    lambda z: np.zeros_like(z),
-                                    scaled(curve, k), 0.95, grid=Z_GRID)
+        bands = [mt.confidence_band(mt.theory_error_curve, expt_band(NEGLIGIBLE),
+                                    scaled(curve, k), 0.95)
                  for k in (0.5, 1.5)]
         np.testing.assert_allclose(bands[1].half_width,
                                    3 * bands[0].half_width, rtol=1e-12)
@@ -191,9 +196,8 @@ class TestErrorCombination:
     def test_absolute_component_ignores_pressure(self, curves):
         curve = curves["imp"]
         for k in (0.5, 1.5):
-            band = mt.confidence_band(lambda z: np.zeros_like(z),
-                                      lambda z: np.full_like(z, 0.02),
-                                      scaled(curve, k), 0.95, grid=Z_GRID)
+            band = mt.confidence_band(lambda z: np.zeros_like(z), expt_band(0.02),
+                                      scaled(curve, k), 0.95)
             np.testing.assert_allclose(band.half_width, 0.02, rtol=1e-12)
 
     def test_enlarging_any_component_never_shrinks_total(self):
@@ -207,7 +211,7 @@ class TestErrorCombination:
             assert np.all(t1 >= t0)
 
     def test_higher_confidence_is_wider(self, curves):
-        expt = lambda z: 0.01 * np.abs(curves["imp"].pressure_at(z))
+        expt = 0.01 * np.abs(curves["imp"].pressure_at(Z_GRID))
         for separation in (True, False):
             h95, h99 = (mt.theory_error_curve(
                 Z_GRID, confidence=c, include_separation_term=separation)
@@ -216,7 +220,7 @@ class TestErrorCombination:
             b95, b99 = (mt.confidence_band(
                 lambda z: mt.theory_error_curve(
                     z, confidence=c, include_separation_term=separation),
-                expt, curves["imp"], c, grid=Z_GRID) for c in (0.95, 0.99))
+                expt_band(expt, confidence=c), curves["imp"], c) for c in (0.95, 0.99))
             assert np.all(b99.half_width >= b95.half_width)
 
     def test_total_at_least_dominant_component(self):
@@ -230,9 +234,8 @@ class TestErrorCombination:
             mt.theory_error_curve(300e-9, confidence=0.9)
         curve = PressureCurve(Z_GRID, -np.ones_like(Z_GRID))
         with pytest.raises(ValueError, match="combination rule"):
-            mt.confidence_band(mt.theory_error_curve,
-                               lambda z: np.zeros_like(z), curve, 0.95,
-                               rule="median")
+            mt.confidence_band(mt.theory_error_curve, expt_band(NEGLIGIBLE),
+                               curve, 0.95, rule="median")
 
 
 class TestTheoryErrorCurve:
@@ -540,9 +543,8 @@ class TestConfidenceBand:
 
     def test_zero_experimental_error_leaves_theory(self, curves):
         grid = np.linspace(200e-9, 700e-9, 21)
-        band = mt.confidence_band(mt.theory_error_curve,
-                                  lambda z: np.zeros_like(z),
-                                  curves["imp"], 0.95, grid=grid)
+        band = mt.confidence_band(mt.theory_error_curve, expt_band(NEGLIGIBLE, grid),
+                                  curves["imp"], 0.95)
         expected = mt.theory_error_curve(grid) * np.abs(
             curves["imp"].pressure_at(grid))
         np.testing.assert_allclose(band.half_width, expected, rtol=1e-12)
@@ -555,10 +557,11 @@ class TestConfidenceBand:
             return np.sqrt(0.586 ** 2 + (14.82 * s) ** 2) / 100.0
 
         curve = curves["imp"]
+        grid = np.geomspace(160e-9, 750e-9, 120)
         band = mt.confidence_band(
             mt.theory_error_curve,
-            lambda z: expt_rel(z) * np.abs(curve.pressure_at(z)),
-            curve, 0.95, grid=np.geomspace(160e-9, 750e-9, 120))
+            expt_band(expt_rel(grid) * np.abs(curve.pressure_at(grid)), grid),
+            curve, 0.95)
 
         def ratio(z_nm):
             z = z_nm * 1e-9
@@ -571,20 +574,26 @@ class TestConfidenceBand:
 
     def test_variance_rule_never_wider(self, curves):
         grid = np.linspace(200e-9, 700e-9, 21)
-        expt = lambda z: 0.01 * np.abs(curves["imp"].pressure_at(z))
-        kwargs = dict(grid=grid)
+        expt = expt_band(0.01 * np.abs(curves["imp"].pressure_at(grid)), grid)
         quant = mt.confidence_band(mt.theory_error_curve, expt,
-                                   curves["imp"], 0.95, **kwargs)
+                                   curves["imp"], 0.95)
         var = mt.confidence_band(mt.theory_error_curve, expt,
-                                 curves["imp"], 0.95, rule="variance",
-                                 **kwargs)
+                                 curves["imp"], 0.95, rule="variance")
         assert np.all(var.half_width <= quant.half_width * (1 + 1e-12))
 
-    def test_disjoint_ranges_rejected(self, curves):
-        with pytest.raises(ValueError, match="overlap"):
-            mt.confidence_band(mt.theory_error_curve,
-                               lambda z: np.zeros_like(z), curves["imp"],
-                               0.95, grid=np.linspace(1e-6, 2e-6, 5))
+    def test_curve_must_cover_the_grid(self, curves):
+        # the band is not clipped to the curve: the curve's range is named
+        lo, hi = curves["imp"].z[[0, -1]]
+        for grid in (np.linspace(1e-6, 2e-6, 5), np.linspace(0.5 * lo, hi, 5)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"z outside curve range [{lo:.4e}, {hi:.4e}]")):
+                mt.confidence_band(mt.theory_error_curve, expt_band(1.0, grid),
+                                   curves["imp"], 0.95)
+
+    def test_experimental_side_must_be_a_band(self, curves):
+        with pytest.raises(TypeError, match="ConfidenceBand"):
+            mt.confidence_band(mt.theory_error_curve, lambda z: np.ones_like(z),
+                               curves["imp"], 0.95)
 
     def test_validation(self):
         z = np.linspace(200e-9, 400e-9, 5)
@@ -858,8 +867,8 @@ def band_and_test_per_model(ensemble, curves, reference, confidence):
     ref = curves[reference]
     rad = confidence * (mt.DEFAULT_SPHERE.radius_error / mt.DEFAULT_SPHERE.radius)
 
-    def expt_abs(zz):
-        return np.sqrt(env(zz) ** 2 + (rad * np.abs(ref.pressure_at(zz))) ** 2)
+    expt_abs = mt.ConfidenceBand(env.z, np.sqrt(
+        env(env.z) ** 2 + (rad * np.abs(ref.pressure_at(env.z))) ** 2), confidence)
 
     def theory_rel(zz):
         return mt.theory_error_curve(zz, confidence=confidence,
@@ -869,7 +878,7 @@ def band_and_test_per_model(ensemble, curves, reference, confidence):
     out = {}
     for tag, curve in curves.items():
         band = mt.confidence_band(theory_rel, expt_abs, curve, confidence,
-                                  rule="variance", grid=env.z)
+                                  rule="variance")
         mt._windows.cache_clear()
         out[tag] = mt.exclusion_test(
             np.column_stack([z, curve.pressure_at(z) - p]), band, model_tag=tag)
