@@ -408,12 +408,16 @@ def cmd_constraints(cfg: RunConfig, out: Path) -> None:
         raise ValueError("constraints: need either band_file or sigma_Pa")
 
     curve = constraint_curve(band, stack_a, stack_b, lambdas)
+    if ref_path is not None:  # checked before any file is written
+        reference = load_constraint_csv(ref_path)
+        try:
+            ref_alpha = reference.alpha_at(curve.lambdas)
+        except ValueError as exc:
+            raise ValueError(f"{ref_path}: {exc}") from None
     save_constraint_csv(curve, out / "constraints.csv", _stamped(cfg, origin))
     print(f"wrote {out / 'constraints.csv'}")
 
     if ref_path is not None:
-        reference = load_constraint_csv(ref_path)
-        ref_alpha = reference.alpha_at(curve.lambdas)
         overlay = (curve.lambdas, curve.alpha_max, ref_alpha,
                    curve.alpha_max / ref_alpha)
         _write_csv(out / "overlay.csv", cfg,

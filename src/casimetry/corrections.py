@@ -12,11 +12,11 @@ surfaces and weighted by their height distributions.
 from __future__ import annotations
 
 import math
-from ._record import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from ._record import dataclass, read_only
 from .io import read_table
 
 __all__ = [
@@ -47,17 +47,17 @@ class SphereGeometry:
 
 @dataclass(frozen=True)
 class RoughnessProfile:
-    """Discrete height distribution of one surface.
+    """Discrete height distribution of one surface, held read-only.
 
-    Heights are measured from the mean plane, in meters, so the weighted
-    mean must vanish; weights are occupation probabilities.
+    Weights are normalized to sum to one and heights shifted to zero
+    weighted mean, so raw histogram rows can be passed as they are.
 
     Parameters
     ----------
     heights : array_like
-        Height of each histogram bin relative to the mean plane.
+        Height of each histogram bin, in meters.
     weights : array_like
-        Probability of each bin; nonnegative, summing to one.
+        Occupation of each bin; finite, nonnegative, with a positive sum.
     """
 
     heights: np.ndarray
@@ -68,37 +68,17 @@ class RoughnessProfile:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if h.ndim != 1 or h.shape != w.shape or h.size == 0:
             raise ValueError("heights and weights must be matching 1-d arrays")
-        if not np.all(np.isfinite(h) & (w >= 0) & (w < math.inf)):
-            raise ValueError("heights must be finite, weights finite and nonnegative")
         total = float(w.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"weights sum to {total:.8f}, expected 1")
-        span = float(np.max(np.abs(h)))
-        mean = float(w @ h)
-        if abs(mean) > max(1e-13, 1e-9 * span):
-            raise ValueError("heights must average to zero over the weights")
-        object.__setattr__(self, "heights", h)
+        if not (np.all(np.isfinite(h) & (w >= 0)) and 0 < total < math.inf):
+            raise ValueError("histogram needs finite levels, weights >= 0 with a positive sum")
+        w = read_only(w / total)
+        object.__setattr__(self, "heights", read_only(h - w @ h))
         object.__setattr__(self, "weights", w)
 
     @classmethod
     def flat(cls) -> "RoughnessProfile":
         """Perfectly smooth surface."""
         return cls(np.zeros(1), np.ones(1))
-
-    @classmethod
-    def from_histogram(cls, heights: Sequence[float],
-                       weights: Sequence[float]) -> "RoughnessProfile":
-        """Build a profile from raw histogram rows.
-
-        Weights are normalized and heights are shifted to zero weighted
-        mean, which is what raw AFM histograms need.
-        """
-        h = np.asarray(heights, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        if not (np.all(np.isfinite(h) & (w >= 0) & (w < math.inf)) and w.sum() > 0):
-            raise ValueError("histogram needs finite levels, weights >= 0 with a positive sum")
-        w = w / w.sum()
-        return cls(h - w @ h, w)
 
     @classmethod
     def gaussian(cls, sigma: float) -> "RoughnessProfile":
@@ -111,7 +91,7 @@ class RoughnessProfile:
         h = np.linspace(-_GAUSSIAN_CLIP * sigma, _GAUSSIAN_CLIP * sigma,
                         _GAUSSIAN_LEVELS)
         w = np.exp(-0.5 * (h / sigma) ** 2)
-        return cls.from_histogram(h, w)
+        return cls(h, w)
 
 
 def pft_pressure(force_gradient: float, sphere: SphereGeometry) -> float:
@@ -188,6 +168,6 @@ def load_roughness_profile(path) -> RoughnessProfile:
     if not len(rows):
         raise ValueError(f"{path}: no histogram rows found")
     try:
-        return RoughnessProfile.from_histogram(rows[:, 0] * 1e-9, rows[:, 1])
+        return RoughnessProfile(rows[:, 0] * 1e-9, rows[:, 1])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

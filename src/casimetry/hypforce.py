@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from ._record import dataclass
 
 import numpy as np
 
+from ._record import dataclass, read_only
 from .constants import G_NEWTON
 from .io import FLOAT_FORMAT, read_csv, read_table, write_csv
 
@@ -168,43 +168,37 @@ def yukawa_plate_pressure(stack_a: LayerStack, stack_b: LayerStack,
 class ConstraintCurve:
     """Strongest allowed strength versus interaction range.
 
-    entries hold (lam, alpha_max, z_best) rows with lam increasing.
+    entries is a read-only (n, 3) array of (lam, alpha_max, z_best) rows
+    with lam increasing; lambdas, alpha_max and z_best are its columns.
     """
 
-    entries: tuple
+    entries: np.ndarray
 
     def __post_init__(self):
-        entries = tuple((float(l), float(a), float(z))
-                        for l, a, z in self.entries)
-        if not entries:
-            raise ValueError("constraint curve needs at least one entry")
-        lams, alpha, z_best = np.array(entries).T
+        entries = read_only(np.array(self.entries, dtype=float))
+        if entries.ndim != 2 or entries.shape[1] != 3 or not len(entries):
+            raise ValueError("constraint curve needs a nonempty (n, 3) array of entries")
+        lams, alpha, z_best = entries.T
         # increasing ranges are bounded by their end points
         if not (np.all(np.diff(lams) > 0) and 0 < lams[0] and lams[-1] < math.inf):
-            raise ValueError("interaction ranges must be increasing, "
-                             "positive and finite")
+            raise ValueError("interaction ranges must be increasing, positive and finite")
         if not np.all((alpha > 0) & (alpha < math.inf)):
             raise ValueError("alpha_max must be positive and finite")
         if not np.all(np.isfinite(z_best)):
             raise ValueError("z_best must be finite")
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def lambdas(self):
-        return np.array([e[0] for e in self.entries])
-
-    @property
-    def alpha_max(self):
-        return np.array([e[1] for e in self.entries])
-
-    @property
-    def z_best(self):
-        return np.array([e[2] for e in self.entries])
+    lambdas = property(lambda self: self.entries[:, 0])
+    alpha_max = property(lambda self: self.entries[:, 1])
+    z_best = property(lambda self: self.entries[:, 2])
 
     def alpha_at(self, lam):
-        """Log-log interpolated bound: a float for a scalar lam, else an array."""
-        out = np.exp(np.interp(np.log(lam), np.log(self.lambdas),
-                               np.log(self.alpha_max)))
+        """Log-log interpolated bound within the curve's range, a float for a scalar lam."""
+        lam = np.asarray(lam, dtype=float)
+        lo, hi = self.lambdas[0], self.lambdas[-1]
+        if not np.all((lam >= lo * (1 - 1e-12)) & (lam <= hi * (1 + 1e-12))):
+            raise ValueError(f"lambda outside curve range [{lo:.4e}, {hi:.4e}] m")
+        out = np.exp(np.interp(np.log(lam), np.log(self.lambdas), np.log(self.alpha_max)))
         return float(out) if out.ndim == 0 else out
 
 
@@ -270,7 +264,7 @@ def constraint_curve(band, stack_a: LayerStack, stack_b: LayerStack,
         raise ValueError("interaction ranges must be positive and finite")
     _check_range_validity(lams[-1])
     z_best, alpha = _strongest_constraints(band, stack_a, stack_b, lams)
-    return ConstraintCurve(tuple(zip(lams, alpha, z_best)))
+    return ConstraintCurve(np.column_stack([lams, alpha, z_best]))
 
 
 def load_layer_stack(path) -> LayerStack:
@@ -298,7 +292,7 @@ def save_constraint_csv(curve: ConstraintCurve, path, comments=()):
     if np.any(np.diff(on_disk) <= 0):
         raise ValueError(f"{path}: interaction ranges collide in the "
                          f"{FLOAT_FORMAT} format")
-    write_csv(path, _CONSTRAINT_COLUMNS, np.array(curve.entries).T, comments)
+    write_csv(path, _CONSTRAINT_COLUMNS, curve.entries.T, comments)
 
 
 def load_constraint_csv(path) -> ConstraintCurve:
@@ -307,6 +301,6 @@ def load_constraint_csv(path) -> ConstraintCurve:
     if not len(data):
         raise ValueError(f"{path}: no data rows")
     try:
-        return ConstraintCurve(tuple(map(tuple, data)))
+        return ConstraintCurve(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -377,9 +377,14 @@ class ExclusionVerdict:
     fraction_outside: float
     excluded_windows: tuple
     accepted: bool
-    # the band and the (z, dP) rows behind the verdict; not serialized
+    # the band and the (z, dP) rows behind the verdict, read-only; not serialized
     band: ConfidenceBand = field(default=None, compare=False, repr=False)
     differences: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.differences is not None:
+            d = read_only(np.array(self.differences, dtype=float))
+            object.__setattr__(self, "differences", d)
 
     def to_dict(self):
         return {

@@ -12,7 +12,7 @@ highest.  The analytic Drude/plasma form lives here as well.
 from __future__ import annotations
 
 import math
-from ._record import dataclass
+from ._record import dataclass, read_only
 from functools import cache, lru_cache
 from typing import Callable
 
@@ -54,7 +54,7 @@ class DrudeParameters:
 
 @dataclass(frozen=True)
 class OpticalDataset:
-    """Tabulated complex refractive index versus angular frequency.
+    """Tabulated complex refractive index versus angular frequency, held read-only.
 
     Parameters
     ----------
@@ -75,7 +75,7 @@ class OpticalDataset:
 
     def __post_init__(self):
         for name in ("omega", "n", "k"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name), float)))
         omega, n, k = self.omega, self.n, self.k
         if omega.ndim != 1 or omega.size < 2:
             raise ValueError("need at least 2 tabulated points")

@@ -705,6 +705,25 @@ class TestConstraintsCommand:
         assert cols["alpha_reference"] == pytest.approx(
             reference.alpha_at(reference.lambdas), rel=1e-9)
 
+    def test_reference_not_covering_the_run_fails_before_writing(self, tmp_path,
+                                                                 capsys):
+        # outside its range a reference has no value, only its clamped end values
+        ref_ini = tmp_path / "ref.ini"
+        ref_ini.write_text("[constraints]\nsigma_Pa = 1e-3\nlambda_min_m = 100e-9\n"
+                           "lambda_max_m = 200e-9\nlambda_points = 4\nz_points = 20\n")
+        assert main(["constraints", "--config", str(ref_ini),
+                     "--out", str(tmp_path / "ref")]) == 0
+        reference = tmp_path / "ref" / "constraints.csv"
+        ini = tmp_path / "run.ini"
+        ini.write_text("[constraints]\nsigma_Pa = 1e-3\nz_points = 20\n"
+                       f"reference_curve = {reference}\n")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["constraints", "--config", str(ini), "--out", str(out)]) == 1
+        assert (f"{reference}: lambda outside curve range [1.0000e-07, 2.0000e-07] m"
+                in capsys.readouterr().err)
+        assert not any(out.glob("*.csv"))
+
     @pytest.mark.parametrize("keys, message", [
         ("z_min_m = 750e-9\nz_max_m = 160e-9\n",
          "constraints: need 0 < z_min_m <= z_max_m < inf"),

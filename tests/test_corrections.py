@@ -58,19 +58,23 @@ class TestPftPressure:
 class TestRoughnessProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RoughnessProfile(np.array([1e-9]), np.array([0.5]))
-        with pytest.raises(ValueError):
-            RoughnessProfile(np.array([1e-9, -1e-9]), np.array([0.7, 0.4]))
-        with pytest.raises(ValueError):
-            RoughnessProfile(np.array([1e-9, 2e-9]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
             RoughnessProfile(np.array([1e-9, -1e-9]), np.array([0.5, -0.5]))
+        with pytest.raises(ValueError, match="positive sum"):
+            RoughnessProfile(np.array([1e-9, -1e-9]), np.array([0.0, 0.0]))
+        for heights, weights in (([1e-9, 2e-9], [0.5]), ([[1e-9]], [[1.0]]), ([], [])):
+            with pytest.raises(ValueError, match="matching 1-d arrays"):
+                RoughnessProfile(np.array(heights), np.array(weights))
 
-    def test_from_histogram_normalizes_and_recenters(self):
-        prof = RoughnessProfile.from_histogram([0.0, 4e-9], [3.0, 1.0])
+    @pytest.mark.parametrize("heights, weights", [
+        ([1e-9], [0.5]), ([1e-9, -1e-9], [0.7, 0.4]), ([1e-9, 2e-9], [0.5, 0.5]),
+        ([0.0, 4e-9], [3.0, 1.0])])
+    def test_weights_normalized_and_heights_recentered(self, heights, weights):
+        prof = RoughnessProfile(heights, weights)
         assert prof.weights.sum() == pytest.approx(1.0, abs=1e-15)
         assert prof.weights @ prof.heights == pytest.approx(0.0, abs=1e-24)
-        assert np.max(np.abs(prof.heights)) == pytest.approx(3e-9, rel=1e-12)
+        np.testing.assert_allclose(prof.weights, np.divide(weights, sum(weights)),
+                                   rtol=1e-15)
+        np.testing.assert_allclose(np.diff(prof.heights), np.diff(heights), rtol=1e-12)
 
     def test_gaussian_moments(self, monkeypatch):
         sigma = 2.2e-9
@@ -98,8 +102,6 @@ class TestRoughnessProfile:
     def test_non_finite_levels_rejected(self, heights, weights):
         with pytest.raises(ValueError):
             RoughnessProfile(np.array(heights), np.array(weights))
-        with pytest.raises(ValueError):
-            RoughnessProfile.from_histogram(heights, weights)
 
 
 def pair_sum(kernel, a, b, z):

@@ -290,6 +290,27 @@ class TestConstraintCurve:
         lo, hi = sorted((cur.alpha_max[3], cur.alpha_max[4]))
         assert lo < cur.alpha_at(mid) < hi
 
+    def test_alpha_at_refuses_a_range_outside_the_curve(self):
+        cur = hf.ConstraintCurve(((1e-7, 4.0, 2e-7), (2e-7, 1.0, 3e-7)))
+        # the ends, within the 1e-12 relative slack, are inside
+        assert cur.alpha_at([1e-7 * (1 - 5e-13), 2e-7 * (1 + 5e-13)]) == pytest.approx(
+            [4.0, 1.0], rel=1e-12)
+        for lam in (4e-8, 9.99e-8, 2.01e-7, [1.5e-7, 3.7e-7], math.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    "lambda outside curve range [1.0000e-07, 2.0000e-07] m")):
+                cur.alpha_at(lam)
+
+    def test_entries_are_one_array_with_column_views(self):
+        rows = ((1e-7, 4.0, 2e-7), (2e-7, 1.0, 3e-7))
+        cur = hf.ConstraintCurve(rows)
+        assert cur.entries.shape == (2, 3) and not cur.entries.flags.writeable
+        for k, column in enumerate((cur.lambdas, cur.alpha_max, cur.z_best)):
+            assert np.shares_memory(column, cur.entries)
+            assert column.tolist() == [row[k] for row in rows]
+        for bad in ((), (1e-7, 4.0, 2e-7), ((1e-7, 4.0),), [[[1e-7, 4.0, 2e-7]]]):
+            with pytest.raises(ValueError, match=re.escape("(n, 3) array")):
+                hf.ConstraintCurve(bad)
+
     def test_validation(self, stacks, powerlaw_band):
         sphere, plate = stacks
         with pytest.raises(ValueError):
@@ -384,7 +405,7 @@ class TestLockstepSearch:
         alone = [hf.constraint_curve(powerlaw_band, sphere, plate, [lam])
                  for lam in lams]
         for k, curve in enumerate(alone):
-            assert curve.entries[0] == mixed.entries[k]
+            assert np.array_equal(curve.entries[0], mixed.entries[k])
         want = scalar_constraint(powerlaw_band, sphere, plate, 1e-9, 60)
         assert mixed.z_best[0] == pytest.approx(want[0], rel=1e-15)
         assert mixed.alpha_max[0] == pytest.approx(want[1], rel=1e-15)

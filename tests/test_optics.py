@@ -259,6 +259,18 @@ class TestPermittivityFn:
         # second call hits the cache and must agree exactly
         assert fn(1e15) == fn(1e15)
 
+    def test_from_table_memo_survives_a_change_to_the_callers_arrays(self):
+        omega = np.geomspace(1e13, 1e17, 50)
+        n, k = np.full(50, 0.5), np.linspace(40.0, 1.0, 50)
+        ds = OpticalDataset(omega, n, k)
+        fn = PermittivityFn.from_table(ds, GOLD)
+        first = fn(1e15)
+        k *= 2.0
+        assert fn(1e15) == first
+        assert first == pytest.approx(permittivity_imag_axis(ds, GOLD, 1e15), rel=1e-12)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.k[0] = 1.0
+
     def test_from_table_thread_safety(self):
         ds = drude_table(per_decade=15)
         fn = PermittivityFn.from_table(ds, GOLD)

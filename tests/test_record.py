@@ -77,7 +77,29 @@ CASES = {
 # the records whose hash would read an array, and the one that is not frozen
 UNHASHABLE = (optics.OpticalDataset, lifshitz.PressureCurve, metrology.BinnedStatistics,
               metrology.ConfidenceBand, metrology.MeasurementEnsemble,
-              corrections.RoughnessProfile, cli.RunConfig)
+              corrections.RoughnessProfile, hypforce.ConstraintCurve, cli.RunConfig)
+
+
+def arrays_in(value):
+    """The ndarrays in value, looking into tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in arrays_in(v)]
+    return []
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+def test_kept_arrays_are_read_only_copies(cls):
+    # the rule behind PermittivityFn.from_table's memo and every kept result
+    names = [f.name for f in dataclasses.fields(stdlib_twin(cls))]
+    for args in CASES[cls]:
+        record = cls(*args)
+        for name in names:
+            for array in arrays_in(getattr(record, name)):
+                assert not array.flags.writeable, name
+                assert not any(np.shares_memory(array, given)
+                               for given in arrays_in(args)), name
 
 
 def raises(exc, fn):
