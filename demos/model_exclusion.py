@@ -28,9 +28,9 @@ GOLD = DrudeParameters(omega_p=1.37e16, gamma=5.3e13)
 def main():
     eps = PermittivityFn.from_drude(GOLD)
     models = {
-        "impedance": ReflectionModel.impedance(eps, GOLD.omega_p),
-        "drude": ReflectionModel.lifshitz_drude(eps),
-        "schwinger": ReflectionModel.lifshitz_schwinger(eps),
+        "impedance": ReflectionModel("impedance", eps, GOLD.omega_p),
+        "drude": ReflectionModel("drude", eps),
+        "schwinger": ReflectionModel("schwinger", eps),
     }
     lo, hi = DEFAULT_Z_RANGE
     grid = np.geomspace(0.92 * lo, 1.02 * hi, 80)

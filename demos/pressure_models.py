@@ -20,12 +20,12 @@ GOLD = DrudeParameters(omega_p=1.37e16, gamma=5.3e13)
 def main():
     eps = PermittivityFn.from_drude(GOLD)
     models = {
-        "impedance": ReflectionModel.impedance(eps, GOLD.omega_p),
-        "exact impedance": ReflectionModel.exact_impedance(eps, GOLD.omega_p),
-        "drude": ReflectionModel.lifshitz_drude(eps),
-        "schwinger": ReflectionModel.lifshitz_schwinger(eps),
-        "plasma": ReflectionModel.lifshitz_plasma(GOLD.omega_p),
-        "ideal metal": ReflectionModel.ideal_metal(),
+        "impedance": ReflectionModel("impedance", eps, GOLD.omega_p),
+        "exact impedance": ReflectionModel("exact", eps, GOLD.omega_p),
+        "drude": ReflectionModel("drude", eps),
+        "schwinger": ReflectionModel("schwinger", eps),
+        "plasma": ReflectionModel("plasma", None, GOLD.omega_p),
+        "ideal metal": ReflectionModel("ideal"),
     }
     state = ThermalState(300.0)
     separations = np.array([160e-9, 300e-9, 500e-9, 750e-9])

@@ -28,7 +28,7 @@ SPHERE = SphereGeometry(radius=148.7e-6, radius_error=0.2e-6)
 
 def main():
     eps = PermittivityFn.from_drude(GOLD)
-    model = ReflectionModel.impedance(eps, GOLD.omega_p)
+    model = ReflectionModel("impedance", eps, GOLD.omega_p)
     state = ThermalState(300.0)
 
     def smooth(z):

@@ -12,7 +12,7 @@ import math
 
 from casimetry.constants import C_LIGHT, K_B
 from casimetry.lifshitz import ReflectionModel, entropy_probe
-from casimetry.optics import PermittivityFn
+from casimetry.optics import DrudeParameters, PermittivityFn
 
 ZETA3 = 1.2020569031595943
 W_P = 1.37e16
@@ -20,11 +20,11 @@ Z = 300e-9
 
 
 def main():
-    eps = PermittivityFn.from_plasma(W_P)
+    eps = PermittivityFn.from_drude(DrudeParameters(W_P, 0.0))
     models = {
-        "impedance": ReflectionModel.impedance(eps, W_P),
-        "plasma": ReflectionModel.lifshitz_plasma(W_P),
-        "drude": ReflectionModel.lifshitz_drude(eps),
+        "impedance": ReflectionModel("impedance", eps, W_P),
+        "plasma": ReflectionModel("plasma", None, W_P),
+        "drude": ReflectionModel("drude", eps),
     }
     temperatures = [300.0, 100.0, 30.0, 10.0, 3.0]
 

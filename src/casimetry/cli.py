@@ -263,6 +263,7 @@ def _permittivity_from_config(cfg: RunConfig):
     return drude, PermittivityFn.from_table(dataset, drude)
 
 
+# only perfbench/run.py calls it (ROADMAP item 1, stage A)
 def build_model(key: str, drude: DrudeParameters,
                 permittivity: PermittivityFn) -> ReflectionModel:
     """The reflection model of a key of lifshitz.MODELS; its row decides
@@ -295,7 +296,8 @@ def cmd_pressure(cfg: RunConfig, out: Path) -> None:
     profile_a, profile_b = (RoughnessProfile.flat() if path is None
                             else load_roughness_profile(path) for path in paths)
 
-    models = {key: build_model(key, drude, eps) for key in model_keys}  # before any write
+    models = {key: ReflectionModel(key, eps, drude.omega_p)  # before any write
+              for key in model_keys}
     rel_err = theory_error_curve(z, confidence=confidence)
     for key, model in models.items():
         pressure = roughness_corrected_pressure(
@@ -323,7 +325,7 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
     # curve grid padded past the sampling range so jittered true
     # separations stay inside the interpolation table
     grid = np.geomspace(0.92 * z_min, 1.02 * z_max, 80)
-    curves = {key: compute_pressure_curve(build_model(key, drude, eps),
+    curves = {key: compute_pressure_curve(ReflectionModel(key, eps, drude.omega_p),
                                           grid, state)
               for key in keys}
 

@@ -195,9 +195,12 @@ class ConstraintCurve:
     def alpha_at(self, lam):
         """Log-log interpolated bound within the curve's range, a float for a scalar lam."""
         lam = np.asarray(lam, dtype=float)
-        lo, hi = self.lambdas[0], self.lambdas[-1]
-        if not np.all((lam >= lo * (1 - 1e-12)) & (lam <= hi * (1 + 1e-12))):
-            raise ValueError(f"lambda outside curve range [{lo:.4e}, {hi:.4e}] m")
+        # lam and the ends as the file format writes them: a curve read back covers its run
+        lo, hi, *written = (float(format(x, FLOAT_FORMAT)) for x in
+                            [self.lambdas[0], self.lambdas[-1], *lam.ravel().tolist()])
+        for x, w in zip(lam.ravel().tolist(), written):
+            if not lo <= w <= hi:  # a NaN fails it too
+                raise ValueError(f"lambda outside curve range [{lo:.4e}, {hi:.4e}] m: {x!r}")
         out = np.exp(np.interp(np.log(lam), np.log(self.lambdas), np.log(self.alpha_max)))
         return float(out) if out.ndim == 0 else out
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from casimetry.constants import C_LIGHT, HBAR, K_B
-from casimetry.optics import PermittivityFn, _leggauss
+from casimetry.optics import DrudeParameters, PermittivityFn, _leggauss
 
 __all__ = [
     "MODELS",
@@ -155,8 +155,8 @@ MODELS = {
     "exact": ModelRule(_te_zero_impedance, partial(_r_sq_impedance, exact=True)),
     "drude": ModelRule(0.0, _r_sq_lifshitz),
     "schwinger": ModelRule(1.0, _r_sq_lifshitz),
-    "plasma": ModelRule(_te_zero_plasma, _r_sq_lifshitz,
-                        PermittivityFn.from_plasma),
+    "plasma": ModelRule(_te_zero_plasma, _r_sq_lifshitz,  # eps = 1 + wp^2/xi^2
+                        lambda wp: PermittivityFn.from_drude(DrudeParameters(wp, 0.0))),
 }
 
 
@@ -181,36 +181,22 @@ class ReflectionModel:
         if rule.needs_omega_p and not 0.0 < self.omega_p < math.inf:
             raise ValueError(f"{self.kind} needs a finite omega_p > 0")
         if rule.own_permittivity is not None:
-            object.__setattr__(self, "permittivity",
-                               rule.own_permittivity(self.omega_p))
+            object.__setattr__(self, "permittivity", rule.own_permittivity(self.omega_p))
         if rule.uses_permittivity and self.permittivity is None:
             raise ValueError(f"{self.kind} needs a permittivity")
 
-    @classmethod
+    @classmethod  # only perfbench/campaign_driver.py calls it (ROADMAP item 1, stage A)
     def impedance(cls, permittivity: PermittivityFn,
                   omega_p: float) -> "ReflectionModel":
         return cls("impedance", permittivity, omega_p)
 
-    @classmethod
-    def exact_impedance(cls, permittivity: PermittivityFn,
-                        omega_p: float) -> "ReflectionModel":
-        return cls("exact", permittivity, omega_p)
-
-    @classmethod
+    @classmethod  # only perfbench/campaign_driver.py calls it (ROADMAP item 1, stage A)
     def lifshitz_drude(cls, permittivity: PermittivityFn) -> "ReflectionModel":
         return cls("drude", permittivity)
 
-    @classmethod
+    @classmethod  # only perfbench/campaign_driver.py calls it (ROADMAP item 1, stage A)
     def lifshitz_schwinger(cls, permittivity: PermittivityFn) -> "ReflectionModel":
         return cls("schwinger", permittivity)
-
-    @classmethod
-    def lifshitz_plasma(cls, omega_p: float) -> "ReflectionModel":
-        return cls("plasma", None, omega_p)
-
-    @classmethod
-    def ideal_metal(cls) -> "ReflectionModel":
-        return cls("ideal")
 
 
 def reflection_sq(model: ReflectionModel, xi_l: float, k_perp, l: int):
@@ -580,6 +566,16 @@ def entropy_probe(model: ReflectionModel, z: float,
     return out
 
 
+def _curve_grid(z_values) -> np.ndarray:
+    """A PressureCurve's z grid, checked (a NaN fails the guard), read-only."""
+    z = read_only(np.array(z_values, dtype=float))
+    if z.ndim != 1 or z.size == 0:
+        raise ValueError("z grid must be a non-empty 1-d array")
+    if not (np.all((z > 0.0) & (z < math.inf)) and np.all(np.diff(z) > 0.0)):
+        raise ValueError("z must be positive, finite and strictly increasing")
+    return z
+
+
 @dataclass(frozen=True)
 class PressureCurve:
     """Separation grid and pressures of one model, held read-only."""
@@ -588,17 +584,12 @@ class PressureCurve:
     pressure: np.ndarray
 
     def __post_init__(self):
-        z = read_only(np.array(self.z, dtype=float))
+        z = _curve_grid(self.z)
         p = read_only(np.array(self.pressure, dtype=float))
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "pressure", p)
-        if z.ndim != 1 or z.size == 0:
-            raise ValueError("z grid must be a non-empty 1-d array")
         if p.shape != z.shape:
             raise ValueError("pressure array must match z")
-        # written as not (...) so that a NaN fails the guards
-        if not (np.all((z > 0.0) & (z < math.inf)) and np.all(np.diff(z) > 0.0)):
-            raise ValueError("z must be positive, finite and strictly increasing")
         if not np.all((p < 0.0) & (p > -math.inf)):
             raise ValueError("pressures must be negative (attractive) and finite")
         object.__setattr__(self, "_log_grid", (np.log(z), np.log(-p)))  # pressure_at's axes
@@ -625,20 +616,17 @@ def compute_pressure_curve(model: ReflectionModel, z_values,
                            state: ThermalState) -> PressureCurve:
     """Pressures on a grid of separations, packaged as a PressureCurve.
 
-    A 1-d, positive, finite, strictly increasing grid of more than 16
-    points costs 16 engine separations: ln(P/P_0) (P_0 the first node
-    value) is fitted as a degree-15 Chebyshev series in ln z at the 16
-    Chebyshev points of the first kind spanning z[0] to z[-1], and
-    evaluated on the grid.  The series is kept only if its error
-    estimate |c_14| + |c_15| is within the engine's own smallest relative
-    error bar at the nodes, min((quad_error + tail_bound) / |P|).  Any
-    other grid, and a series that misses (or a NaN anywhere in the fit),
-    takes one direct casimir_pressure call on the grid.
+    A grid that PressureCurve refuses raises its error before the engine
+    runs.  One of more than 16 points costs 16 engine separations: ln(P/P_0),
+    P_0 the first node value, is fitted as a degree-15 Chebyshev series in
+    ln z at the 16 Chebyshev points of the first kind spanning z[0] to z[-1]
+    and evaluated on the grid; it is kept only if its error estimate
+    |c_14| + |c_15| is within the engine's smallest relative error bar at
+    the nodes, min((quad_error + tail_bound) / |P|).  A shorter grid, or a
+    fit that misses or meets a NaN, takes one direct casimir_pressure call.
     """
-    z_arr = np.asarray(z_values, dtype=float)
-    if (z_arr.ndim == 1 and z_arr.size > _CURVE_ANGLES.size
-            and np.all(np.isfinite(z_arr) & (z_arr > 0.0))
-            and np.all(np.diff(z_arr) > 0.0)):
+    z_arr = _curve_grid(z_values)
+    if z_arr.size > _CURVE_ANGLES.size:
         lo, width = math.log(z_arr[0]), math.log(z_arr[-1] / z_arr[0])
         nodes = np.exp(lo + width * (1 + np.cos(_CURVE_ANGLES)) / 2)
         values, diag = casimir_pressure(model, nodes, state, return_diagnostics=True)

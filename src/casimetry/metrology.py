@@ -22,7 +22,6 @@ import numpy as np
 
 from .corrections import SphereGeometry
 from .io import read_csv, write_csv
-from .lifshitz import PressureCurve
 
 __all__ = [
     "MeasurementEnsemble",
@@ -551,25 +550,26 @@ def generate_synthetic_ensemble(*, curve: PressureCurve = None,
 
 
 def save_ensemble_csv(ensemble: MeasurementEnsemble, path, comments=()) -> list:
-    """Write an ensemble as CSV rows set_index,z_m,pressure_Pa, as write_csv."""
+    """As write_csv, rows set_index,z_m,pressure_Pa after a ``# z_range_m`` comment."""
     index = np.repeat(np.arange(len(ensemble.sets)), [len(s) for s in ensemble.sets])
-    return write_csv(path, _ENSEMBLE_COLUMNS, (index, *ensemble.all_points()), comments)
+    return write_csv(path, _ENSEMBLE_COLUMNS, (index, *ensemble.all_points()),
+                     (*comments, "z_range_m = " + ", ".join(map(repr, ensemble.z_range))))
 
 
-def load_ensemble_csv(path, z_range=None) -> MeasurementEnsemble:
+def load_ensemble_csv(path) -> MeasurementEnsemble:
     """Read an ensemble written by save_ensemble_csv.
 
-    The separation range is inferred from the data unless given.
+    The separation range is the one its ``# z_range_m`` comment states.
     Rows are grouped by set_index, in increasing order.
     """
-    _, data = read_csv(path, _ENSEMBLE_COLUMNS, integer_columns=("set_index",))
+    comments, data = read_csv(path, _ENSEMBLE_COLUMNS, integer_columns=("set_index",))
     if not len(data):
         raise ValueError(f"{path}: no data rows")
-    keys, inv = np.unique(data[:, 0], return_inverse=True)
-    sets = [data[inv == k, 1:] for k in range(keys.size)]
-    if z_range is None:
-        z_range = (float(data[:, 1].min()), float(data[:, 1].max()))
+    stated = [text.partition("=")[2] for _, text in comments if text.startswith("z_range_m =")]
+    if len(stated) != 1:
+        raise ValueError(f"{path}: expected one '# z_range_m = lo, hi' comment")
+    sets = [data[data[:, 0] == k, 1:] for k in sorted(set(data[:, 0].tolist()))]
     try:
-        return MeasurementEnsemble(tuple(sets), z_range=z_range)
+        return MeasurementEnsemble(tuple(sets), tuple(map(float, stated[0].split(","))))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -398,11 +398,6 @@ class PermittivityFn:
                    label=f"drude(wp={drude.omega_p:.4g}, g={drude.gamma:.4g})")
 
     @classmethod
-    def from_plasma(cls, omega_p: float) -> "PermittivityFn":
-        """Plasma permittivity 1 + wp^2/xi^2: the Drude form at gamma = 0."""
-        return cls.from_drude(DrudeParameters(omega_p, 0.0))
-
-    @classmethod
     def from_table(cls, dataset: OpticalDataset,
                    drude: DrudeParameters) -> "PermittivityFn":
         """Memoized dispersion-transform permittivity; a call transforms its

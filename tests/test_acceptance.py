@@ -48,7 +48,7 @@ from test_hypforce import yukawa_pressure_oracle  # noqa: E402
 
 ZETA3 = 1.2020569031595943
 GOLD = DrudeParameters(omega_p=1.37e16, gamma=5.3e13)
-IDEAL = ReflectionModel.ideal_metal()
+IDEAL = ReflectionModel("ideal")
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -150,9 +150,9 @@ def test_criterion_3_zero_frequency_prescriptions_exact():
     """Static reflection values are exact by construction."""
     k = np.geomspace(1e5, 1e8, 7)
     eps = PermittivityFn.from_drude(GOLD)
-    imp = ReflectionModel.impedance(eps, GOLD.omega_p)
-    dru = ReflectionModel.lifshitz_drude(eps)
-    sch = ReflectionModel.lifshitz_schwinger(eps)
+    imp = ReflectionModel("impedance", eps, GOLD.omega_p)
+    dru = ReflectionModel("drude", eps)
+    sch = ReflectionModel("schwinger", eps)
     tm_i, _ = reflection_sq(imp, 0.0, k, 0)
     tm_d, te_d = reflection_sq(dru, 0.0, k, 0)
     tm_s, te_s = reflection_sq(sch, 0.0, k, 0)
@@ -170,10 +170,10 @@ def test_criterion_3_zero_frequency_prescriptions_exact():
 def test_criterion_4_entropy_probe_nernst_discrimination():
     """Entropy vanishes on cooling except for the dissipative rule."""
     z = 300e-9
-    eps_p = PermittivityFn.from_plasma(GOLD.omega_p)
-    imp = ReflectionModel.impedance(eps_p, GOLD.omega_p)
-    pla = ReflectionModel.lifshitz_plasma(GOLD.omega_p)
-    dru = ReflectionModel.lifshitz_drude(eps_p)
+    eps_p = PermittivityFn.from_drude(DrudeParameters(GOLD.omega_p, 0.0))
+    imp = ReflectionModel("impedance", eps_p, GOLD.omega_p)
+    pla = ReflectionModel("plasma", None, GOLD.omega_p)
+    dru = ReflectionModel("drude", eps_p)
 
     drops = {}
     for tag, model in (("impedance", imp), ("plasma", pla)):
@@ -201,9 +201,9 @@ def exclusion_results():
     """Default pipeline at the shipped seed, both confidence levels."""
     eps = PermittivityFn.from_drude(GOLD)
     models = {
-        "impedance": ReflectionModel.impedance(eps, GOLD.omega_p),
-        "drude": ReflectionModel.lifshitz_drude(eps),
-        "schwinger": ReflectionModel.lifshitz_schwinger(eps),
+        "impedance": ReflectionModel("impedance", eps, GOLD.omega_p),
+        "drude": ReflectionModel("drude", eps),
+        "schwinger": ReflectionModel("schwinger", eps),
     }
     lo, hi = mt.DEFAULT_Z_RANGE
     grid = np.geomspace(0.92 * lo, 1.02 * hi, 80)

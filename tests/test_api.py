@@ -124,9 +124,6 @@ KEEP_PARAMS = {
     "lifshitz.casimir_free_energy(return_diagnostics)":
         "it mirrors casimir_pressure, and free-energy escalations are read "
         "through it",
-    "metrology.load_ensemble_csv(z_range)":
-        "the file does not record its range, and binning starts at "
-        "z_range[0]",
 }
 
 
@@ -227,6 +224,46 @@ def test_defaulted_parameters_have_a_caller_outside_the_tests(name):
 
 def test_parameter_keep_list_is_current():
     assert set(KEEP_PARAMS) <= unpassed_parameters(MODULES)
+
+
+# every spelling of a reflection model but ReflectionModel(key, ...): the
+# factories and cli.build_model that only the benchmark still calls, and the
+# removed ones
+ALIASES = {"impedance", "lifshitz_drude", "lifshitz_schwinger", "build_model",
+           "exact_impedance", "lifshitz_plasma", "ideal_metal", "from_plasma"}
+# the one caller outside the benchmark: it holds the factories to their keys
+ALIAS_TEST = "test_factories_give_their_keys"
+
+
+def alias_calls(source):
+    """The calls of ALIASES in `source`, by callee, leaving out ALIAS_TEST."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == ALIAS_TEST:
+            node.body = [ast.Pass()]
+    return sorted(callee for callee, *_ in call_sites(ast.unparse(tree))
+                  if callee in ALIASES)
+
+
+def test_alias_calls_skip_the_factory_test():
+    source = ("def test_factories_give_their_keys():\n"
+              "    ReflectionModel.impedance(eps, wp)\n"
+              "def other():\n"
+              "    cli.build_model(key, gold, eps)\n"
+              "    return ReflectionModel('ideal'), impedance\n")
+    assert alias_calls(source) == ["build_model"]
+
+
+def test_models_are_spelled_by_key_outside_the_benchmark():
+    from casimetry.lifshitz import ReflectionModel
+    from casimetry.optics import PermittivityFn
+    found = {str(path.relative_to(ROOT)): calls for top in ("src", "demos", "tests")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             if (calls := alias_calls(path.read_text()))}
+    assert found == {}
+    removed = ("exact_impedance", "lifshitz_plasma", "ideal_metal")
+    assert not any(hasattr(ReflectionModel, name) for name in removed)
+    assert not hasattr(PermittivityFn, "from_plasma")
 
 
 def imported_modules(source):

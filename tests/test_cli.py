@@ -23,9 +23,11 @@ import pytest
 from casimetry import cli
 from casimetry.cli import KEYS, RunConfig, _load_band_csv, load_run_config, main
 from casimetry.hypforce import load_constraint_csv
-from casimetry.lifshitz import matsubara_frequency
-from casimetry.metrology import load_ensemble_csv, theory_error_curve
-from casimetry.optics import DrudeParameters, drude_permittivity
+from casimetry.lifshitz import (ReflectionModel, ThermalState, compute_pressure_curve,
+                                matsubara_frequency)
+from casimetry.metrology import (DEFAULT_Z_RANGE, load_ensemble_csv,
+                                 run_exclusion_analysis, theory_error_curve)
+from casimetry.optics import DrudeParameters, PermittivityFn, drude_permittivity
 
 GOLD = DrudeParameters(omega_p=1.37e16, gamma=5.3e13)
 
@@ -447,6 +449,36 @@ class TestExclusionCommand:
         assert ensemble.n_points == 4 * 80
         assert len(ensemble.sets) == 4
 
+    def test_ensemble_range_round_trips_exactly(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[exclusion]\ntested = impedance\nn_sets = 4\n"
+                       "points_per_set = 80\nz_min_m = 1.60000000000001e-7\n")
+        assert main(["exclusion", "--config", str(ini), "--out", str(tmp_path)]) == 0
+        ensemble = load_ensemble_csv(tmp_path / "ensemble.csv")
+        assert ensemble.z_range == (1.60000000000001e-7, 750e-9)
+
+    def test_default_ensemble_file_reproduces_the_verdicts(self, tmp_path):
+        # the default run at seed 7, band-tested again from its ensemble.csv
+        assert main(["exclusion", "--out", str(tmp_path)]) == 0
+        ensemble = load_ensemble_csv(tmp_path / "ensemble.csv")
+        assert ensemble.z_range == DEFAULT_Z_RANGE
+        eps = PermittivityFn.from_drude(GOLD)
+        grid = np.geomspace(0.92 * DEFAULT_Z_RANGE[0], 1.02 * DEFAULT_Z_RANGE[1], 80)
+        curves = {key: compute_pressure_curve(ReflectionModel(key, eps, GOLD.omega_p),
+                                              grid, ThermalState(300.0))
+                  for key in ("impedance", "drude", "schwinger")}
+        stored = json.loads((tmp_path / "verdicts.json").read_text())["verdicts"]
+        verdicts = run_exclusion_analysis(ensemble, curves, "impedance", 0.95)
+        assert sorted(verdicts) == sorted(stored)
+        for tag, verdict in verdicts.items():
+            got, want = verdict.to_dict(), stored[tag]
+            windows = [(w["z_min"], w["z_max"]) for w in got.pop("excluded_windows")]
+            wanted = [(w["z_min"], w["z_max"]) for w in want.pop("excluded_windows")]
+            assert got == want
+            assert len(windows) == len(wanted)
+            for edges, wanted_edges in zip(windows, wanted):
+                assert edges == pytest.approx(wanted_edges, rel=1e-11, abs=0)
+
     def test_differences_cover_every_point(self, exclusion_run):
         _, _, out = exclusion_run
         _, cols = read_csv(out / "differences_drude.csv")
@@ -705,6 +737,20 @@ class TestConstraintsCommand:
         assert cols["alpha_reference"] == pytest.approx(
             reference.alpha_at(reference.lambdas), rel=1e-9)
 
+    def test_reference_written_by_the_same_config_covers_the_run(self, tmp_path):
+        # an end with more digits than the .10e lambda column of the file
+        cfg = ("[constraints]\nsigma_Pa = 1e-3\nz_points = 20\n"
+               "lambda_max_m = 3.7000000000123e-7\n")
+        (tmp_path / "a.ini").write_text(cfg)
+        (tmp_path / "b.ini").write_text(
+            cfg + f"reference_curve = {tmp_path / 'a' / 'constraints.csv'}\n")
+        for run in "ab":
+            assert main(["constraints", "--config", str(tmp_path / f"{run}.ini"),
+                         "--out", str(tmp_path / run)]) == 0
+        _, cols = read_csv(tmp_path / "b" / "overlay.csv")
+        assert cols["lambda_m"][-1] == 3.7e-7
+        assert np.all(np.abs(cols["ratio"] - 1.0) <= 1e-9)
+
     def test_reference_not_covering_the_run_fails_before_writing(self, tmp_path,
                                                                  capsys):
         # outside its range a reference has no value, only its clamped end values
@@ -923,7 +969,8 @@ class TestImports:
     pins OpenBLAS to one thread before numpy loads, unless the variable
     is already set; the library modules leave it alone.  A CLI process
     freezes its import-time heap before the job runs; importing the
-    module and calling `main` leave the collector alone."""
+    module and calling `main` leave the collector alone.  Importing
+    `casimetry.metrology` loads neither the engine nor the optics."""
 
     BLAS_STATE = textwrap.dedent("""
         tasks = "/proc/self/task"
@@ -953,6 +1000,12 @@ class TestImports:
         value, _ = run_fresh("import casimetry.lifshitz, casimetry.metrology, "
                              "casimetry.hypforce\n" + self.BLAS_STATE, tmp_path)
         assert value is None
+
+    def test_metrology_import_loads_no_engine(self, tmp_path):
+        # PressureCurve is only an annotation there
+        loaded = modules_after("import casimetry.metrology", tmp_path,
+                               "casimetry.lifshitz", "casimetry.optics")
+        assert loaded == []
 
     FREEZE_COUNT = "\nimport gc\nprint(gc.get_freeze_count())\n"
 
@@ -1065,9 +1118,9 @@ class TestImports:
             state = ThermalState(300.0)
             curves = {
                 "impedance": compute_pressure_curve(
-                    ReflectionModel.impedance(eps, gold.omega_p), grid, state),
+                    ReflectionModel("impedance", eps, gold.omega_p), grid, state),
                 "drude": compute_pressure_curve(
-                    ReflectionModel.lifshitz_drude(eps), grid, state)}
+                    ReflectionModel("drude", eps), grid, state)}
             ensemble = generate_synthetic_ensemble(curve=curves["impedance"],
                                                    seed=7)
             check("generate")

@@ -20,7 +20,7 @@ R_SPHERE = 148.7e-6
 @pytest.fixture(scope="module")
 def gold_curve():
     eps = PermittivityFn.from_drude(DrudeParameters(1.37e16, 5.3e13))
-    model = ReflectionModel.impedance(eps, 1.37e16)
+    model = ReflectionModel("impedance", eps, 1.37e16)
     z = np.geomspace(120e-9, 800e-9, 45)
     return compute_pressure_curve(model, z, ThermalState(300.0))
 

@@ -1,7 +1,7 @@
 """Every demo runs in a fresh interpreter and prints its recorded text.
 
-The demos are the only scripts that call all six model factories, so
-their printed tables pin the public API end to end.  The expected output
+The demos build the six reflection models by key, so their printed
+tables pin the public API end to end.  The expected output
 of each ``demos/<name>.py`` is ``tests/demo_output/<name>.txt``; a change
 that is meant to move a printed number must update that file with it.
 """

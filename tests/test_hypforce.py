@@ -292,13 +292,28 @@ class TestConstraintCurve:
 
     def test_alpha_at_refuses_a_range_outside_the_curve(self):
         cur = hf.ConstraintCurve(((1e-7, 4.0, 2e-7), (2e-7, 1.0, 3e-7)))
-        # the ends, within the 1e-12 relative slack, are inside
+        # the ends, as the file format writes them, are inside
         assert cur.alpha_at([1e-7 * (1 - 5e-13), 2e-7 * (1 + 5e-13)]) == pytest.approx(
             [4.0, 1.0], rel=1e-12)
         for lam in (4e-8, 9.99e-8, 2.01e-7, [1.5e-7, 3.7e-7], math.nan):
             with pytest.raises(ValueError, match=re.escape(
                     "lambda outside curve range [1.0000e-07, 2.0000e-07] m")):
                 cur.alpha_at(lam)
+
+    def test_alpha_at_takes_a_curve_read_back_over_its_own_range(self, tmp_path):
+        lams = np.geomspace(40e-9, 3.7000000000123e-7, 5)
+        cur = hf.ConstraintCurve(np.column_stack([lams, 1.0 / lams, 2 * lams]))
+        path = tmp_path / "constraints.csv"
+        hf.save_constraint_csv(cur, path)
+        back = hf.load_constraint_csv(path)
+        assert back.lambdas[-1] == 3.7e-7 < lams[-1]
+        assert back.alpha_at(lams) == pytest.approx(cur.alpha_max, rel=1e-9)
+        for lam in (float(lams[0]) * (1 - 1e-6), float(lams[-1]) * (1 + 1e-6)):
+            for curve in (cur, back):
+                with pytest.raises(ValueError, match=re.escape(
+                        "lambda outside curve range [4.0000e-08, 3.7000e-07] m: "
+                        f"{lam!r}")):
+                    curve.alpha_at([lams[2], lam])
 
     def test_entries_are_one_array_with_column_views(self):
         rows = ((1e-7, 4.0, 2e-7), (2e-7, 1.0, 3e-7))
@@ -430,7 +445,7 @@ class TestLockstepSearch:
 def exclusion_band():
     """The impedance band that `casimetry exclusion` writes at 95 %, seed 1."""
     eps = PermittivityFn.from_drude(DrudeParameters(1.37e16, 5.3e13))
-    model = ReflectionModel.impedance(eps, 1.37e16)
+    model = ReflectionModel("impedance", eps, 1.37e16)
     grid = np.geomspace(0.92 * 160e-9, 1.02 * 750e-9, 80)
     curve = compute_pressure_curve(model, grid, ThermalState(300.0))
     ensemble = generate_synthetic_ensemble(curve=curve, seed=1)

@@ -80,7 +80,8 @@ def test_ensemble_round_trip(path, ensemble, comments):
         return
     mt.save_ensemble_csv(ensemble, path, comments)
     assert b"\r" not in path.read_bytes()
-    back = mt.load_ensemble_csv(path, z_range=ensemble.z_range)
+    back = mt.load_ensemble_csv(path)
+    assert back.z_range == ensemble.z_range
     assert len(back.sets) == len(ensemble.sets)
     for got, want in zip(back.sets, ensemble.sets):
         assert np.array_equal(got, rendered(want))
@@ -157,7 +158,8 @@ def test_mixed_int_float_rows_read_back_exactly(tmp_path):
     rows = [(k // 400 if k % 2 else np.int64(k // 400),
              float(z[k]) if k % 3 else z[k], p[k]) for k in range(4000)]
     path = tmp_path / "ensemble.csv"
-    write_csv(path, ("set_index", "z_m", "pressure_Pa"), list(zip(*rows)))
+    write_csv(path, ("set_index", "z_m", "pressure_Pa"), list(zip(*rows)),
+              ["z_range_m = 1.6e-07, 7.5e-07"])
     _, back = read_csv(path, ("set_index", "z_m", "pressure_Pa"),
                        integer_columns=("set_index",))
     assert back[:, 0].tolist() == [k // 400 for k in range(4000)]

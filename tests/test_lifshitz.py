@@ -19,14 +19,14 @@ GAMMA = 5.3e13
 ZETA3 = 1.2020569031595943
 
 EPS_DRUDE = PermittivityFn.from_drude(DrudeParameters(W_P, GAMMA))
-EPS_PLASMA = PermittivityFn.from_plasma(W_P)
+EPS_PLASMA = PermittivityFn.from_drude(DrudeParameters(W_P, 0.0))
 
-IDEAL = ReflectionModel.ideal_metal()
-IMP = ReflectionModel.impedance(EPS_DRUDE, W_P)
-EXACT = ReflectionModel.exact_impedance(EPS_DRUDE, W_P)
-DRUDE = ReflectionModel.lifshitz_drude(EPS_DRUDE)
-SCHW = ReflectionModel.lifshitz_schwinger(EPS_DRUDE)
-PLASMA = ReflectionModel.lifshitz_plasma(W_P)
+IDEAL = ReflectionModel("ideal")
+IMP = ReflectionModel("impedance", EPS_DRUDE, W_P)
+EXACT = ReflectionModel("exact", EPS_DRUDE, W_P)
+DRUDE = ReflectionModel("drude", EPS_DRUDE)
+SCHW = ReflectionModel("schwinger", EPS_DRUDE)
+PLASMA = ReflectionModel("plasma", None, W_P)
 
 ST300 = ThermalState(300.0)
 ST1 = ThermalState(1.0)
@@ -74,7 +74,7 @@ class TestThermalState:
             ReflectionModel("drude", None)
         with pytest.raises(ValueError):
             ReflectionModel("NoSuchKind", EPS_DRUDE, W_P)
-        assert ReflectionModel.ideal_metal().kind == "ideal"
+        assert ReflectionModel("ideal").kind == "ideal"
 
     @pytest.mark.parametrize("omega_p", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("kind", ["impedance", "exact", "plasma"])
@@ -83,12 +83,17 @@ class TestThermalState:
             ReflectionModel(kind, EPS_DRUDE, omega_p)
 
     def test_factories_give_their_keys(self):
+        # the three factories left build the models of their keys
+        assert ReflectionModel.impedance(EPS_DRUDE, W_P) == IMP
+        assert ReflectionModel.lifshitz_drude(EPS_DRUDE) == DRUDE
+        assert ReflectionModel.lifshitz_schwinger(EPS_DRUDE) == SCHW
         models = (IMP, EXACT, DRUDE, SCHW, PLASMA, IDEAL)
         assert [m.kind for m in models] == [
             "impedance", "exact", "drude", "schwinger", "plasma", "ideal"]
         # the plasma model evaluates its own plasma permittivity
         xi = matsubara_frequency(300.0, 2)
         assert PLASMA.permittivity(xi) == EPS_PLASMA(xi)
+        assert PLASMA.permittivity.label == EPS_PLASMA.label
 
 
 class TestReflectionSq:
@@ -314,8 +319,7 @@ class TestEntropyProbe:
         # T -> 0 entropy defect of the dissipative metal:
         # S -> -(k_B zeta(3)/16 pi z^2) [1 - 4x + 12x^2 - 24x^3], x = c/(w_p z)
         z = 300e-9
-        eps = PermittivityFn.from_plasma(W_P)
-        model = ReflectionModel.lifshitz_drude(eps)
+        model = ReflectionModel("drude", EPS_PLASMA)
         (_, s3), = entropy_probe(model, z, [3.0])
         x = C_LIGHT / (W_P * z)
         series = -(K_B * ZETA3 / (16 * math.pi * z ** 2)) * (
@@ -324,14 +328,14 @@ class TestEntropyProbe:
 
     def test_drude_entropy_defect_survives_cooling(self):
         z = 300e-9
-        model = ReflectionModel.lifshitz_drude(PermittivityFn.from_plasma(W_P))
+        model = ReflectionModel("drude", EPS_PLASMA)
         results = dict(entropy_probe(model, z, [10.0, 3.0]))
         assert results[3.0] < 0
         assert abs(results[3.0] - results[10.0]) < 0.2 * abs(results[10.0])
 
     def test_impedance_and_plasma_entropy_vanish(self):
         z = 300e-9
-        for model in (ReflectionModel.impedance(EPS_PLASMA, W_P), PLASMA):
+        for model in (ReflectionModel("impedance", EPS_PLASMA, W_P), PLASMA):
             results = dict(entropy_probe(model, z, [300.0, 3.0]))
             assert results[300.0] > 0
             assert abs(results[3.0]) < abs(results[300.0]) / 10
@@ -344,7 +348,7 @@ class TestEntropyProbe:
 
     def test_frozen_values(self):
         z = 300e-9
-        model = ReflectionModel.lifshitz_drude(PermittivityFn.from_plasma(W_P))
+        model = ReflectionModel("drude", EPS_PLASMA)
         (_, s3), = entropy_probe(model, z, [3.0])
         assert s3 == pytest.approx(-2.7951e-12, rel=1e-3)
         (_, s300), = entropy_probe(PLASMA, z, [300.0])

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from casimetry import corrections, lifshitz
-from casimetry.cli import build_model
 from casimetry.corrections import RoughnessProfile, roughness_corrected_pressure
 from casimetry.lifshitz import (ConvergenceError, ReflectionModel,
                                 ThermalState, casimir_free_energy,
@@ -19,7 +18,7 @@ from casimetry.optics import DrudeParameters, OpticalDataset, PermittivityFn
 GOLD = DrudeParameters(1.37e16, 5.3e13)
 EPS = PermittivityFn.from_drude(GOLD)
 KEYS = tuple(lifshitz.MODELS)
-MODELS = {key: build_model(key, GOLD, EPS) for key in KEYS}
+MODELS = {key: ReflectionModel(key, EPS, GOLD.omega_p) for key in KEYS}
 ST300 = ThermalState(300.0)
 ZETA3 = 1.2020569031595942854
 
@@ -381,7 +380,7 @@ class TestGuards:
         # eps at the top of the float range overflows the coefficients to
         # NaN; a NaN error estimate must not pass a comparison
         top = PermittivityFn(lambda xi: np.full_like(xi, 1.7e308), label="top")
-        model = ReflectionModel.lifshitz_drude(top)
+        model = ReflectionModel("drude", top)
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
             casimir_pressure(model, 300e-9, ST300)
 
@@ -415,7 +414,7 @@ class TestHashableModels:
         table = PermittivityFn.from_table(
             OpticalDataset(omega, nk.real, nk.imag), GOLD)
         for eps in (EPS, table):
-            models = [build_model(key, GOLD, eps) for key in KEYS]
+            models = [ReflectionModel(key, eps, GOLD.omega_p) for key in KEYS]
             cache = {model: key for model, key in zip(models, KEYS)}
             assert len(cache) == len(KEYS)
             assert all(cache[model] == key
@@ -518,10 +517,21 @@ class TestCurveSeries:
         assert np.array_equal(curve.pressure,
                               casimir_pressure(MODELS["drude"], z, ST300))
 
-    def test_invalid_grid_keeps_its_message(self, engine_calls):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            lifshitz.compute_pressure_curve(MODELS["drude"], GRID80[::-1], ST300)
-        assert engine_calls == [GRID80.size]
+    @pytest.mark.parametrize("z, message", [
+        (GRID80[::-1], "strictly increasing"),
+        (GRID80[:40].reshape(2, 20), "non-empty 1-d"),
+        (np.array([]), "non-empty 1-d"),
+        (300e-9, "non-empty 1-d"),
+        (np.r_[GRID80[:20], np.nan], "strictly increasing"),
+        (np.r_[0.0, GRID80[:20]], "strictly increasing"),
+        (np.r_[GRID80[:20], np.inf], "strictly increasing")])
+    def test_invalid_grid_keeps_its_message_and_runs_no_engine(
+            self, z, message, engine_calls):
+        with pytest.raises(ValueError, match=message):
+            lifshitz.compute_pressure_curve(MODELS["drude"], z, ST300)
+        with pytest.raises(ValueError, match=message):
+            lifshitz.PressureCurve(z, -np.ones(np.shape(z)))
+        assert engine_calls == []
 
     def test_nan_error_bar_takes_the_direct_path(self, monkeypatch):
         calls = []

@@ -37,11 +37,11 @@ def curves():
     grid = np.geomspace(0.92 * lo, 1.02 * hi, 80)
     return {
         "imp": compute_pressure_curve(
-            ReflectionModel.impedance(eps, W_P), grid, st),
+            ReflectionModel("impedance", eps, W_P), grid, st),
         "drude": compute_pressure_curve(
-            ReflectionModel.lifshitz_drude(eps), grid, st),
+            ReflectionModel("drude", eps), grid, st),
         "schw": compute_pressure_curve(
-            ReflectionModel.lifshitz_schwinger(eps), grid, st),
+            ReflectionModel("schwinger", eps), grid, st),
     }
 
 
@@ -978,20 +978,39 @@ class TestEnsembleCsv:
                                              n_sets=3, points_per_set=20)
         path = tmp_path / "ensemble.csv"
         mt.save_ensemble_csv(ens, path)
-        back = mt.load_ensemble_csv(path, z_range=ens.z_range)
+        back = mt.load_ensemble_csv(path)
         assert len(back.sets) == 3
         assert back.z_range == ens.z_range
         for sa, sb in zip(ens.sets, back.sets):
             np.testing.assert_allclose(sb, sa, rtol=1e-9)
 
-    def test_range_inferred_when_not_given(self, curves, tmp_path):
-        ens = mt.generate_synthetic_ensemble(curve=curves["imp"], seed=2,
-                                             n_sets=2, points_per_set=10)
+    def test_range_is_stated_exactly(self, tmp_path):
+        # 15 significant digits, more than the .10e data columns carry
+        z_range = (1.60000000000001e-7, 7.49999999999999e-7)
+        ens = mt.MeasurementEnsemble((np.column_stack([z_range, (-1.0, -0.5)]),), z_range)
         path = tmp_path / "ensemble.csv"
-        mt.save_ensemble_csv(ens, path)
-        back = mt.load_ensemble_csv(path)
-        z, _ = back.all_points()
-        assert back.z_range == (z.min(), z.max())
+        mt.save_ensemble_csv(ens, path, ["note"])
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["# note", f"# z_range_m = {z_range[0]!r}, {z_range[1]!r}"]
+        assert mt.load_ensemble_csv(path).z_range == z_range
+
+    @pytest.mark.parametrize("comments", [
+        "", "# z_range_m = 1.6e-07, 7.5e-07\n# z_range_m = 1.6e-07, 7.5e-07\n"])
+    def test_range_comment_required_once(self, tmp_path, comments):
+        path = tmp_path / "ensemble.csv"
+        path.write_text(comments + "set_index,z_m,pressure_Pa\n0,3e-07,-1.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: expected one '# z_range_m = lo, hi' comment")):
+            mt.load_ensemble_csv(path)
+
+    @pytest.mark.parametrize("stated", ["1.6e-07", "1.6e-07, 7.5e-07, 8e-07",
+                                        "1.6e-07, far", "7.5e-07, 1.6e-07"])
+    def test_bad_range_comment_names_the_file(self, tmp_path, stated):
+        path = tmp_path / "ensemble.csv"
+        path.write_text(f"# z_range_m = {stated}\n"
+                        "set_index,z_m,pressure_Pa\n0,3e-07,-1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            mt.load_ensemble_csv(path)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1001,11 +1020,11 @@ class TestEnsembleCsv:
 
     def test_value_check_names_the_file(self, tmp_path):
         path = tmp_path / "ensemble.csv"
-        path.write_text("set_index,z_m,pressure_Pa\n0,3e-07,-1.0\n"
-                        "0,9e-07,-0.5\n")
+        path.write_text("# z_range_m = 1.6e-07, 7.5e-07\n"
+                        "set_index,z_m,pressure_Pa\n0,3e-07,-1.0\n0,9e-07,-0.5\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: set 0 has "
                                                        "separations outside")):
-            mt.load_ensemble_csv(path, z_range=mt.DEFAULT_Z_RANGE)
+            mt.load_ensemble_csv(path)
 
     @pytest.mark.parametrize("index", ["1.0", "-1", "1e0", "one"])
     def test_set_index_must_be_a_count(self, tmp_path, index):

@@ -8,7 +8,7 @@ import pytest
 
 from casimetry import optics
 from casimetry.constants import EV_TO_RAD_S
-from casimetry.lifshitz import matsubara_frequency
+from casimetry.lifshitz import ReflectionModel, matsubara_frequency
 from casimetry.optics import (
     DrudeParameters,
     OpticalDataset,
@@ -20,6 +20,7 @@ from casimetry.optics import (
 )
 
 GOLD = DrudeParameters(omega_p=1.37e16, gamma=5.3e13)
+PLASMA = PermittivityFn.from_drude(DrudeParameters(1.37e16, 0.0))  # 1 + wp^2/xi^2
 
 
 def drude_table(omega_lo=1e12, omega_hi=1e18, per_decade=60,
@@ -201,7 +202,7 @@ class TestAnalyticModels:
 
     def test_drude_gamma_zero_equals_plasma(self):
         free = DrudeParameters(omega_p=GOLD.omega_p, gamma=0.0)
-        plasma = PermittivityFn.from_plasma(GOLD.omega_p)
+        plasma = ReflectionModel("plasma", None, GOLD.omega_p).permittivity
         for xi in np.logspace(12, 18, 13):
             assert drude_permittivity(free, xi) == plasma(xi)
 
@@ -209,16 +210,16 @@ class TestAnalyticModels:
         assert drude_permittivity(GOLD, 1e22) == pytest.approx(1.0, abs=1e-10)
 
     def test_plasma_at_omega_p(self):
-        assert PermittivityFn.from_plasma(1.37e16)(1.37e16) == pytest.approx(2.0)
+        assert PLASMA(1.37e16) == pytest.approx(2.0)
 
     def test_plasma_tenth_of_omega_p(self):
-        assert PermittivityFn.from_plasma(1.37e16)(1.37e15) == pytest.approx(101.0)
+        assert PLASMA(1.37e15) == pytest.approx(101.0)
 
     def test_nonpositive_xi_rejected(self):
         with pytest.raises(ValueError):
             drude_permittivity(GOLD, -1.0)
         with pytest.raises(ValueError):
-            PermittivityFn.from_plasma(1e16)(0.0)
+            PLASMA(0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_xi_rejected(self, bad):
