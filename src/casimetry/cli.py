@@ -209,6 +209,7 @@ KEYS = {
     "constraints": {**_CONFIDENCE, **_grid_keys("lambda", 40e-9, 370e-9, 20),
                     "band_file": _FILE, "sigma_Pa": (float, _POSITIVE, None),
                     **_grid_keys("z", 160e-9, 750e-9, 40), "reference_curve": _FILE,
+                    "z_points": (int, (lambda v: v >= 2, ">= 2"), 40),  # the flat band's nodes
                     "stack_a": _FILE, "stack_b": _FILE},
 }
 

@@ -15,7 +15,7 @@ fractions of |P|; separations are meters.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, partial
 from ._record import dataclass, field, read_only
 
 import numpy as np
@@ -162,6 +162,35 @@ class MeasurementEnsemble:
         """Concatenated (z, pressure) arrays, read-only."""
         return self._points
 
+    @cached_property
+    def _binned(self):  # built by the first bin_ensemble call
+        z, p = self._points
+        lo, hi = self.z_range
+        n_bins = max(1, int(math.ceil((hi - lo) / DEFAULT_BIN_WIDTH - 1e-9)))
+        idx = np.clip(np.floor((z - lo) / DEFAULT_BIN_WIDTH).astype(int), 0,
+                      n_bins - 1)
+        # occupied bins become rows 0, 1, ...; inv is each point's row
+        count = np.bincount(idx, minlength=n_bins)
+        inv = (np.cumsum(count > 0) - 1)[idx]
+        n = count[count > 0]
+        first = np.full(n.size, idx.size)
+        np.minimum.at(first, inv, np.arange(idx.size))
+        z_m = np.bincount(inv, z) / n
+        p_m = np.bincount(inv, p) / n
+        dz, dp = z - z_m[inv], p - p_m[inv]
+        sxx = np.bincount(inv, dz * dz)
+        spread = np.bincount(inv, z != z[first][inv]) > 0
+        fit = (n >= 3) & spread
+        slope = np.divide(np.bincount(inv, dz * dp), sxx, out=np.zeros_like(sxx),
+                          where=fit)
+        # residuals summed explicitly, so an exactly linear bin gives ~0; bins
+        # with no fit keep slope 0 and get the plain sum of squares
+        rss = np.bincount(inv, (dp - slope[inv] * dz) ** 2)
+        dof = np.where(fit, n - 2, n - 1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            var = np.where(n >= 2, rss / dof, math.nan)
+        return BinnedStatistics(z_m, p_m, var, n, dof)
+
 
 @dataclass(frozen=True)
 class BinnedStatistics:
@@ -182,7 +211,12 @@ class BinnedStatistics:
     def __post_init__(self):
         for name in ("z", "pressure_mean", "variance", "count", "dof"):
             object.__setattr__(self, name, read_only(np.array(getattr(self, name))))
-        object.__setattr__(self, "_envelopes", {})  # confidence -> random_error_curve's band
+
+    @cached_property
+    def _smoothed(self):
+        # what no confidence level changes: the smoothed sigma and where it is defined
+        sigma = read_only(_smoothed_sigma(self))
+        return sigma, read_only(np.isfinite(sigma) & (self.dof >= 1))
 
 
 def bin_ensemble(ensemble: MeasurementEnsemble) -> BinnedStatistics:
@@ -190,36 +224,8 @@ def bin_ensemble(ensemble: MeasurementEnsemble) -> BinnedStatistics:
 
     Every bin's linear fit is centred on the bin means and built from
     per-bin sums; rows come in increasing bin order.  An ensemble is
-    binned once.
+    binned once, on the first call; later calls return the same record.
     """
-    if "_binned" in vars(ensemble):
-        return ensemble._binned
-    z, p = ensemble.all_points()
-    lo, hi = ensemble.z_range
-    n_bins = max(1, int(math.ceil((hi - lo) / DEFAULT_BIN_WIDTH - 1e-9)))
-    idx = np.clip(np.floor((z - lo) / DEFAULT_BIN_WIDTH).astype(int), 0,
-                  n_bins - 1)
-    # occupied bins become rows 0, 1, ...; inv is each point's row
-    count = np.bincount(idx, minlength=n_bins)
-    inv = (np.cumsum(count > 0) - 1)[idx]
-    n = count[count > 0]
-    first = np.full(n.size, idx.size)
-    np.minimum.at(first, inv, np.arange(idx.size))
-    z_m = np.bincount(inv, z) / n
-    p_m = np.bincount(inv, p) / n
-    dz, dp = z - z_m[inv], p - p_m[inv]
-    sxx = np.bincount(inv, dz * dz)
-    spread = np.bincount(inv, z != z[first][inv]) > 0
-    fit = (n >= 3) & spread
-    slope = np.divide(np.bincount(inv, dz * dp), sxx, out=np.zeros_like(sxx),
-                      where=fit)
-    # residuals summed explicitly, so an exactly linear bin gives ~0; bins
-    # with no fit keep slope 0 and get the plain sum of squares
-    rss = np.bincount(inv, (dp - slope[inv] * dz) ** 2)
-    dof = np.where(fit, n - 2, n - 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var = np.where(n >= 2, rss / dof, math.nan)
-    object.__setattr__(ensemble, "_binned", BinnedStatistics(z_m, p_m, var, n, dof))
     return ensemble._binned
 
 
@@ -293,23 +299,19 @@ def random_error_curve(binned: BinnedStatistics, confidence: float,
     Notes
     -----
     Bin scatter is smoothed with a moving median over 11 bins, which
-    respects the strong variance heterogeneity across separation.  Each
-    confidence level's envelope is built once per binned statistics.
+    respects the strong variance heterogeneity across separation.  The
+    smoothing does not depend on the confidence level, so it is done once
+    per binned statistics and each level only scales it.
     """
     _check_confidence(confidence)
     if kind != "point":
         raise ValueError("kind must be 'point'")
-    if confidence not in binned._envelopes:
-        s_sm = _smoothed_sigma(binned)
-        good = np.isfinite(s_sm) & (binned.dof >= 1)
-        if (n_good := np.count_nonzero(good)) < 2:
-            raise SparseEnsembleError(
-                f"{n_good} of {good.size} occupied separation bins "
-                "have a defined variance (two or more points); the scatter "
-                "envelope needs two")
-        binned._envelopes[confidence] = ConfidenceBand(
-            binned.z[good], _NORMAL_Q[confidence] * s_sm[good], confidence)
-    return binned._envelopes[confidence]
+    sigma, good = binned._smoothed
+    if (n_good := np.count_nonzero(good)) < 2:
+        raise SparseEnsembleError(
+            f"{n_good} of {good.size} occupied separation bins have a defined variance "
+            "(two or more points); the scatter envelope needs two")
+    return ConfidenceBand(binned.z[good], _NORMAL_Q[confidence] * sigma[good], confidence)
 
 
 def theory_error_curve(z, confidence: float = 0.95,
@@ -410,12 +412,20 @@ def exclusion_test(differences, band: ConfidenceBand,
     nominal miss rate 1 - confidence.
     """
     d = np.asarray(differences, dtype=float)
-    if (d.ndim != 2 or d.shape[1] != 2 or d.shape[0] == 0
-            or not np.all(np.isfinite(d))):
+    if d.ndim != 2 or d.shape[1] != 2 or d.shape[0] == 0 or not np.all(np.isfinite(d)):
         raise ValueError("differences must be a nonempty list of finite (z, dP)")
-    z = d[:, 0]
-    outside = np.abs(d[:, 1]) > band(z)
-    order, i0, i1 = _windows(z.tobytes(), band.z.tobytes())
+    return _verdict(d, band, model_tag, *_windows(d[:, 0], band.z))
+
+
+def _windows(z, grid):
+    # stable order of z, and each grid point's window [i0, i1) in sorted z
+    order = np.argsort(z, kind="stable")
+    return order, *np.searchsorted(z[order], [grid - WINDOW_HALF_WIDTH, grid + WINDOW_HALF_WIDTH])
+
+
+def _verdict(d, band, model_tag, order, i0, i1):
+    # exclusion_test on checked differences, given _windows of their z
+    outside = np.abs(d[:, 1]) > band(d[:, 0])
     n_below = np.concatenate(([0], np.cumsum(outside[order])))
     flags = ((i1 - i0 >= MIN_WINDOW_POINTS)
              & (2 * (n_below[i1] - n_below[i0]) > i1 - i0))
@@ -428,16 +438,6 @@ def exclusion_test(differences, band: ConfidenceBand,
     accepted = not windows and frac <= 2.0 * (1.0 - band.confidence)
     return ExclusionVerdict(model_tag, band.confidence, len(outside),
                             n_out, frac, tuple(windows), accepted, band, d)
-
-
-@lru_cache(maxsize=1)
-def _windows(z_bytes, grid_bytes):
-    # stable order of z, and each grid point's window [i0, i1) in sorted z;
-    # keyed by bytes, so the models tested on one ensemble and grid share it
-    z, grid = np.frombuffer(z_bytes), np.frombuffer(grid_bytes)
-    order = np.argsort(z, kind="stable")
-    return tuple(map(read_only, (order, *np.searchsorted(
-        z[order], [grid - WINDOW_HALF_WIDTH, grid + WINDOW_HALF_WIDTH]))))
 
 
 def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
@@ -470,22 +470,20 @@ def run_exclusion_analysis(ensemble: MeasurementEnsemble, model_curves: dict,
         Mapping tag -> ExclusionVerdict, each carrying its band and
         its point-by-point differences for callers that write them out.
 
-    The models share the binning, the envelope, the sort of z, the window
-    indices and both half-widths, which are evaluated once on the
-    envelope grid, each band's grid.
+    The models share the ensemble's binning, the envelope, the
+    experimental half-width, the sort of z and each band node's window.
     """
     env = random_error_curve(bin_ensemble(ensemble), confidence)
     rad = confidence * (DEFAULT_SPHERE.radius_error / DEFAULT_SPHERE.radius)
     ref_abs = rad * np.abs(model_curves[reference].pressure_at(env.z))
     expt_abs = ConfidenceBand(env.z, np.sqrt(env.half_width ** 2 + ref_abs ** 2), confidence)
-    theory_rel = ConfidenceBand(env.z, theory_error_curve(
-        env.z, confidence=confidence, include_separation_term=False), confidence)
+    theory_rel = partial(theory_error_curve, confidence=confidence, include_separation_term=False)
     z, p = ensemble.all_points()
+    windows = _windows(z, env.z)
     out = {}
     for tag, curve in model_curves.items():
         band = confidence_band(theory_rel, expt_abs, curve, confidence, rule="variance")
-        d = np.column_stack([z, curve.pressure_at(z) - p])
-        out[tag] = exclusion_test(d, band, model_tag=tag)
+        out[tag] = _verdict(np.column_stack([z, curve.pressure_at(z) - p]), band, tag, *windows)
     return out
 
 

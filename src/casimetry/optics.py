@@ -88,8 +88,9 @@ class OpticalDataset:
             raise ValueError("duplicate omega values in table")
         if np.any(diffs < 0.0):
             raise ValueError("omega must be strictly increasing")
-        if not np.all((n >= 0.0) & (n < math.inf) & (k >= 0.0) & (k < math.inf)):
-            raise ValueError("n and k must be finite and non-negative")
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite 2 n k needs finite n, k
+            if not np.all((n >= 0.0) & (k >= 0.0) & (self.im_eps < math.inf)):
+                raise ValueError("n, k and Im eps = 2 n k must be finite and non-negative")
 
     @property
     def im_eps(self) -> np.ndarray:
@@ -300,7 +301,7 @@ def _transform_block(omega, im_eps, table, drude, xi):
     total = (_drude_tail_integral(omega[0], drude, xi)
              + (2.0 / math.pi) * np.cumsum(value, axis=1)[:, -1])
     worst = err.max(axis=1)
-    bad = ~ok.all(axis=1) & (worst > np.maximum(_ABS_TOL, _REL_TOL * np.abs(total)))
+    bad = ~ok.all(axis=1) & ~(worst <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(total)))
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureError(
@@ -387,9 +388,8 @@ class PermittivityFn:
         if not np.all((xi_arr > 0.0) & (xi_arr < math.inf)):
             raise ValueError("xi must be positive and finite")
         value = np.asarray(self.fn(xi_arr), dtype=float)
-        if np.any(~np.isfinite(value)) or np.any(value < 1.0):
-            raise ValueError(
-                f"permittivity {self.label or 'fn'} returned a value < 1")
+        if not np.all((value >= 1.0) & (value < math.inf)):  # a NaN fails it
+            raise ValueError(f"permittivity {self.label or 'fn'} gave a value non-finite or < 1")
         return float(value) if np.isscalar(xi) else value
 
     @classmethod

@@ -9,7 +9,9 @@ Likewise every parameter with a default, of an exported function, an
 exported class's constructor or a public method, must be passed by some
 call outside the tests: no setting is made only by tests.
 The package runs on numpy alone: no module imports scipy, and the
-project's runtime dependencies name numpy only.
+project's runtime dependencies name numpy only.  Records are frozen, and
+only a record's own methods write its fields: no code calls
+``object.__setattr__`` on anything but ``self``.
 """
 
 import ast
@@ -57,6 +59,8 @@ KEEP = {
     "load_ensemble_csv": "it reads the file that save_ensemble_csv writes",
     "YukawaParams": "the parameter type of the two keep-listed Yukawa "
                     "functions",
+    "exclusion_test": "the band test of a band the caller built; "
+                      "run_exclusion_analysis runs its helper on windows it shares",
 }
 
 
@@ -124,6 +128,8 @@ KEEP_PARAMS = {
     "lifshitz.casimir_free_energy(return_diagnostics)":
         "it mirrors casimir_pressure, and free-energy escalations are read "
         "through it",
+    "metrology.exclusion_test(model_tag)":
+        "the tag its verdict carries, as run_exclusion_analysis's verdicts do",
 }
 
 
@@ -264,6 +270,29 @@ def test_models_are_spelled_by_key_outside_the_benchmark():
     removed = ("exact_impedance", "lifshitz_plasma", "ideal_metal")
     assert not any(hasattr(ReflectionModel, name) for name in removed)
     assert not hasattr(PermittivityFn, "from_plasma")
+
+
+def setattr_targets(source):
+    """The first argument, as source text, of each ``object.__setattr__``
+    call in `source`."""
+    return [ast.unparse(node.args[0]) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__" and node.args
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"]
+
+
+def test_setattr_targets_reads_the_first_argument():
+    source = ("object.__setattr__(self, 'a', 1)\n"
+              "def f(ensemble):\n    object.__setattr__(ensemble, '_b', 2)\n"
+              "setattr(x, 'c', 3)\nsuper().__setattr__(y, 'd', 4)\n")
+    assert setattr_targets(source) == ["self", "ensemble"]
+
+
+def test_records_are_written_only_by_their_own_methods():
+    found = {str(path.relative_to(ROOT)): targets
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if (targets := [t for t in setattr_targets(path.read_text()) if t != "self"])}
+    assert found == {}
 
 
 def imported_modules(source):

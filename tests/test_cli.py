@@ -775,6 +775,7 @@ class TestConstraintsCommand:
          "constraints: need 0 < z_min_m <= z_max_m < inf"),
         ("lambda_min_m = 100e-9\nlambda_max_m = 100e-9\nlambda_points = 3\n",
          "constraints: lambda_points > 1 needs lambda_min_m < lambda_max_m"),
+        ("z_points = 1\n", "constraints.z_points must be >= 2, not 1"),
     ])
     def test_bad_grid_is_named(self, tmp_path, capsys, keys, message):
         ini = tmp_path / "run.ini"

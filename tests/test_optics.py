@@ -2,6 +2,7 @@ import ast
 import math
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,7 +129,8 @@ class TestDatasetInvariants:
                            np.array([1.0, 0.1]))
 
     @pytest.mark.parametrize("n, k", [([math.nan, 1.0], [1.0, 1.0]),
-                                      ([1.0, 1.0], [1.0, math.inf])])
+                                      ([1.0, 1.0], [1.0, math.inf]),
+                                      ([10.0, 10.0], [1.0, 1e308])])  # 2 n k = inf
     def test_non_finite_n_or_k_rejected(self, n, k):
         with pytest.raises(ValueError, match="finite"):
             OpticalDataset(np.array([1e14, 2e14]), np.array(n), np.array(k))
@@ -241,6 +243,9 @@ class TestPermittivityFn:
         bad = PermittivityFn(lambda xi: 0.5 * np.ones_like(xi), "bad")
         with pytest.raises(ValueError, match="< 1"):
             bad(1e15)
+        nan = PermittivityFn(lambda xi: np.full_like(xi, math.nan), "nan")
+        with pytest.raises(ValueError, match="non-finite or < 1"):
+            nan(1e15)
 
     def test_from_drude_tags(self):
         # the static behaviour the removed zero_frequency tag declared:
@@ -502,6 +507,15 @@ class TestBatchedTransform:
             reference_transform(ds, GOLD, xi)
         with pytest.raises(QuadratureError, match="did not converge"):
             permittivity_imag_axis(ds, GOLD, np.array([1e15, xi]))
+
+    def test_non_finite_table_fails_the_convergence_guard(self):
+        # a table that skips OpticalDataset's checks, with an infinite
+        # Im eps: the error estimates are NaN, and a NaN must not pass
+        omega = np.array([1e14, 1e15, 1e16])
+        table = SimpleNamespace(omega=omega, im_eps=np.array([1.0, math.inf, 1.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                QuadratureError, match="did not converge"):
+            permittivity_imag_axis(table, GOLD, np.array([1e15, 2e15]))
 
     def test_scalar_gives_float_and_array_keeps_shape(self):
         ds = drude_table(per_decade=10)
