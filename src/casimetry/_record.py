@@ -1,9 +1,12 @@
 """Record classes without ``dataclasses``, whose one ``exec`` per generated
 method made building the package's records most of the cost of importing
 it.  The methods here are closures over each class's fields; for the
-flags the package uses they behave as the stdlib's do."""
+flags the package uses they behave as the stdlib's do.  Kept arrays are
+read-only, and positive, finite input passes one guard that a NaN fails."""
 
 from types import SimpleNamespace
+
+import numpy as np
 
 _MISSING = object()
 
@@ -19,6 +22,15 @@ class field(SimpleNamespace):  # noqa: N801  (as the dataclasses function)
 def read_only(array):
     """`array`, made read-only, so that what a record keeps of it stays valid."""
     array.flags.writeable = False
+    return array
+
+
+def positive(value, message, zero_ok=False):
+    """`value` as a float array; ValueError(message) unless every entry is
+    finite and > 0 (>= 0 if zero_ok), written as not (...) so that a NaN fails."""
+    array = np.asarray(value, dtype=float)
+    if not (((array >= 0.0) if zero_ok else (array > 0.0)) & (array < np.inf)).all():
+        raise ValueError(message)
     return array
 
 

@@ -33,7 +33,6 @@ import hashlib
 import json
 import os
 import sys
-from ._record import dataclass, field
 from pathlib import Path
 
 # before numpy loads: the engine's BLAS products are too small for a per-core pool
@@ -41,6 +40,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
+from ._record import dataclass, field
 from .constants import CONSTANTS_VERSION
 from .corrections import (
     RoughnessProfile,

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._record import dataclass, read_only
+from ._record import dataclass, positive, read_only
 from .io import read_table
 
 __all__ = [
@@ -39,10 +39,8 @@ class SphereGeometry:
     radius_error: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError("sphere radius must be positive and finite")
-        if not 0 <= self.radius_error < math.inf:
-            raise ValueError("radius_error must be nonnegative and finite")
+        positive(self.radius, "sphere radius must be positive and finite")
+        positive(self.radius_error, "radius_error must be nonnegative and finite", zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,7 @@ class RoughnessProfile:
     def gaussian(cls, sigma: float) -> "RoughnessProfile":
         """Zero-mean normal height distribution of rms roughness `sigma`
         in meters, on 9 levels spanning +-3 sigma."""
-        if not 0 <= sigma < math.inf:
-            raise ValueError("sigma must be >= 0 and finite")
+        positive(sigma, "sigma must be >= 0 and finite", zero_ok=True)
         if sigma == 0:
             return cls.flat()
         h = np.linspace(-_GAUSSIAN_CLIP * sigma, _GAUSSIAN_CLIP * sigma,
@@ -100,7 +97,7 @@ def pft_pressure(force_gradient: float, sphere: SphereGeometry) -> float:
     Parameters
     ----------
     force_gradient : float
-        d F / d z of the sphere-plate force, N/m.
+        d F / d z of the sphere-plate force, N/m, finite.
     sphere : SphereGeometry
         Sphere radius (R >> z assumed).
 
@@ -109,6 +106,8 @@ def pft_pressure(force_gradient: float, sphere: SphereGeometry) -> float:
     float
         P = -force_gradient / (2 pi R), in Pa.
     """
+    if not math.isfinite(force_gradient):
+        raise ValueError("force_gradient must be finite")
     return -force_gradient / (2.0 * math.pi * sphere.radius)
 
 
@@ -140,9 +139,9 @@ def roughness_corrected_pressure(pressure_fn: Callable[[np.ndarray], np.ndarray]
     Raises
     ------
     ValueError
-        If any height pair closes the gap completely.
+        If z is not positive and finite, or a height pair closes the gap.
     """
-    z_arr = np.asarray(z, dtype=float)
+    z_arr = positive(z, "z must be positive and finite")
     sep = (z_arr.reshape(-1, 1, 1)
            + np.add.outer(profile_a.heights, profile_b.heights))
     if np.any(sep <= 0):

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from ._record import dataclass, read_only
+from ._record import dataclass, positive, read_only
 from .constants import G_NEWTON
 from .io import FLOAT_FORMAT, read_csv, read_table, write_csv
 
@@ -62,8 +62,7 @@ class YukawaParams:
     def __post_init__(self):
         if not math.isfinite(self.alpha_g):
             raise ValueError("strength alpha_g must be finite")
-        if not 0 < self.lam < math.inf:
-            raise ValueError("interaction range must be positive and finite")
+        positive(self.lam, "interaction range must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,7 @@ class Layer:
     thickness: float
 
     def __post_init__(self):
-        if not 0 < self.density < math.inf:
-            raise ValueError("layer density must be positive and finite")
+        positive(self.density, "layer density must be positive and finite")
         if not self.thickness > 0:
             raise ValueError("layer thickness must be positive")
 
@@ -119,11 +117,11 @@ def density_factor(stack: LayerStack, lam):
 
     phi = rho_1 - sum_k (rho_k - rho_{k+1}) exp(-depth_k/lam), where
     depth_k is the total thickness above the k-th interface.  For a
-    homogeneous body this is the surface density; infinitely long
-    ranges see the substrate.  Positive for any all-positive stack.
-    lam may be an array; a scalar lam gives a float.
+    homogeneous body this is the surface density; long ranges see the
+    substrate.  Positive for any all-positive stack.  lam, positive and
+    finite, may be an array; a scalar lam gives a float.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = positive(lam, "interaction range must be positive and finite")
     phi = np.full_like(lam, stack.layers[0].density)
     depth = 0.0
     for above, below in zip(stack.layers[:-1], stack.layers[1:]):
@@ -154,9 +152,7 @@ def yukawa_plate_pressure(stack_a: LayerStack, stack_b: LayerStack,
     P(z) = -2 pi G alpha_g lam^2 exp(-z/lam) phi_a phi_b with the
     stack density factors phi.  Attractive for positive alpha_g.
     """
-    z = np.asarray(z, dtype=float)
-    if not np.all((z > 0) & (z < math.inf)):
-        raise ValueError("separation must be positive and finite")
+    z = positive(z, "separation must be positive and finite")
     _check_range_validity(params.lam)
     out = _plate_pressure(density_factor(stack_a, params.lam),
                           density_factor(stack_b, params.lam), z, params.lam,
@@ -182,8 +178,7 @@ class ConstraintCurve:
         # increasing ranges are bounded by their end points
         if not (np.all(np.diff(lams) > 0) and 0 < lams[0] and lams[-1] < math.inf):
             raise ValueError("interaction ranges must be increasing, positive and finite")
-        if not np.all((alpha > 0) & (alpha < math.inf)):
-            raise ValueError("alpha_max must be positive and finite")
+        positive(alpha, "alpha_max must be positive and finite")
         if not np.all(np.isfinite(z_best)):
             raise ValueError("z_best must be finite")
         object.__setattr__(self, "entries", entries)
@@ -262,8 +257,8 @@ def constraint_curve(band, stack_a: LayerStack, stack_b: LayerStack,
     lambdas : array_like
         Interaction ranges, m.
     """
-    lams = np.sort(np.asarray(lambdas, dtype=float))
-    if lams.size == 0 or not np.all((lams > 0) & (lams < math.inf)):
+    lams = np.sort(positive(lambdas, "interaction ranges must be positive and finite"))
+    if lams.size == 0:
         raise ValueError("interaction ranges must be positive and finite")
     _check_range_validity(lams[-1])
     z_best, alpha = _strongest_constraints(band, stack_a, stack_b, lams)

@@ -18,7 +18,7 @@ bounded with the r2 <= 1 majorant and reported, never silently dropped.
 from __future__ import annotations
 
 import math
-from ._record import dataclass, read_only
+from ._record import dataclass, positive, read_only
 from functools import lru_cache, partial
 from typing import Sequence
 
@@ -55,8 +55,7 @@ class ConvergenceError(RuntimeError):
 
 def matsubara_frequency(temperature: float, l: int) -> float:
     """xi_l = 2 pi k_B T l / hbar in rad/s."""
-    if not 0.0 < temperature < math.inf:
-        raise ValueError("temperature must be positive and finite")
+    positive(temperature, "temperature must be positive and finite")
     if l < 0 or l != int(l):
         raise ValueError("l must be a non-negative integer")
     return 2.0 * math.pi * K_B * temperature * l / HBAR
@@ -68,8 +67,7 @@ def default_l_max(temperature: float, z: float) -> int:
     At y = 30 the geometric l-tail is below 1e-9 of the sum for every
     implemented model.
     """
-    if not 0.0 < z < math.inf:
-        raise ValueError("z must be positive and finite")
+    positive(z, "z must be positive and finite")
     xi1 = matsubara_frequency(temperature, 1)
     return max(1, math.ceil(30.0 * C_LIGHT / (2.0 * z * xi1)))
 
@@ -82,8 +80,7 @@ class ThermalState:
     temperature: float
 
     def __post_init__(self):
-        if not 0.0 < self.temperature < math.inf:
-            raise ValueError("temperature must be positive and finite")
+        positive(self.temperature, "temperature must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +213,10 @@ def reflection_sq(model: ReflectionModel, xi_l: float, k_perp, l: int):
     -------
     (r_par_sq, r_perp_sq), scalars or arrays following k_perp; both in [0, 1].
     """
-    k = np.asarray(k_perp, dtype=float)
-    # written as not (...) so that a NaN fails the guards
-    if not np.all((k > 0.0) & (k < math.inf)):
-        raise ValueError("k_perp must be positive and finite")
+    k = positive(k_perp, "k_perp must be positive and finite")
     if l < 0:
         raise ValueError("l must be non-negative")
+    # written as not (...) so that a NaN fails the guard
     if not 0.0 <= xi_l < math.inf or (l == 0) != (xi_l == 0.0):
         raise ValueError("xi_l must be finite, >= 0 and zero exactly at l = 0")
     rule = MODELS[model.kind]
@@ -491,9 +486,7 @@ def _lifshitz_sum(model: ReflectionModel, z: np.ndarray, state: ThermalState,
 
 
 def _evaluate(model, z, state, weight, power, sign, return_diagnostics):
-    z_arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z_arr) & (z_arr > 0.0)):
-        raise ValueError("z must be positive and finite")
+    z_arr = positive(z, "z must be positive and finite")
     flat = z_arr.ravel()
     acc, l_max, tail, err, escalated = _lifshitz_sum(model, flat, state, weight)
     pref = K_B * state.temperature / (8.0 * math.pi * flat ** power)
@@ -547,9 +540,7 @@ def entropy_probe(model: ReflectionModel, z: float,
     the step delta T = max(0.02 T, 0.05 K) is clipped so T - 2 delta
     stays positive.
     """
-    temps = [float(t) for t in temperatures]
-    if any(t <= 0.0 for t in temps):
-        raise ValueError("temperatures must be positive")
+    temps = positive(temperatures, "temperatures must be positive").tolist()
     if any(b >= a for a, b in zip(temps, temps[1:])):
         raise ValueError("temperatures must be strictly descending")
     out = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial
-from ._record import dataclass, field, read_only
+from ._record import dataclass, field, positive, read_only
 
 import numpy as np
 
@@ -86,7 +86,7 @@ def default_point_sigma(z):
     float or ndarray
         Standard deviation as a fraction of |P|.
     """
-    z = np.asarray(z, dtype=float)
+    z = positive(z, "z must be positive and finite")
     rise = 0.0
     for amp, zc, w in _SCATTER_RISE:
         rise = rise + amp / (1.0 + np.exp(-(z - zc) / w))
@@ -245,8 +245,7 @@ class ConfidenceBand:
             raise ValueError("band needs matching 1-d arrays of length >= 2")
         if not (np.all(np.diff(z) > 0) and np.all(np.isfinite(z))):
             raise ValueError("band z must be finite and strictly increasing")
-        if not np.all((h > 0) & (h < math.inf)):
-            raise ValueError("band half-widths must be positive and finite")
+        positive(h, "band half-widths must be positive and finite")
         _check_confidence(self.confidence)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "half_width", h)
@@ -328,9 +327,7 @@ def theory_error_curve(z, confidence: float = 0.95,
     scatter is already part of that envelope and must not be counted
     twice.
     """
-    z = np.asarray(z, dtype=float)
-    if not np.all((z > 0) & (z < math.inf)):
-        raise ValueError("z must be positive and finite")
+    z = positive(z, "z must be positive and finite")
     _check_confidence(confidence)
     hws = [confidence * (z / DEFAULT_SPHERE.radius),
            np.full_like(z, confidence * DEFAULT_OPTICAL_REL)]
@@ -357,11 +354,14 @@ def confidence_band(theory_rel, expt_abs: ConfidenceBand, model_curve: PressureC
     model_curve : PressureCurve
         Curve of the model under test.
     confidence : float
+        The band's level, which must be `expt_abs.confidence`.
     rule : str, optional
         Component combination rule, "quantile" or "variance".
     """
     if not isinstance(expt_abs, ConfidenceBand):
         raise TypeError("expt_abs must be a ConfidenceBand; its grid is the band's")
+    if confidence != expt_abs.confidence:
+        raise ValueError(f"confidence {confidence} is not expt_abs's {expt_abs.confidence}")
     grid = expt_abs.z
     th = np.asarray(theory_rel(grid), dtype=float) * np.abs(model_curve.pressure_at(grid))
     return ConfidenceBand(grid, _combine([th, expt_abs.half_width], rule), confidence)

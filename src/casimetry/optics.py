@@ -12,7 +12,7 @@ highest.  The analytic Drude/plasma form lives here as well.
 from __future__ import annotations
 
 import math
-from ._record import dataclass, read_only
+from ._record import dataclass, positive, read_only
 from functools import cache, lru_cache
 from typing import Callable
 
@@ -46,10 +46,8 @@ class DrudeParameters:
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 < self.omega_p < math.inf:
-            raise ValueError("omega_p must be positive and finite")
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError("gamma must be non-negative and finite")
+        positive(self.omega_p, "omega_p must be positive and finite")
+        positive(self.gamma, "gamma must be non-negative and finite", zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,7 @@ class OpticalDataset:
             raise ValueError("need at least 2 tabulated points")
         if n.shape != omega.shape or k.shape != omega.shape:
             raise ValueError("omega, n, k must have matching lengths")
-        if not np.all((omega > 0.0) & (omega < math.inf)):
-            raise ValueError("all omega must be positive and finite")
+        positive(omega, "all omega must be positive and finite")
         diffs = np.diff(omega)
         if np.any(diffs == 0.0):
             raise ValueError("duplicate omega values in table")
@@ -341,9 +338,7 @@ def permittivity_imag_axis(dataset: OpticalDataset, drude: DrudeParameters, xi):
         If a segment fails to converge at the maximum refinement; the first
         such xi and its achieved error estimate are reported.
     """
-    xi_arr = np.asarray(xi, dtype=float)
-    if not np.all((xi_arr > 0.0) & (xi_arr < math.inf)):
-        raise ValueError("xi must be positive and finite")
+    xi_arr = positive(xi, "xi must be positive and finite")
     omega, im_eps = dataset.omega, dataset.im_eps
     # an empty segment (Im eps = 0) pads the rows of an xi that splits none
     table = _segment_nodes(np.append(omega[:-1], omega[0]), np.append(omega[1:], omega[1]),
@@ -363,9 +358,7 @@ def drude_permittivity(drude: DrudeParameters, xi):
     xi may be a scalar or an array; all entries must be positive and
     finite.
     """
-    xi_arr = np.asarray(xi, dtype=float)
-    if not np.all((xi_arr > 0.0) & (xi_arr < math.inf)):
-        raise ValueError("xi must be positive and finite")
+    xi_arr = positive(xi, "xi must be positive and finite")
     out = 1.0 + drude.omega_p ** 2 / (xi_arr * (xi_arr + drude.gamma))
     return float(out) if np.isscalar(xi) else out
 
@@ -384,9 +377,7 @@ class PermittivityFn:
     label: str = ""
 
     def __call__(self, xi):
-        xi_arr = np.asarray(xi, dtype=float)
-        if not np.all((xi_arr > 0.0) & (xi_arr < math.inf)):
-            raise ValueError("xi must be positive and finite")
+        xi_arr = positive(xi, "xi must be positive and finite")
         value = np.asarray(self.fn(xi_arr), dtype=float)
         if not np.all((value >= 1.0) & (value < math.inf)):  # a NaN fails it
             raise ValueError(f"permittivity {self.label or 'fn'} gave a value non-finite or < 1")

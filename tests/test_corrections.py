@@ -54,6 +54,11 @@ class TestPftPressure:
         assert pft_pressure(g, s2) == pytest.approx(0.5 * pft_pressure(g, s1),
                                                     rel=1e-15)
 
+    @pytest.mark.parametrize("gradient", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gradient_raises(self, gradient):
+        with pytest.raises(ValueError, match="force_gradient must be finite"):
+            pft_pressure(gradient, SphereGeometry(R_SPHERE))
+
 
 class TestRoughnessProfile:
     def test_validation(self):
@@ -199,13 +204,16 @@ class TestRoughnessAveraging:
         p = roughness_corrected_pressure(kernel, a, a, np.array([200e-9, 310e-9]))
         assert np.isfinite(p[0]) and np.isnan(p[1])
 
-    def test_nan_separation_keeps_its_own_value(self):
-        # a NaN fails every comparison, so it must not merge with the
-        # largest separation sorted before it
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -200e-9])
+    def test_bad_separation_is_refused_before_the_kernel(self, bad):
+        # refused before the kernel runs: a NaN, which fails every
+        # comparison, is never sorted among the other separations
+        def kernel(s):
+            raise AssertionError("the kernel ran")
+
         a = RoughnessProfile.gaussian(2.2e-9)
-        p = roughness_corrected_pressure(lambda s: -1.0 / s ** 4, a, a,
-                                         np.array([200e-9, np.nan]))
-        assert np.isfinite(p[0]) and np.isnan(p[1])
+        with pytest.raises(ValueError, match="z must be positive and finite"):
+            roughness_corrected_pressure(kernel, a, a, np.array([200e-9, bad]))
 
     def test_nine_pairs_pass_every_separation(self, monkeypatch):
         monkeypatch.setattr(corrections, "_GAUSSIAN_LEVELS", 3)

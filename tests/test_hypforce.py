@@ -103,6 +103,11 @@ class TestDensityFactor:
                 -200e-9 / lam)
             assert 0.0 < delta <= bound * (1 + 1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-7])
+    def test_range_must_be_positive_and_finite(self, stacks, bad):
+        with pytest.raises(ValueError, match="interaction range must be positive"):
+            hf.density_factor(stacks[0], np.array([1e-7, bad]))
+
 
 class TestPlatePressure:
 

@@ -236,6 +236,9 @@ class TestErrorCombination:
         with pytest.raises(ValueError, match="combination rule"):
             mt.confidence_band(mt.theory_error_curve, expt_band(NEGLIGIBLE),
                                curve, 0.95, rule="median")
+        # a 95 % experimental band does not make a 99 % difference band
+        with pytest.raises(ValueError, match="confidence 0.99 is not expt_abs's 0.95"):
+            mt.confidence_band(mt.theory_error_curve, expt_band(NEGLIGIBLE), curve, 0.99)
 
 
 class TestTheoryErrorCurve:
@@ -641,6 +644,11 @@ class TestSyntheticGenerator:
                                              points_per_set=50)
         for s in ens.sets:
             assert np.array_equal(s[:, 1], curves["imp"].pressure_at(s[:, 0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-6])
+    def test_point_sigma_needs_positive_finite_separations(self, bad):
+        with pytest.raises(ValueError, match="z must be positive and finite"):
+            mt.default_point_sigma([2e-7, bad])
 
     def test_uniform_systematic_drawn_once(self, curves, monkeypatch):
         # without per-point noise, the optical, curvature and radius

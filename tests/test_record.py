@@ -4,7 +4,8 @@
 Each class here is rebuilt from its own source under the stdlib
 ``dataclass`` and ``field``: that twin is the reference implementation.
 Real class and twin are held to the same repr text, equality, hashing,
-frozen fields, argument errors and defaults.
+frozen fields, argument errors and defaults.  The module's input guard,
+``positive``, is checked here too.
 """
 
 import __future__
@@ -16,8 +17,12 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from casimetry import cli, corrections, hypforce, lifshitz, metrology, optics
+from casimetry._record import positive
 
 
 def is_record(cls):
@@ -202,3 +207,35 @@ def test_run_config_values_are_fresh_per_instance():
     one, two = cli.RunConfig("kk"), cli.RunConfig("kk")
     one.set("l_max", "3")
     assert two.values == {} and one.values is not two.values
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+BAD = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(max_value=-math.ulp(0.0))
+SHAPES = array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
+MESSAGE = "x must be positive and finite"
+
+
+@given(st.one_of(POSITIVE, arrays(float, SHAPES, elements=POSITIVE)), st.booleans())
+def test_positive_returns_finite_positive_input_as_floats(value, zero_ok):
+    got = positive(value, MESSAGE, zero_ok=zero_ok)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == np.shape(value) and np.array_equal(got, value)
+
+
+@given(arrays(float, SHAPES, elements=st.floats(min_value=0.0, allow_infinity=False)))
+@example(0.0)
+def test_positive_takes_zero_only_when_asked(value):
+    assert np.array_equal(positive(value, MESSAGE, zero_ok=True), value)
+    if np.any(value == 0.0):
+        with pytest.raises(ValueError, match=f"^{MESSAGE}$"):
+            positive(value, MESSAGE)
+
+
+@given(arrays(float, array_shapes(min_dims=1, max_dims=2, max_side=4), elements=POSITIVE),
+       BAD, st.integers(min_value=0), st.booleans())
+def test_positive_refuses_any_bad_entry(value, bad, at, zero_ok):
+    # NaN, +-inf and negative entries, in an array, a list or alone
+    value.flat[at % value.size] = bad
+    for given_value in (value, value.tolist(), bad):
+        with pytest.raises(ValueError, match=f"^{MESSAGE}$"):
+            positive(given_value, MESSAGE, zero_ok=zero_ok)
