@@ -26,12 +26,14 @@ def read_only(array):
 
 
 def positive(value, message, zero_ok=False):
-    """`value` as a float array; ValueError(message) unless every entry is
+    """`value` as a float array; ValueError(message) unless its dtype is bool,
+    int or float (a numeric string is refused, not parsed) and every entry is
     finite and > 0 (>= 0 if zero_ok), written as not (...) so that a NaN fails."""
-    array = np.asarray(value, dtype=float)
-    if not (((array >= 0.0) if zero_ok else (array > 0.0)) & (array < np.inf)).all():
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf" or not (
+            ((array >= 0.0) if zero_ok else (array > 0.0)) & (array < np.inf)).all():
         raise ValueError(message)
-    return array
+    return np.asarray(array, dtype=float)
 
 
 def _frozen(self, name, *value):

@@ -41,7 +41,6 @@ __all__ = [
     "default_l_max",
     "entropy_probe",
     "matsubara_frequency",
-    "reflection_sq",
 ]
 
 _Y_MAX = 45.0
@@ -86,9 +85,9 @@ class ThermalState:
 # ---------------------------------------------------------------------------
 # reflection models
 #
-# All forms depend only on ratios of (q, xi_l/c, omega_p/c), so the same
-# functions serve the physical-variable API and the scaled y-variables of
-# the quadrature engine.
+# All forms depend only on ratios of (q, xi_l/c, omega_p/c): the engine
+# calls them in its scaled y-variables, and they take physical ones (q,
+# xi_l/c and omega_p/c in 1/m) unchanged.
 
 def _te_zero_plasma(k, kp):
     k0 = np.sqrt(k * k + kp * kp)
@@ -175,8 +174,8 @@ class ReflectionModel:
             raise ValueError(f"unknown model {self.kind!r}; expected one of "
                              + ", ".join(MODELS))
         rule = MODELS[self.kind]
-        if rule.needs_omega_p and not 0.0 < self.omega_p < math.inf:
-            raise ValueError(f"{self.kind} needs a finite omega_p > 0")
+        if rule.needs_omega_p:
+            positive(self.omega_p, f"{self.kind} needs a finite omega_p > 0")
         if rule.own_permittivity is not None:
             object.__setattr__(self, "permittivity", rule.own_permittivity(self.omega_p))
         if rule.uses_permittivity and self.permittivity is None:
@@ -194,43 +193,6 @@ class ReflectionModel:
     @classmethod  # only perfbench/campaign_driver.py calls it (ROADMAP item 1, stage A)
     def lifshitz_schwinger(cls, permittivity: PermittivityFn) -> "ReflectionModel":
         return cls("schwinger", permittivity)
-
-
-def reflection_sq(model: ReflectionModel, xi_l: float, k_perp, l: int):
-    """Squared reflection coefficients (r_par^2, r_perp^2).
-
-    Parameters
-    ----------
-    model : ReflectionModel
-    xi_l : float
-        Matsubara frequency in rad/s, finite; must be 0 exactly when l = 0.
-    k_perp : float or ndarray
-        Transverse momentum, 1/m, positive and finite.
-    l : int
-        Matsubara index.
-
-    Returns
-    -------
-    (r_par_sq, r_perp_sq), scalars or arrays following k_perp; both in [0, 1].
-    """
-    k = positive(k_perp, "k_perp must be positive and finite")
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    # written as not (...) so that a NaN fails the guard
-    if not 0.0 <= xi_l < math.inf or (l == 0) != (xi_l == 0.0):
-        raise ValueError("xi_l must be finite, >= 0 and zero exactly at l = 0")
-    rule = MODELS[model.kind]
-    if l > 0:
-        xic = xi_l / C_LIGHT
-        eps = model.permittivity(xi_l) if rule.uses_permittivity else None
-        rp, rt = rule.thermal(np.sqrt(k * k + xic * xic), xic, eps)
-    elif rule.needs_omega_p:
-        rp, rt = np.ones_like(k), rule.te_zero(k, model.omega_p / C_LIGHT)
-    else:
-        rp, rt = np.ones_like(k), np.full_like(k, rule.te_zero)
-    if np.isscalar(k_perp):
-        return float(rp), float(rt)
-    return rp, rt
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,9 @@ class ConfidenceBand:
         h = read_only(np.array(self.half_width, dtype=float))
         if z.ndim != 1 or z.shape != h.shape or z.size < 2:
             raise ValueError("band needs matching 1-d arrays of length >= 2")
-        if not (np.all(np.diff(z) > 0) and np.all(np.isfinite(z))):
-            raise ValueError("band z must be finite and strictly increasing")
+        message = "band z must be positive, finite and strictly increasing"
+        if not np.all(np.diff(positive(z, message)) > 0):
+            raise ValueError(message)
         positive(h, "band half-widths must be positive and finite")
         _check_confidence(self.confidence)
         object.__setattr__(self, "z", z)

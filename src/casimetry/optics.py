@@ -139,16 +139,18 @@ def load_optical_table(raw_text: str, unit_spec: str | None = None,
     ------
     ValueError
         On malformed rows or x <= 0 (``source:line`` is reported),
-        unknown or missing units, or an empty table.
+        unknown, missing or conflicting units, or an empty table.
     """
     where = source or "optical table"
     comments, rows, line_numbers = read_table(raw_text.splitlines(), where, 3)
     unit = None
     for lineno, text in comments:
         if text.lower().startswith("unit:"):
-            unit = _UNIT_ALIASES.get(text[5:].strip().lower())
-            if unit is None:
-                raise ValueError(f"{where}:{lineno}: unknown unit in header {text!r}")
+            named = _UNIT_ALIASES.get(text[5:].strip().lower())
+            if named is None or unit not in (None, named):
+                problem = "unknown" if named is None else "conflicting"
+                raise ValueError(f"{where}:{lineno}: {problem} unit in header {text!r}")
+            unit = named
     if not len(rows):
         raise ValueError(f"{where}: empty optical table")
     if unit_spec is not None:

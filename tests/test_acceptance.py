@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casimetry import hypforce
+from casimetry import hypforce, lifshitz
 from casimetry import metrology as mt
 from casimetry.constants import C_LIGHT, HBAR, K_B
 from casimetry.lifshitz import (
@@ -30,7 +30,6 @@ from casimetry.lifshitz import (
     casimir_pressure,
     compute_pressure_curve,
     entropy_probe,
-    reflection_sq,
 )
 from casimetry.optics import (
     DrudeParameters,
@@ -146,19 +145,26 @@ def test_criterion_2_dispersion_transform_oracle():
 
 # ------------------------------------------------------------ criterion 3
 
-def test_criterion_3_zero_frequency_prescriptions_exact():
-    """Static reflection values are exact by construction."""
-    k = np.geomspace(1e5, 1e8, 7)
-    eps = PermittivityFn.from_drude(GOLD)
-    imp = ReflectionModel("impedance", eps, GOLD.omega_p)
-    dru = ReflectionModel("drude", eps)
-    sch = ReflectionModel("schwinger", eps)
-    tm_i, _ = reflection_sq(imp, 0.0, k, 0)
-    tm_d, te_d = reflection_sq(dru, 0.0, k, 0)
-    tm_s, te_s = reflection_sq(sch, 0.0, k, 0)
-    ok_imp = bool(np.all(tm_i == 1.0))
-    ok_dru = bool(np.all(tm_d == 1.0) and np.all(te_d == 0.0))
-    ok_sch = bool(np.all(tm_s == 1.0) and np.all(te_s == 1.0))
+def test_criterion_3_zero_frequency_prescriptions_exact(monkeypatch):
+    """Static reflection values are exact by construction.
+
+    They are read where the engine reads them.  TE: te_zero of the rows of
+    lifshitz.MODELS, the constants 0 (drude) and 1 (schwinger), and for
+    impedance a function of omega_p.  TM (r_par^2 = 1): the engine's own
+    l = 0 pressure term, (1 + te_zero) 2 zeta(3) for a constant te_zero,
+    and 2 zeta(3) plus the TE channel alone for impedance."""
+    y_p = 2.0 * np.geomspace(160e-9, 750e-9, 7) * GOLD.omega_p / C_LIGHT
+    imp, dru, sch = (lifshitz.MODELS[key] for key in ("impedance", "drude", "schwinger"))
+
+    def l0_term(rule):
+        return lifshitz._zero_frequency_term(rule, y_p, "pressure")[0]
+
+    with monkeypatch.context() as patch:  # no r2 = 1 channel: TE alone
+        patch.setitem(lifshitz._UNIT_CHANNEL, "pressure", 0.0)
+        te_i = l0_term(imp)
+    ok_imp = imp.needs_omega_p and bool(np.all(l0_term(imp) == 2 * ZETA3 + te_i))
+    ok_dru = dru.te_zero == 0.0 and bool(np.all(l0_term(dru) == 2 * ZETA3))
+    ok_sch = sch.te_zero == 1.0 and bool(np.all(l0_term(sch) == 4 * ZETA3))
     ok = report("criterion 3: zero-frequency prescriptions exact",
                 ok_imp and ok_dru and ok_sch,
                 f"impedance {ok_imp}, drude {ok_dru}, schwinger {ok_sch}")

@@ -54,7 +54,6 @@ CALLER_DIRS = ("src", "demos", "perfbench")
 
 # exported names that only the tests call, each with the reason it stays
 KEEP = {
-    "reflection_sq": "acceptance criterion 3 checks the static terms with it",
     "yukawa_plate_pressure": "acceptance criterion 6 holds it to the oracle",
     "load_ensemble_csv": "it reads the file that save_ensemble_csv writes",
     "YukawaParams": "the parameter type of the two keep-listed Yukawa "

@@ -801,6 +801,18 @@ class TestConstraintsCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "constraints.csv").exists()
 
+    @pytest.mark.parametrize("z_first", ["0", "-1e-07"])
+    def test_band_separations_must_be_positive(self, tmp_path, capsys, z_first):
+        band = tmp_path / "band.csv"
+        band.write_text(f"z_m,half_width_Pa\n{z_first},1e-03\n7.5e-07,2e-04\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[constraints]\nband_file = {band}\n")
+        assert main(["constraints", "--config", str(ini),
+                     "--out", str(tmp_path)]) == 1
+        assert (f"error: {band}: band z must be positive, finite and strictly "
+                "increasing\n") == capsys.readouterr().err
+        assert not (tmp_path / "constraints.csv").exists()
+
     def test_needs_band_or_sigma(self, tmp_path, capsys):
         assert main(["constraints", "--out", str(tmp_path)]) == 1
         assert "band_file or sigma_Pa" in capsys.readouterr().err

@@ -7,11 +7,11 @@ import pytest
 
 from casimetry import lifshitz
 from casimetry.constants import C_LIGHT, HBAR, K_B
-from casimetry.lifshitz import (ConvergenceError, PressureCurve, ReflectionModel,
-                                ThermalState, casimir_free_energy,
-                                casimir_pressure, compute_pressure_curve,
-                                default_l_max, entropy_probe,
-                                matsubara_frequency, reflection_sq)
+from casimetry.lifshitz import (MODELS, ConvergenceError, PressureCurve,
+                                ReflectionModel, ThermalState,
+                                casimir_free_energy, casimir_pressure,
+                                compute_pressure_curve, default_l_max,
+                                entropy_probe, matsubara_frequency)
 from casimetry.optics import DrudeParameters, PermittivityFn
 
 W_P = 1.37e16
@@ -76,7 +76,7 @@ class TestThermalState:
             ReflectionModel("NoSuchKind", EPS_DRUDE, W_P)
         assert ReflectionModel("ideal").kind == "ideal"
 
-    @pytest.mark.parametrize("omega_p", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("omega_p", [math.inf, -math.inf, math.nan, "1.37e16"])
     @pytest.mark.parametrize("kind", ["impedance", "exact", "plasma"])
     def test_non_finite_omega_p_rejected(self, kind, omega_p):
         with pytest.raises(ValueError, match="finite omega_p"):
@@ -96,52 +96,66 @@ class TestThermalState:
         assert PLASMA.permittivity.label == EPS_PLASMA.label
 
 
-class TestReflectionSq:
-    """Zero-frequency rules are exact statements, not approximations."""
+class TestReflectionRules:
+    """The rows of lifshitz.MODELS, called as the engine calls them: te_zero
+    is the l = 0 TE coefficient r_perp^2, a constant or a function of
+    (k, omega_p/c), and thermal maps (q, xi_l/c, eps(i xi_l)), with
+    q = sqrt(k^2 + (xi_l/c)^2), to the l >= 1 pair (r_par^2, r_perp^2).
+    Zero-frequency rules are exact statements, not approximations."""
 
     def test_zero_frequency_rules(self):
         k = 3.0e6
-        rp, rt = reflection_sq(IMP, 0.0, k, 0)
-        assert rp == 1.0
+        rt = MODELS["impedance"].te_zero(k, W_P / C_LIGHT)
         expect = ((C_LIGHT * k - W_P) / (C_LIGHT * k + W_P)) ** 2
         assert rt == pytest.approx(expect, rel=1e-14)
 
-        rp, rt = reflection_sq(DRUDE, 0.0, k, 0)
-        assert (rp, rt) == (1.0, 0.0)
+        assert MODELS["drude"].te_zero == 0.0
+        assert MODELS["schwinger"].te_zero == 1.0
 
-        rp, rt = reflection_sq(SCHW, 0.0, k, 0)
-        assert (rp, rt) == (1.0, 1.0)
-
-        rp, rt = reflection_sq(PLASMA, 0.0, k, 0)
+        rt = MODELS["plasma"].te_zero(k, W_P / C_LIGHT)
         k0 = math.sqrt(k * k + (W_P / C_LIGHT) ** 2)
-        assert rp == 1.0
         assert rt == pytest.approx(((k0 - k) / (k0 + k)) ** 2, rel=1e-14)
 
-        rp, rt = reflection_sq(IDEAL, 0.0, k, 0)
-        assert (rp, rt) == (1.0, 1.0)
+        assert MODELS["ideal"].te_zero == 1.0
+
+    @pytest.mark.parametrize("key", MODELS)
+    def test_zero_frequency_tm_is_the_unit_channel(self, key, monkeypatch):
+        # r_par^2 = 1 at l = 0: the engine's l = 0 term is the closed-form
+        # r2 = 1 channel, 2 zeta(3), plus the TE channel's term
+        rule = MODELS[key]
+        y_p = 2.0 * np.geomspace(160e-9, 750e-9, 5) * W_P / C_LIGHT
+        term, _ = lifshitz._zero_frequency_term(rule, y_p, "pressure")
+        if rule.needs_omega_p:  # the TE channel alone, on the engine's panels
+            monkeypatch.setitem(lifshitz._UNIT_CHANNEL, "pressure", 0.0)
+            te, _ = lifshitz._zero_frequency_term(rule, y_p, "pressure")
+        else:
+            te = rule.te_zero * 2.0 * ZETA3
+        assert np.all(term == 2.0 * ZETA3 + te)
 
     def test_impedance_kinds_share_zero_frequency_rule(self):
         k = np.logspace(4, 9, 40)
-        rp_a, rt_a = reflection_sq(IMP, 0.0, k, 0)
-        rp_b, rt_b = reflection_sq(EXACT, 0.0, k, 0)
-        np.testing.assert_array_equal(rp_a, rp_b)
-        np.testing.assert_array_equal(rt_a, rt_b)
+        imp, exact = MODELS["impedance"], MODELS["exact"]
+        assert exact.te_zero is imp.te_zero
+        np.testing.assert_array_equal(exact.te_zero(k, W_P / C_LIGHT),
+                                      imp.te_zero(k, W_P / C_LIGHT))
 
     def test_bounded_on_grid(self):
         xi = matsubara_frequency(300.0, 3)
         k = np.logspace(3, 10, 60)
+        xic = xi / C_LIGHT
         for model in (IMP, EXACT, DRUDE, SCHW, PLASMA, IDEAL):
-            rp, rt = reflection_sq(model, xi, k, 3)
+            eps = model.permittivity(xi) if model.permittivity else None
+            rp, rt = MODELS[model.kind].thermal(np.sqrt(k * k + xic * xic), xic, eps)
             assert np.all((rp >= 0.0) & (rp <= 1.0))
             assert np.all((rt >= 0.0) & (rt <= 1.0))
 
     def test_large_permittivity_approaches_ideal(self):
         huge = PermittivityFn(lambda xi: np.full_like(np.asarray(xi, float), 1e14),
                               label="huge")
-        for kind in ("impedance", "drude"):
-            model = ReflectionModel(kind, huge, omega_p=1e20)
+        for key in ("impedance", "drude"):
             xi = matsubara_frequency(300.0, 1)
-            rp, rt = reflection_sq(model, xi, 1e7, 1)
+            k, xic = 1e7, xi / C_LIGHT
+            rp, rt = MODELS[key].thermal(np.sqrt(k * k + xic * xic), xic, huge(xi))
             assert rp > 1 - 1e-5
             assert rt > 1 - 1e-5
 
@@ -152,31 +166,13 @@ class TestReflectionSq:
             xi = matsubara_frequency(300.0, l)
             eps = float(EPS_DRUDE(xi))
             k = np.logspace(5, 8.5, 50)
-            q = np.sqrt(k * k + (xi / C_LIGHT) ** 2)
+            xic = xi / C_LIGHT
+            q = np.sqrt(k * k + xic * xic)
             s = (k / q) ** 2
-            rp_a, rt_a = reflection_sq(IMP, xi, k, l)
-            rp_b, rt_b = reflection_sq(EXACT, xi, k, l)
+            rp_a, rt_a = MODELS["impedance"].thermal(q, xic, eps)
+            rp_b, rt_b = MODELS["exact"].thermal(q, xic, eps)
             assert np.all(np.abs(rp_b - rp_a) <= s / eps + 1e-12)
             assert np.all(np.abs(rt_b - rt_a) <= s / eps + 1e-12)
-
-    def test_index_frequency_consistency(self):
-        with pytest.raises(ValueError):
-            reflection_sq(IMP, 0.0, 1e6, 1)
-        with pytest.raises(ValueError):
-            reflection_sq(IMP, 1e14, 1e6, 0)
-        with pytest.raises(ValueError):
-            reflection_sq(IMP, 1e14, -1e6, 1)
-
-    @pytest.mark.parametrize("model", [IMP, EXACT, DRUDE, SCHW, PLASMA, IDEAL],
-                             ids=lambda m: m.kind)
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_input_rejected(self, model, bad):
-        with pytest.raises(ValueError, match="k_perp"):
-            reflection_sq(model, 1e14, bad, 1)
-        with pytest.raises(ValueError, match="k_perp"):
-            reflection_sq(model, 1e14, np.array([1e7, bad]), 1)
-        with pytest.raises(ValueError, match="xi_l must be finite"):
-            reflection_sq(model, bad, 1e7, 1)
 
 
 class TestIdealMetalLimits:

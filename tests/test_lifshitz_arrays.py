@@ -10,9 +10,10 @@ from scipy import integrate
 
 from casimetry import corrections, lifshitz
 from casimetry.corrections import RoughnessProfile, roughness_corrected_pressure
+from casimetry.constants import C_LIGHT
 from casimetry.lifshitz import (ConvergenceError, ReflectionModel,
                                 ThermalState, casimir_free_energy,
-                                casimir_pressure, reflection_sq)
+                                casimir_pressure)
 from casimetry.optics import DrudeParameters, OpticalDataset, PermittivityFn
 
 GOLD = DrudeParameters(1.37e16, 5.3e13)
@@ -165,11 +166,12 @@ class TestQuadratureOracle:
 
     The oracle shares the reflection forms with the engine, so it checks
     the quadrature, the Matsubara sums, the truncation in l and y and the
-    static terms, not the forms: TestReflectionSq and acceptance criterion
-    3 cover those.  Every gap must lie inside the engine's reported error
-    bar, quad_error + tail_bound, and within 1e-12 for every model but the
-    ideal metal, whose r2 = 1 is the y-cutoff majorant itself, so that its
-    gap is nearly all of its bar (up to 1.5e-11 relative)."""
+    static terms, not the forms: TestReflectionRules and acceptance
+    criterion 3 cover those.  Every gap must lie inside the engine's
+    reported error bar, quad_error + tail_bound, and within 1e-12 for
+    every model but the ideal metal, whose r2 = 1 is the y-cutoff majorant
+    itself, so that its gap is nearly all of its bar (up to 1.5e-11
+    relative)."""
 
     @pytest.mark.parametrize("key", KEYS)
     def test_within_the_reported_error_bar(self, key, monkeypatch):
@@ -585,11 +587,18 @@ class TestProperties:
            omega_p=st.floats(1e13, 1e18), xi=st.floats(1e9, 1e20),
            l=st.integers(0, 10_000),
            k=st.lists(st.floats(1e-3, 1e12), min_size=1, max_size=8))
-    def test_reflection_sq_within_unit_interval(self, kind, eps, omega_p, xi, l, k):
-        # a constant eps >= 1 covers every permittivity the engine accepts
+    def test_reflection_rules_within_unit_interval(self, kind, eps, omega_p, xi, l, k):
+        # a constant eps >= 1 covers every permittivity the engine accepts;
+        # the model gives it, or the plasma model's own, as the engine reads it
         constant = PermittivityFn(lambda x: np.full_like(x, eps))
         model = ReflectionModel(kind, constant, omega_p)
-        for r2 in reflection_sq(model, xi if l else 0.0, np.array(k), l):
+        rule, k, xic = lifshitz.MODELS[kind], np.array(k), xi / C_LIGHT
+        if l == 0:  # r_par^2 = 1 and the row's te_zero
+            pair = (1.0, rule.te_zero(k, omega_p / C_LIGHT) if rule.needs_omega_p
+                    else rule.te_zero)
+        else:
+            pair = rule.thermal(np.sqrt(k * k + xic * xic), xic, model.permittivity(xi))
+        for r2 in pair:
             assert np.all((r2 >= 0.0) & (r2 <= 1.0))
 
     @given(z=z_grids, key=st.sampled_from(KEYS))

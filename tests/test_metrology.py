@@ -609,6 +609,10 @@ class TestConfidenceBand:
                     np.append(z[:4], np.nan)):
             with pytest.raises(ValueError, match="increasing"):
                 mt.ConfidenceBand(bad, np.ones(5), 0.95)
+        # an increasing grid that starts at or below z = 0
+        for first in (0.0, -1e-7):
+            with pytest.raises(ValueError, match="band z must be positive"):
+                mt.ConfidenceBand(np.append(first, z[1:]), np.ones(5), 0.95)
         with pytest.raises(ValueError, match="confidence"):
             mt.ConfidenceBand(z, np.ones(5), 0.5)
 

@@ -112,6 +112,14 @@ class TestLoadOpticalTable:
             load_optical_table("0.1 1 1\n#unit: parsec\n0.2 1 1",
                                source="gold.txt")
 
+    def test_conflicting_header_units_name_the_line(self):
+        # one unit may be declared twice, two different units may not
+        ds = load_optical_table("#unit: eV\n0.1 1 1\n#unit: ev\n0.2 1 1")
+        assert ds.omega[0] == pytest.approx(0.1 * EV_TO_RAD_S)
+        with pytest.raises(ValueError, match="gold.txt:2: conflicting unit"):
+            load_optical_table("#unit: eV\n#unit: um\n0.1 1 1\n0.2 1 1",
+                               source="gold.txt")
+
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError, match="> 0"):
             load_optical_table("0.1 1 1\n0.0 1 1", unit_spec="eV")

@@ -239,3 +239,20 @@ def test_positive_refuses_any_bad_entry(value, bad, at, zero_ok):
     for given_value in (value, value.tolist(), bad):
         with pytest.raises(ValueError, match=f"^{MESSAGE}$"):
             positive(given_value, MESSAGE, zero_ok=zero_ok)
+
+
+@pytest.mark.parametrize("value", ["300", b"300", ["1e-4", 2.0], [1.0, b"2"],
+                                   np.array(["1", "2"])],
+                         ids=["str", "bytes", "mixed-str", "mixed-bytes", "str-array"])
+@pytest.mark.parametrize("zero_ok", [False, True])
+def test_positive_refuses_non_numeric_input(value, zero_ok):
+    # a numeric string is refused, not parsed as its number
+    with pytest.raises(ValueError, match=f"^{MESSAGE}$"):
+        positive(value, MESSAGE, zero_ok=zero_ok)
+
+
+def test_records_refuse_numeric_strings():
+    with pytest.raises(ValueError, match="^temperature must be positive and finite$"):
+        lifshitz.ThermalState("300")
+    with pytest.raises(ValueError, match="^sphere radius must be positive and finite$"):
+        corrections.SphereGeometry("1e-4")
