@@ -1,8 +1,9 @@
 """Record classes without ``dataclasses``, whose one ``exec`` per generated
 method made building the package's records most of the cost of importing
 it.  The methods here are closures over each class's fields; for the
-flags the package uses they behave as the stdlib's do.  Kept arrays are
-read-only, and positive, finite input passes one guard that a NaN fails."""
+flags the package uses they behave as the stdlib's do.  Input must be numeric,
+a record keeps a checked, read-only copy of an array, and positive, finite
+input passes one guard that a NaN fails."""
 
 from types import SimpleNamespace
 
@@ -25,15 +26,31 @@ def read_only(array):
     return array
 
 
-def positive(value, message, zero_ok=False):
-    """`value` as a float array; ValueError(message) unless its dtype is bool,
-    int or float (a numeric string is refused, not parsed) and every entry is
-    finite and > 0 (>= 0 if zero_ok), written as not (...) so that a NaN fails."""
+def numeric(value, message):
+    """`value` as an array; ValueError(message) unless its dtype is bool, int or float."""
     array = np.asarray(value)
-    if array.dtype.kind not in "biuf" or not (
-            ((array >= 0.0) if zero_ok else (array > 0.0)) & (array < np.inf)).all():
+    if array.dtype.kind not in "biuf":
+        raise ValueError(message)
+    return array
+
+
+def positive(value, message, zero_ok=False):
+    """Numeric `value` as a float array; ValueError(message) unless every entry is
+    finite and > 0 (>= 0 if zero_ok), written as not (...) so that a NaN fails."""
+    array = numeric(value, message)
+    if not (((array >= 0.0) if zero_ok else (array > 0.0)) & (array < np.inf)).all():
         raise ValueError(message)
     return np.asarray(array, dtype=float)
+
+
+def kept(value, message, grid=False):
+    """A read-only float copy of numeric, finite `value` for a record to keep, else
+    ValueError(message); if grid, it must also be 1-d, non-empty, > 0 and strictly increasing."""
+    array = read_only(np.array(numeric(value, message), dtype=float))
+    if not (np.isfinite(array).all() and (not grid or (
+            array.ndim == 1 and array.size and array[0] > 0.0 and (np.diff(array) > 0.0).all()))):
+        raise ValueError(message)
+    return array
 
 
 def _frozen(self, name, *value):

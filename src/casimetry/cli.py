@@ -40,7 +40,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from ._record import dataclass, field
+from ._record import dataclass, field, kept
 from .constants import CONSTANTS_VERSION
 from .corrections import (
     RoughnessProfile,
@@ -316,8 +316,7 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
     generator, tested, confidence = cfg["generator"], cfg["tested"], cfg["confidence"]
     seed, n_sets, points = cfg["seed"], cfg["n_sets"], cfg["points_per_set"]
     z_min, z_max = cfg["z_min_m"], cfg["z_max_m"]
-    if not 0 < z_min < z_max < np.inf:
-        raise ValueError("exclusion: need 0 < z_min_m < z_max_m < inf")
+    kept((z_min, z_max), "exclusion: need 0 < z_min_m < z_max_m < inf", grid=True)
     temperature, noise_mode = cfg["temperature_K"], cfg["noise"]
 
     state = ThermalState(temperature)

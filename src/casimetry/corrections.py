@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._record import dataclass, positive, read_only
+from ._record import dataclass, kept, positive, read_only
 from .io import read_table
 
 __all__ = [
@@ -62,14 +62,12 @@ class RoughnessProfile:
     weights: np.ndarray
 
     def __post_init__(self):
-        h = np.atleast_1d(np.asarray(self.heights, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        message = "histogram needs finite levels, weights >= 0 with a positive sum"
+        h, w = (np.atleast_1d(kept(v, message)) for v in (self.heights, self.weights))
         if h.ndim != 1 or h.shape != w.shape or h.size == 0:
             raise ValueError("heights and weights must be matching 1-d arrays")
-        total = float(w.sum())
-        if not (np.all(np.isfinite(h) & (w >= 0)) and 0 < total < math.inf):
-            raise ValueError("histogram needs finite levels, weights >= 0 with a positive sum")
-        w = read_only(w / total)
+        positive(w, message, zero_ok=True)
+        w = read_only(w / positive(w.sum(), message))
         object.__setattr__(self, "heights", read_only(h - w @ h))
         object.__setattr__(self, "weights", w)
 
@@ -106,8 +104,7 @@ def pft_pressure(force_gradient: float, sphere: SphereGeometry) -> float:
     float
         P = -force_gradient / (2 pi R), in Pa.
     """
-    if not math.isfinite(force_gradient):
-        raise ValueError("force_gradient must be finite")
+    kept(force_gradient, "force_gradient must be finite")
     return -force_gradient / (2.0 * math.pi * sphere.radius)
 
 

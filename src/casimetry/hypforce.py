@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from ._record import dataclass, positive, read_only
+from ._record import dataclass, kept, numeric, positive
 from .constants import G_NEWTON
 from .io import FLOAT_FORMAT, read_csv, read_table, write_csv
 
@@ -60,8 +60,7 @@ class YukawaParams:
     lam: float
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha_g):
-            raise ValueError("strength alpha_g must be finite")
+        kept(self.alpha_g, "strength alpha_g must be finite")
         positive(self.lam, "interaction range must be positive and finite")
 
 
@@ -72,8 +71,9 @@ class Layer:
 
     def __post_init__(self):
         positive(self.density, "layer density must be positive and finite")
-        if not self.thickness > 0:
-            raise ValueError("layer thickness must be positive")
+        message = "layer thickness must be positive"  # a substrate's is inf
+        if not numeric(self.thickness, message) > 0:
+            raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,7 @@ class LayerStack:
         layers = tuple(self.layers)
         if not layers:
             raise ValueError("stack needs at least one layer")
-        for lay in layers[:-1]:
-            if math.isinf(lay.thickness):
-                raise ValueError("only the terminal layer may be infinite")
+        kept([lay.thickness for lay in layers[:-1]], "only the terminal layer may be infinite")
         if not math.isinf(layers[-1].thickness):
             raise ValueError("terminal layer must be semi-infinite")
         object.__setattr__(self, "layers", layers)
@@ -171,17 +169,12 @@ class ConstraintCurve:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = read_only(np.array(self.entries, dtype=float))
-        if entries.ndim != 2 or entries.shape[1] != 3 or not len(entries):
+        table = np.asarray(self.entries)
+        if table.ndim != 2 or table.shape[1] != 3 or not len(table):
             raise ValueError("constraint curve needs a nonempty (n, 3) array of entries")
-        lams, alpha, z_best = entries.T
-        # increasing ranges are bounded by their end points
-        if not (np.all(np.diff(lams) > 0) and 0 < lams[0] and lams[-1] < math.inf):
-            raise ValueError("interaction ranges must be increasing, positive and finite")
-        positive(alpha, "alpha_max must be positive and finite")
-        if not np.all(np.isfinite(z_best)):
-            raise ValueError("z_best must be finite")
-        object.__setattr__(self, "entries", entries)
+        kept(table.T[0], "interaction ranges must be increasing, positive and finite", grid=True)
+        positive(table.T[1], "alpha_max must be positive and finite")
+        object.__setattr__(self, "entries", kept(table, "z_best must be finite"))
 
     lambdas = property(lambda self: self.entries[:, 0])
     alpha_max = property(lambda self: self.entries[:, 1])
@@ -189,13 +182,13 @@ class ConstraintCurve:
 
     def alpha_at(self, lam):
         """Log-log interpolated bound within the curve's range, a float for a scalar lam."""
-        lam = np.asarray(lam, dtype=float)
         # lam and the ends as the file format writes them: a curve read back covers its run
-        lo, hi, *written = (float(format(x, FLOAT_FORMAT)) for x in
-                            [self.lambdas[0], self.lambdas[-1], *lam.ravel().tolist()])
-        for x, w in zip(lam.ravel().tolist(), written):
-            if not lo <= w <= hi:  # a NaN fails it too
-                raise ValueError(f"lambda outside curve range [{lo:.4e}, {hi:.4e}] m: {x!r}")
+        lo, hi = (float(format(x, FLOAT_FORMAT)) for x in self.lambdas[[0, -1]].tolist())
+        where = f"lambda outside curve range [{lo:.4e}, {hi:.4e}] m"
+        lam = np.asarray(numeric(lam, where), dtype=float)
+        for x in lam.ravel().tolist():
+            if not lo <= float(format(x, FLOAT_FORMAT)) <= hi:  # a NaN fails it too
+                raise ValueError(f"{where}: {x!r}")
         out = np.exp(np.interp(np.log(lam), np.log(self.lambdas), np.log(self.alpha_max)))
         return float(out) if out.ndim == 0 else out
 
@@ -257,9 +250,8 @@ def constraint_curve(band, stack_a: LayerStack, stack_b: LayerStack,
     lambdas : array_like
         Interaction ranges, m.
     """
-    lams = np.sort(positive(lambdas, "interaction ranges must be positive and finite"))
-    if lams.size == 0:
-        raise ValueError("interaction ranges must be positive and finite")
+    lams = kept(np.sort(lambdas), "interaction ranges must be positive, finite and distinct",
+                grid=True)
     _check_range_validity(lams[-1])
     z_best, alpha = _strongest_constraints(band, stack_a, stack_b, lams)
     return ConstraintCurve(np.column_stack([lams, alpha, z_best]))
@@ -286,10 +278,8 @@ def save_constraint_csv(curve: ConstraintCurve, path, comments=()):
     Ranges that become equal in the file's float format raise
     ValueError before the file is opened: it could not be read back.
     """
-    on_disk = [float(format(lam, FLOAT_FORMAT)) for lam in curve.lambdas]
-    if np.any(np.diff(on_disk) <= 0):
-        raise ValueError(f"{path}: interaction ranges collide in the "
-                         f"{FLOAT_FORMAT} format")
+    kept([float(format(lam, FLOAT_FORMAT)) for lam in curve.lambdas],
+         f"{path}: interaction ranges collide in the {FLOAT_FORMAT} format", grid=True)
     write_csv(path, _CONSTRAINT_COLUMNS, curve.entries.T, comments)
 
 

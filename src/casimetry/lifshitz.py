@@ -18,7 +18,7 @@ bounded with the r2 <= 1 majorant and reported, never silently dropped.
 from __future__ import annotations
 
 import math
-from ._record import dataclass, positive, read_only
+from ._record import dataclass, kept, numeric, positive, read_only
 from functools import lru_cache, partial
 from typing import Sequence
 
@@ -46,6 +46,7 @@ __all__ = [
 _Y_MAX = 45.0
 # relative tolerance of every evaluation: quadrature error and Matsubara tail
 QUAD_TOL = 1e-9
+_GRID_MESSAGE = "z grid must be a non-empty 1-d array, positive, finite and strictly increasing"
 
 
 class ConvergenceError(RuntimeError):
@@ -502,9 +503,8 @@ def entropy_probe(model: ReflectionModel, z: float,
     the step delta T = max(0.02 T, 0.05 K) is clipped so T - 2 delta
     stays positive.
     """
-    temps = positive(temperatures, "temperatures must be positive").tolist()
-    if any(b >= a for a, b in zip(temps, temps[1:])):
-        raise ValueError("temperatures must be strictly descending")
+    temps = kept(np.flip(temperatures), "temperatures must be positive, finite and "
+                 "strictly descending", grid=True)[::-1].tolist()
     out = []
     for temperature in temps:
         h = max(0.02 * temperature, 0.05)
@@ -519,16 +519,6 @@ def entropy_probe(model: ReflectionModel, z: float,
     return out
 
 
-def _curve_grid(z_values) -> np.ndarray:
-    """A PressureCurve's z grid, checked (a NaN fails the guard), read-only."""
-    z = read_only(np.array(z_values, dtype=float))
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("z grid must be a non-empty 1-d array")
-    if not (np.all((z > 0.0) & (z < math.inf)) and np.all(np.diff(z) > 0.0)):
-        raise ValueError("z must be positive, finite and strictly increasing")
-    return z
-
-
 @dataclass(frozen=True)
 class PressureCurve:
     """Separation grid and pressures of one model, held read-only."""
@@ -537,22 +527,21 @@ class PressureCurve:
     pressure: np.ndarray
 
     def __post_init__(self):
-        z = _curve_grid(self.z)
-        p = read_only(np.array(self.pressure, dtype=float))
+        message = "pressures must be negative (attractive) and finite"
+        z, p = kept(self.z, _GRID_MESSAGE, grid=True), kept(self.pressure, message)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "pressure", p)
         if p.shape != z.shape:
             raise ValueError("pressure array must match z")
-        if not np.all((p < 0.0) & (p > -math.inf)):
-            raise ValueError("pressures must be negative (attractive) and finite")
-        object.__setattr__(self, "_log_grid", (np.log(z), np.log(-p)))  # pressure_at's axes
+        positive(-p, message)
+        object.__setattr__(self, "_log_grid", tuple(map(read_only, (np.log(z), np.log(-p)))))
 
     def pressure_at(self, z):
         """Log-log interpolated pressure at z (within the curve range)."""
-        zq = np.asarray(z, dtype=float)
-        lo, hi = self.z[0], self.z[-1]
-        if not np.all((zq >= lo * (1 - 1e-12)) & (zq <= hi * (1 + 1e-12))):
-            raise ValueError(f"z outside curve range [{lo:.4e}, {hi:.4e}]")
+        message = f"z outside curve range [{self.z[0]:.4e}, {self.z[-1]:.4e}]"
+        zq = np.asarray(numeric(z, message), dtype=float)
+        if not np.all((zq >= self.z[0] * (1 - 1e-12)) & (zq <= self.z[-1] * (1 + 1e-12))):
+            raise ValueError(message)
         if self.z.size == 1:
             out = np.full(zq.shape, self.pressure[0])
         else:
@@ -578,7 +567,7 @@ def compute_pressure_curve(model: ReflectionModel, z_values,
     the nodes, min((quad_error + tail_bound) / |P|).  A shorter grid, or a
     fit that misses or meets a NaN, takes one direct casimir_pressure call.
     """
-    z_arr = _curve_grid(z_values)
+    z_arr = kept(z_values, _GRID_MESSAGE, grid=True)
     if z_arr.size > _CURVE_ANGLES.size:
         lo, width = math.log(z_arr[0]), math.log(z_arr[-1] / z_arr[0])
         nodes = np.exp(lo + width * (1 + np.cos(_CURVE_ANGLES)) / 2)

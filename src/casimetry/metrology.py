@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial
-from ._record import dataclass, field, positive, read_only
+from ._record import dataclass, field, kept, numeric, positive, read_only
 
 import numpy as np
 
@@ -127,32 +127,36 @@ def _combine(half_widths, rule="quantile"):
 class MeasurementEnsemble:
     """Repeated pressure scans over a common separation range.
 
-    Each set is an (n, 2) array of (z, pressure) rows, held read-only,
-    so the points and the binned statistics can be kept.
+    Each set is an (n, 2) array of (z, pressure) rows, a read-only view of
+    one checked copy of all points, so points and binned statistics can be kept.
     """
 
     sets: tuple
     z_range: tuple = DEFAULT_Z_RANGE
 
     def __post_init__(self):
-        lo, hi = self.z_range
-        if not (0 < lo < hi < math.inf):
-            raise ValueError("z_range must be increasing, positive and finite")
-        sets = []
-        for i, s in enumerate(self.sets):
-            a = read_only(np.array(s, dtype=float))
-            if (a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 1
-                    or not np.all(np.isfinite(a))):
-                raise ValueError(f"set {i} must be a nonempty (n, 2) array of finite values")
-            if a[:, 0].min() < lo - 1e-12 or a[:, 0].max() > hi + 1e-12:
-                raise ValueError(f"set {i} has separations outside z_range")
-            sets.append(a)
+        lo, hi = kept(self.z_range, "z_range must be increasing, positive and finite",
+                      grid=True).tolist()
+        message = "set {} must be a nonempty (n, 2) array of finite values"
+        sets = [np.asarray(s) for s in self.sets]
+        for i, s in enumerate(sets):
+            if s.ndim != 2 or s.shape[1] != 2 or not len(s):
+                raise ValueError(message.format(i))
         if not sets:
             raise ValueError("ensemble needs at least one set")
-        object.__setattr__(self, "sets", tuple(sets))
-        object.__setattr__(self, "z_range", (float(lo), float(hi)))
-        object.__setattr__(self, "_points", tuple(
-            read_only(np.concatenate([s[:, k] for s in sets])) for k in (0, 1)))
+        ends = np.cumsum([len(s) for s in sets])
+        try:  # one checked copy holds all the points, as z and pressure rows
+            points = kept(np.concatenate([s.T for s in sets], axis=1), message)
+        except ValueError:  # the first set that fails the same check names itself
+            for i, s in enumerate(sets):
+                kept(s, message.format(i))
+        outside = (points[0] < lo - 1e-12) | (points[0] > hi + 1e-12)
+        if outside.any():
+            i = np.searchsorted(ends, outside.argmax(), "right")
+            raise ValueError(f"set {i} has separations outside z_range")
+        object.__setattr__(self, "sets", tuple(s.T for s in np.split(points, ends[:-1], axis=1)))
+        object.__setattr__(self, "z_range", (lo, hi))
+        object.__setattr__(self, "_points", tuple(points))
 
     @property
     def n_points(self):
@@ -210,7 +214,8 @@ class BinnedStatistics:
 
     def __post_init__(self):
         for name in ("z", "pressure_mean", "variance", "count", "dof"):
-            object.__setattr__(self, name, read_only(np.array(getattr(self, name))))
+            value = numeric(getattr(self, name), f"binned {name} must be numeric")
+            object.__setattr__(self, name, read_only(np.array(value)))
 
     @cached_property
     def _smoothed(self):
@@ -239,14 +244,11 @@ class ConfidenceBand:
     confidence: float
 
     def __post_init__(self):
-        z = read_only(np.array(self.z, dtype=float))
-        h = read_only(np.array(self.half_width, dtype=float))
-        if z.ndim != 1 or z.shape != h.shape or z.size < 2:
+        message = "band half-widths must be positive and finite"
+        z = kept(self.z, "band z must be positive, finite and strictly increasing", grid=True)
+        h = positive(kept(self.half_width, message), message)
+        if z.shape != h.shape or z.size < 2:
             raise ValueError("band needs matching 1-d arrays of length >= 2")
-        message = "band z must be positive, finite and strictly increasing"
-        if not np.all(np.diff(positive(z, message)) > 0):
-            raise ValueError(message)
-        positive(h, "band half-widths must be positive and finite")
         _check_confidence(self.confidence)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "half_width", h)
@@ -384,9 +386,8 @@ class ExclusionVerdict:
     differences: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.differences is not None:
-            d = read_only(np.array(self.differences, dtype=float))
-            object.__setattr__(self, "differences", d)
+        if (d := self.differences) is not None:
+            object.__setattr__(self, "differences", kept(d, "differences must be finite"))
 
     def to_dict(self):
         return {
@@ -412,9 +413,10 @@ def exclusion_test(differences, band: ConfidenceBand,
     and the global outside fraction does not exceed twice the band's
     nominal miss rate 1 - confidence.
     """
-    d = np.asarray(differences, dtype=float)
+    message = "differences must be a nonempty list of finite (z, dP)"
+    d = np.asarray(numeric(differences, message), dtype=float)
     if d.ndim != 2 or d.shape[1] != 2 or d.shape[0] == 0 or not np.all(np.isfinite(d)):
-        raise ValueError("differences must be a nonempty list of finite (z, dP)")
+        raise ValueError(message)
     return _verdict(d, band, model_tag, *_windows(d[:, 0], band.z))
 
 

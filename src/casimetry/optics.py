@@ -12,7 +12,7 @@ highest.  The analytic Drude/plasma form lives here as well.
 from __future__ import annotations
 
 import math
-from ._record import dataclass, positive, read_only
+from ._record import dataclass, kept, positive
 from functools import cache, lru_cache
 from typing import Callable
 
@@ -72,22 +72,18 @@ class OpticalDataset:
     metal_name: str = ""
 
     def __post_init__(self):
-        for name in ("omega", "n", "k"):
-            object.__setattr__(self, name, read_only(np.array(getattr(self, name), float)))
-        omega, n, k = self.omega, self.n, self.k
-        if omega.ndim != 1 or omega.size < 2:
+        message = "n, k and Im eps = 2 n k must be finite and non-negative"
+        omega = kept(self.omega, "omega must be positive, finite and strictly increasing "
+                     "(no duplicate values)", grid=True)
+        n, k = kept(self.n, message), kept(self.k, message)
+        for name, value in (("omega", omega), ("n", n), ("k", k)):
+            object.__setattr__(self, name, value)
+        if omega.size < 2:
             raise ValueError("need at least 2 tabulated points")
         if n.shape != omega.shape or k.shape != omega.shape:
             raise ValueError("omega, n, k must have matching lengths")
-        positive(omega, "all omega must be positive and finite")
-        diffs = np.diff(omega)
-        if np.any(diffs == 0.0):
-            raise ValueError("duplicate omega values in table")
-        if np.any(diffs < 0.0):
-            raise ValueError("omega must be strictly increasing")
-        with np.errstate(over="ignore", invalid="ignore"):  # a finite 2 n k needs finite n, k
-            if not np.all((n >= 0.0) & (k >= 0.0) & (self.im_eps < math.inf)):
-                raise ValueError("n, k and Im eps = 2 n k must be finite and non-negative")
+        with np.errstate(over="ignore"):  # an overflowing 2 n k fails
+            positive((n, k, self.im_eps), message, zero_ok=True)
 
     @property
     def im_eps(self) -> np.ndarray:

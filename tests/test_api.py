@@ -11,7 +11,10 @@ call outside the tests: no setting is made only by tests.
 The package runs on numpy alone: no module imports scipy, and the
 project's runtime dependencies name numpy only.  Records are frozen, and
 only a record's own methods write its fields: no code calls
-``object.__setattr__`` on anything but ``self``.
+``object.__setattr__`` on anything but ``self``.  Every array a record
+keeps, and every array a query reads, is held to one table: a numeric
+string is refused, so are NaN and +-inf where the values are documented
+finite, and what a record keeps is read-only and its own.
 """
 
 import ast
@@ -20,8 +23,11 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
-from test_record import is_record, stdlib_twin
+from test_record import arrays_in, is_record, stdlib_twin
+
+from casimetry import corrections, hypforce, lifshitz, metrology, optics
 
 MODULES = ("io", "optics", "lifshitz", "corrections", "metrology", "hypforce")
 
@@ -325,3 +331,91 @@ def test_runtime_dependencies_are_numpy_only():
         requirements = tomllib.load(fh)["project"]["dependencies"]
     names = [re.match(r"[A-Za-z0-9_.-]+", r).group() for r in requirements]
     assert names == ["numpy"]
+
+
+Z = np.geomspace(2e-7, 4e-7, 4)
+P = -1e-3 * (Z / 2e-7) ** -4
+ROWS = np.column_stack([Z, P])
+BAND = metrology.ConfidenceBand(Z, np.full(4, 1e-4), 0.95)
+CURVE = lifshitz.PressureCurve(Z, P)
+ENTRIES = np.column_stack([Z / 4, np.full(4, 1e12), Z])  # lam, alpha_max, z_best
+LIMITS = hypforce.ConstraintCurve(ENTRIES)
+W = np.array([0.1, 0.4, 0.3, 0.2])
+
+# (record or query, its array argument, a call with `a` in that argument's
+# place, a valid `a`, whether its values are documented finite); a singleton
+# bin's variance is NaN, and BinnedStatistics documents no finite field
+ARRAY_INPUTS = [
+    ("OpticalDataset", "omega", lambda a: optics.OpticalDataset(a, W, W), Z * 1e22, True),
+    ("OpticalDataset", "n", lambda a: optics.OpticalDataset(Z * 1e22, a, W), W, True),
+    ("OpticalDataset", "k", lambda a: optics.OpticalDataset(Z * 1e22, W, a), W, True),
+    ("PressureCurve", "z", lambda a: lifshitz.PressureCurve(a, P), Z, True),
+    ("PressureCurve", "pressure", lambda a: lifshitz.PressureCurve(Z, a), P, True),
+    ("BinnedStatistics", "z", lambda a: metrology.BinnedStatistics(a, P, W, W, W), Z, False),
+    ("BinnedStatistics", "pressure_mean",
+     lambda a: metrology.BinnedStatistics(Z, a, W, W, W), P, False),
+    ("BinnedStatistics", "variance",
+     lambda a: metrology.BinnedStatistics(Z, P, a, W, W), W, False),
+    ("BinnedStatistics", "count", lambda a: metrology.BinnedStatistics(Z, P, W, a, W), W, False),
+    ("BinnedStatistics", "dof", lambda a: metrology.BinnedStatistics(Z, P, W, W, a), W, False),
+    ("ConfidenceBand", "z", lambda a: metrology.ConfidenceBand(a, W, 0.95), Z, True),
+    ("ConfidenceBand", "half_width", lambda a: metrology.ConfidenceBand(Z, a, 0.95), W, True),
+    ("ExclusionVerdict", "differences", lambda a: metrology.ExclusionVerdict(
+        "drude", 0.95, 4, 0, 0.0, (), True, BAND, a), ROWS, True),
+    ("RoughnessProfile", "heights", lambda a: corrections.RoughnessProfile(a, W), Z, True),
+    ("RoughnessProfile", "weights", lambda a: corrections.RoughnessProfile(Z, a), W, True),
+    ("ConstraintCurve", "entries", hypforce.ConstraintCurve, ENTRIES, True),
+    ("MeasurementEnsemble", "sets", lambda a: metrology.MeasurementEnsemble((ROWS, a)),
+     ROWS, True),
+    ("pressure_at", "z", CURVE.pressure_at, Z[1:3], True),
+    ("alpha_at", "lam", LIMITS.alpha_at, ENTRIES[1:3, 0], True),
+    ("exclusion_test", "differences", lambda a: metrology.exclusion_test(a, BAND), ROWS, True),
+]
+QUERIES = {"pressure_at", "alpha_at", "exclusion_test"}
+
+
+def test_array_table_covers_every_kept_array():
+    # every ndarray field of an exported class, the ensemble's sets, the queries
+    modules = [importlib.import_module(f"casimetry.{name}") for name in MODULES]
+    fields = {(cls.__name__, field) for module in modules
+              for cls in map(vars(module).get, module.__all__) if inspect.isclass(cls)
+              for field, kind in inspect.get_annotations(cls).items() if "ndarray" in str(kind)}
+    table = {(name, field) for name, field, *_ in ARRAY_INPUTS if name not in QUERIES}
+    assert table == fields | {("MeasurementEnsemble", "sets")}
+    assert QUERIES <= {name for name, *_ in ARRAY_INPUTS}
+
+
+def by_name(rows):
+    """rows as pytest parameters named record.field."""
+    return [pytest.param(*row, id=f"{row[0]}.{row[1]}") for row in rows]
+
+
+@pytest.mark.parametrize("name, field, call, good, finite", by_name(ARRAY_INPUTS))
+def test_numeric_string_refused(name, field, call, good, finite):
+    call(good.copy())
+    with pytest.raises(ValueError):
+        call(good.astype(str))
+
+
+@pytest.mark.parametrize("name, field, call, good, finite",
+                         by_name(row for row in ARRAY_INPUTS if row[4]))
+def test_non_finite_refused_where_documented_finite(name, field, call, good, finite):
+    for bad in (np.nan, np.inf, -np.inf):
+        given = good.copy()
+        given.flat[-1] = bad
+        with pytest.raises(ValueError):
+            call(given)
+
+
+@pytest.mark.parametrize("name, field, call, good, finite", by_name(
+    row for row in ARRAY_INPUTS if row[0] not in ("pressure_at", "alpha_at")))
+def test_kept_arrays_are_read_only_and_own(name, field, call, good, finite):
+    # exclusion_test's verdict keeps its differences too
+    given = good.copy()
+    record = call(given)
+    assert is_record(type(record))
+    kept = arrays_in(tuple(vars(record).values()))
+    before = [a.copy() for a in kept]
+    assert kept and not any(a.flags.writeable for a in kept)
+    given *= 2.0
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(kept, before))

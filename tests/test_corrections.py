@@ -54,8 +54,9 @@ class TestPftPressure:
         assert pft_pressure(g, s2) == pytest.approx(0.5 * pft_pressure(g, s1),
                                                     rel=1e-15)
 
-    @pytest.mark.parametrize("gradient", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gradient", [math.nan, math.inf, -math.inf, "1e-3"])
     def test_non_finite_gradient_raises(self, gradient):
+        # a numeric string is refused, not parsed
         with pytest.raises(ValueError, match="force_gradient must be finite"):
             pft_pressure(gradient, SphereGeometry(R_SPHERE))
 

@@ -185,9 +185,11 @@ class TestPlatePressure:
 
     @pytest.mark.parametrize("alpha_g,lam", [
         (math.nan, 1e-7), (math.inf, 1e-7), (-math.inf, 1e-7),
-        (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1e-7)])
+        (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1e-7),
+        ("1e10", 1e-7), (1.0, "1e-7")])
     def test_non_finite_parameters_rejected(self, alpha_g, lam):
-        # before, alpha_g = nan gave a nan pressure and lam = inf gave -inf
+        # before, alpha_g = nan gave a nan pressure and lam = inf gave -inf;
+        # a numeric string is refused, not parsed
         with pytest.raises(ValueError, match="finite"):
             hf.YukawaParams(alpha_g, lam)
 
@@ -215,6 +217,11 @@ class TestStackValidation:
             hf.Layer(-1e3, 1e-7)
         with pytest.raises(ValueError):
             hf.Layer(1e3, 0.0)
+        # a numeric string is refused with the field's message
+        with pytest.raises(ValueError, match="^layer thickness must be positive$"):
+            hf.Layer(19e3, "1e-7")
+        with pytest.raises(ValueError, match="^layer density must be positive and finite$"):
+            hf.Layer("19e3", 1e-7)
         with pytest.raises(ValueError):
             hf.LayerStack(())
         with pytest.raises(ValueError):
@@ -337,6 +344,9 @@ class TestConstraintCurve:
             hf.constraint_curve(powerlaw_band, sphere, plate, [])
         with pytest.raises(ValueError):
             hf.constraint_curve(powerlaw_band, sphere, plate, [-1e-9])
+        # a repeated range is refused before the search runs
+        with pytest.raises(ValueError, match="distinct"):
+            hf.constraint_curve(powerlaw_band, sphere, plate, [1e-7, 2e-7, 1e-7])
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 hf.constraint_curve(powerlaw_band, sphere, plate, [1e-7, bad])

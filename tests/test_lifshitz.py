@@ -96,6 +96,32 @@ class TestThermalState:
         assert PLASMA.permittivity.label == EPS_PLASMA.label
 
 
+def closed_reflection_pair(key, k, xi, eps):
+    """(r_TM^2, r_TE^2) of an l >= 1 Matsubara term, written from the physics
+    and not from lifshitz: k the wave number along the plates in 1/m, xi
+    the imaginary frequency in rad/s, eps = eps(i xi)."""
+    c = C_LIGHT
+    if key in ("impedance", "exact"):
+        # Leontovich impedance Z = 1/sqrt(eps); the exact one carries the
+        # angle factor sqrt(1 - sin^2(theta0)/eps) with sin^2(theta0) =
+        # (c k)^2 / ((c k)^2 + xi^2), into Z_TM and out of Z_TE
+        z_tm = z_te = 1.0 / math.sqrt(eps)
+        if key == "exact":
+            angle = math.sqrt(1.0 - (c * k) ** 2 / ((c * k) ** 2 + xi ** 2) / eps)
+            z_tm, z_te = z_tm * angle, z_te / angle
+        cq = math.sqrt((c * k) ** 2 + xi ** 2)  # c times the vacuum q
+        r_tm = (cq - z_tm * xi) / (cq + z_tm * xi)
+        r_te = (z_te * cq - xi) / (z_te * cq + xi)
+    else:
+        # Fresnel coefficients of a half-space: q and k_eps the normal wave
+        # numbers in vacuum and in the metal
+        q = math.sqrt(k * k + (xi / c) ** 2)
+        k_eps = math.sqrt(k * k + eps * (xi / c) ** 2)
+        r_tm = (eps * q - k_eps) / (eps * q + k_eps)
+        r_te = (q - k_eps) / (q + k_eps)
+    return r_tm ** 2, r_te ** 2
+
+
 class TestReflectionRules:
     """The rows of lifshitz.MODELS, called as the engine calls them: te_zero
     is the l = 0 TE coefficient r_perp^2, a constant or a function of
@@ -138,6 +164,21 @@ class TestReflectionRules:
         assert exact.te_zero is imp.te_zero
         np.testing.assert_array_equal(exact.te_zero(k, W_P / C_LIGHT),
                                       imp.te_zero(k, W_P / C_LIGHT))
+
+    @pytest.mark.parametrize("key", ["impedance", "exact", "drude", "schwinger", "plasma"])
+    def test_thermal_forms_match_their_closed_expressions(self, key):
+        # each l >= 1 pair against its textbook form in physical variables
+        # (k = k_perp in 1/m, xi in rad/s), at the model's own eps(i xi) and at
+        # a small eps where the exact impedance's angle factor is large
+        own = EPS_PLASMA if key == "plasma" else EPS_DRUDE
+        for l in (1, 8, 60):
+            xi = matsubara_frequency(300.0, l)
+            for eps in (float(own(xi)), 3.0):
+                for k in (2e5, 4e6, 9e7):
+                    q = math.sqrt(k * k + (xi / C_LIGHT) ** 2)
+                    got = MODELS[key].thermal(q, xi / C_LIGHT, eps)
+                    expect = closed_reflection_pair(key, k, xi, eps)
+                    assert got == pytest.approx(expect, rel=1e-12, abs=0.0), (l, eps, k)
 
     def test_bounded_on_grid(self):
         xi = matsubara_frequency(300.0, 3)
@@ -311,6 +352,14 @@ class TestEngineConsistency:
 
 
 class TestEntropyProbe:
+    @pytest.mark.parametrize("temperatures", [[3.0, 10.0], [10.0, 10.0], [10.0, 0.0],
+                                              [math.inf, 3.0], [10.0, math.nan], ["10", "3"],
+                                              []])
+    def test_scan_must_descend_through_positive_temperatures(self, temperatures):
+        with pytest.raises(ValueError, match="^temperatures must be positive, finite "
+                                             "and strictly descending$"):
+            entropy_probe(DRUDE, 300e-9, temperatures)
+
     def test_drude_plateau_matches_asymptotic_series(self):
         # T -> 0 entropy defect of the dissipative metal:
         # S -> -(k_B zeta(3)/16 pi z^2) [1 - 4x + 12x^2 - 24x^3], x = c/(w_p z)

@@ -295,6 +295,11 @@ class TestEnsembleType:
         good = np.array([[200e-9, -1.0]])
         with pytest.raises(ValueError, match="z_range"):
             mt.MeasurementEnsemble((good,), z_range=(750e-9, 160e-9))
+        # numeric strings are refused with the ensemble's messages
+        with pytest.raises(ValueError, match="^z_range must be increasing"):
+            mt.MeasurementEnsemble((good,), z_range=("1e-7", "3e-7"))
+        with pytest.raises(ValueError, match="^set 1 must be a nonempty"):
+            mt.MeasurementEnsemble((good, good.astype(str)))
         with pytest.raises(ValueError, match="outside"):
             mt.MeasurementEnsemble((np.array([[900e-9, -1.0]]),))
         with pytest.raises(ValueError, match="nonempty"):
