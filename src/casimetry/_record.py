@@ -1,7 +1,7 @@
 """Record classes without ``dataclasses``, whose one ``exec`` per generated
 method made building the package's records most of the cost of importing
-it.  The methods here are closures over each class's fields; for the
-flags the package uses they behave as the stdlib's do.  Input must be numeric,
+it.  The methods here are closures over each class's fields, and they
+behave as those of the stdlib's frozen dataclass do.  Input must be numeric,
 a record keeps a checked, read-only copy of an array, and positive, finite
 input passes one guard that a NaN fails."""
 
@@ -13,10 +13,9 @@ _MISSING = object()
 
 
 class field(SimpleNamespace):  # noqa: N801  (as the dataclasses function)
-    """A field's default or default_factory, and whether __eq__ and
-    __repr__ read it."""
+    """A field's default, and whether __eq__ and __repr__ read it."""
 
-    default = default_factory = _MISSING
+    default = _MISSING
     compare = repr = True
 
 
@@ -27,9 +26,9 @@ def read_only(array):
 
 
 def numeric(value, message):
-    """`value` as an array; ValueError(message) unless its dtype is bool, int or float."""
+    """`value` as an array; ValueError(message) unless its dtype is int or float."""
     array = np.asarray(value)
-    if array.dtype.kind not in "biuf":
+    if array.dtype.kind not in "iuf":
         raise ValueError(message)
     return array
 
@@ -57,22 +56,19 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-def dataclass(cls=None, /, *, frozen=False, eq=True):
-    """Give cls an __init__ and __repr__ over its annotated fields, in
-    order, and the __eq__, __hash__ and frozen methods its flags ask for."""
-    if cls is None:
-        return lambda cls: dataclass(cls, frozen=frozen, eq=eq)
-    specs, defaults = {}, {}  # defaults: name -> a maker of the value
+def dataclass(cls):
+    """Make cls a frozen record: give it an __init__, __repr__, __eq__ and
+    __hash__ over its annotated fields, in order, and refuse assignment
+    and deletion of its attributes."""
+    specs, defaults = {}, {}
     for name in cls.__dict__.get("__annotations__", {}):
         spec = getattr(cls, name, _MISSING)
         spec = specs[name] = spec if isinstance(spec, field) else field(default=spec)
         if spec.default is not _MISSING:
             setattr(cls, name, spec.default)
-            defaults[name] = lambda value=spec.default: value
+            defaults[name] = spec.default
         elif name in cls.__dict__:
             delattr(cls, name)
-        if spec.default_factory is not _MISSING:
-            defaults[name] = spec.default_factory
     post_init = getattr(cls, "__post_init__", lambda self: None)
 
     def __init__(self, *args, **kwargs):
@@ -82,7 +78,7 @@ def dataclass(cls=None, /, *, frozen=False, eq=True):
                 or not given.keys() | defaults.keys() >= specs.keys()):
             raise TypeError(f"{cls.__qualname__}() takes each of its fields "
                             f"({', '.join(specs)}) once, unless it has a default")
-        self.__dict__.update({name: given[name] if name in given else defaults[name]()
+        self.__dict__.update({name: given[name] if name in given else defaults[name]
                               for name in specs})
         post_init(self)
 
@@ -101,12 +97,9 @@ def dataclass(cls=None, /, *, frozen=False, eq=True):
     def __hash__(self):
         return hash(values(self))
 
-    methods = {"__init__": __init__, "__repr__": __repr__}
-    if eq:  # the dataclasses rule: hashable if frozen, else unhashable
-        methods.update(__eq__=__eq__, __hash__=__hash__ if frozen else None)
-    if frozen:
-        methods.update(__setattr__=_frozen, __delattr__=_frozen)
-    for name, method in methods.items():
+    for name, method in {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__,
+                         "__hash__": __hash__, "__setattr__": _frozen,
+                         "__delattr__": _frozen}.items():
         if name not in cls.__dict__:
             setattr(cls, name, method)
     return cls

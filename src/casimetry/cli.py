@@ -34,13 +34,14 @@ import json
 import os
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 # before numpy loads: the engine's BLAS products are too small for a per-core pool
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from ._record import dataclass, field, kept
+from ._record import dataclass, kept
 from .constants import CONSTANTS_VERSION
 from .corrections import (
     RoughnessProfile,
@@ -85,19 +86,22 @@ ENV_PREFIX = "CASIMETRY_"
 class RunConfig:
     """Effective configuration of one run: its subcommand's section.
 
-    Only keys of ``KEYS[section]`` can be set, in any case, and values are
-    kept as the strings given; ``cfg[key]`` parses and checks one by its
-    row.  The hash covers the given strings alone, defaults left out.
+    Only keys of ``KEYS[section]`` can be given, in any case, and they are
+    kept lower-cased and read-only with the strings given; ``cfg[key]``
+    parses and checks one by its row.  The hash covers the given strings
+    alone, defaults left out.
     """
 
     section: str
-    values: dict = field(default_factory=dict)
+    values: dict
 
-    def set(self, key: str, value: str) -> None:
-        if key.lower() not in map(str.lower, KEYS[self.section]):
-            raise ValueError(f"unknown key {self.section}.{key.lower()}; "
-                             f"[{self.section}] takes {', '.join(KEYS[self.section])}")
-        self.values[key.lower()] = value
+    def __post_init__(self):
+        values = {key.lower(): value for key, value in self.values.items()}
+        for key in values:
+            if key not in map(str.lower, KEYS[self.section]):
+                raise ValueError(f"unknown key {self.section}.{key}; "
+                                 f"[{self.section}] takes {', '.join(KEYS[self.section])}")
+        object.__setattr__(self, "values", MappingProxyType(values))
 
     def __contains__(self, key: str) -> bool:
         return key.lower() in self.values
@@ -125,15 +129,15 @@ class RunConfig:
         return digest[:12]
 
 
-def load_run_config(path, section: str) -> RunConfig:
-    """Read one subcommand's section and fold in its environment overrides.
+def load_run_config(path, section: str, flags=None) -> RunConfig:
+    """Build one subcommand's configuration from its file section, then its
+    ``CASIMETRY_<SECTION>_<KEY>`` variables, then its `flags` (key: string).
 
-    No file means an empty configuration; every key then takes its
-    built-in default.  The file's other sections are checked only for
-    their names.  Environment variables named
-    ``CASIMETRY_<SECTION>_<KEY>`` replace the file value for that key.
+    Each replaces the one before.  No file means an empty section; every key
+    then takes its built-in default.  The file's other sections are checked
+    only for their names.
     """
-    cfg = RunConfig(section)
+    values = {}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None,
                                            inline_comment_prefixes=("#",),
@@ -147,13 +151,12 @@ def load_run_config(path, section: str) -> RunConfig:
             if name not in _COMMANDS:
                 raise ValueError(f"{path}: unknown section [{name}]")
         if parser.has_section(section):
-            for key, value in parser.items(section):
-                cfg.set(key, value.strip())
+            values.update((key, value.strip()) for key, value in parser.items(section))
     for name, value in os.environ.items():
         env_section, _, key = name[len(ENV_PREFIX):].partition("_")
         if name.startswith(ENV_PREFIX) and key and env_section.lower() == section:
-            cfg.set(key, value)
-    return cfg
+            values[key.lower()] = value
+    return RunConfig(section, {**values, **(flags or {})})
 
 
 def _list(text):
@@ -457,11 +460,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_run_config(args.config, args.command)
         # a flag sets the key of its name in the subcommand's section
-        for flag, value in vars(args).items():
-            if flag in KEYS[args.command] and value is not None:
-                cfg.set(flag, str(value))
+        cfg = load_run_config(args.config, args.command, {
+            flag: str(value) for flag, value in vars(args).items()
+            if flag in KEYS[args.command] and value is not None})
         args.out.mkdir(parents=True, exist_ok=True)
         args.func(cfg, args.out)
     except (ValueError, OSError, RuntimeError) as exc:

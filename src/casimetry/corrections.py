@@ -31,7 +31,7 @@ __all__ = [
 _GAUSSIAN_LEVELS, _GAUSSIAN_CLIP = 9, 3.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class SphereGeometry:
     """Sphere radius and its absolute uncertainty, both in meters."""
 
@@ -43,7 +43,7 @@ class SphereGeometry:
         positive(self.radius_error, "radius_error must be nonnegative and finite", zero_ok=True)
 
 
-@dataclass(frozen=True)
+@dataclass
 class RoughnessProfile:
     """Discrete height distribution of one surface, held read-only.
 

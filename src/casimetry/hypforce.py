@@ -52,7 +52,7 @@ PLATE_EXTENT = 3.5e-6
 RANGE_VALIDITY_FRACTION = 0.2
 
 
-@dataclass(frozen=True)
+@dataclass
 class YukawaParams:
     """Strength and range of the Yukawa correction."""
 
@@ -64,7 +64,7 @@ class YukawaParams:
         positive(self.lam, "interaction range must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Layer:
     density: float
     thickness: float
@@ -76,7 +76,7 @@ class Layer:
             raise ValueError(message)
 
 
-@dataclass(frozen=True)
+@dataclass
 class LayerStack:
     """Plane-layered body, ordered from the facing surface inward.
 
@@ -158,7 +158,7 @@ def yukawa_plate_pressure(stack_a: LayerStack, stack_b: LayerStack,
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConstraintCurve:
     """Strongest allowed strength versus interaction range.
 

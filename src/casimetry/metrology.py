@@ -123,7 +123,7 @@ def _combine(half_widths, rule="quantile"):
     return float(total) if total.ndim == 0 else total
 
 
-@dataclass(frozen=True)
+@dataclass
 class MeasurementEnsemble:
     """Repeated pressure scans over a common separation range.
 
@@ -196,7 +196,7 @@ class MeasurementEnsemble:
         return BinnedStatistics(z_m, p_m, var, n, dof)
 
 
-@dataclass(frozen=True)
+@dataclass
 class BinnedStatistics:
     """Per-bin summary of an ensemble.
 
@@ -234,7 +234,7 @@ def bin_ensemble(ensemble: MeasurementEnsemble) -> BinnedStatistics:
     return ensemble._binned
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConfidenceBand:
     """Half-width at `confidence` versus z of a random-error envelope or
     of the band for differences, held read-only; calling it interpolates."""
@@ -370,7 +370,7 @@ def confidence_band(theory_rel, expt_abs: ConfidenceBand, model_curve: PressureC
     return ConfidenceBand(grid, _combine([th, expt_abs.half_width], rule), confidence)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExclusionVerdict:
     """Outcome of comparing one model curve with an ensemble."""
 
@@ -382,12 +382,12 @@ class ExclusionVerdict:
     excluded_windows: tuple
     accepted: bool
     # the band and the (z, dP) rows behind the verdict, read-only; not serialized
-    band: ConfidenceBand = field(default=None, compare=False, repr=False)
-    differences: np.ndarray = field(default=None, compare=False, repr=False)
+    band: ConfidenceBand = field(compare=False, repr=False)
+    differences: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
-        if (d := self.differences) is not None:
-            object.__setattr__(self, "differences", kept(d, "differences must be finite"))
+        object.__setattr__(self, "differences",
+                           kept(self.differences, "differences must be finite"))
 
     def to_dict(self):
         return {

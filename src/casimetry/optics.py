@@ -35,7 +35,7 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class DrudeParameters:
     """Plasma frequency and relaxation frequency, both in rad/s.
 
@@ -50,7 +50,7 @@ class DrudeParameters:
         positive(self.gamma, "gamma must be non-negative and finite", zero_ok=True)
 
 
-@dataclass(frozen=True)
+@dataclass
 class OpticalDataset:
     """Tabulated complex refractive index versus angular frequency, held read-only.
 
@@ -361,14 +361,14 @@ def drude_permittivity(drude: DrudeParameters, xi):
     return float(out) if np.isscalar(xi) else out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass
 class PermittivityFn:
     """Evaluable eps(i xi).
 
     Every evaluation validates the output (real, >= 1).  The static term
     is set by the reflection model (lifshitz.MODELS), never by eps, which
-    is not evaluated at xi = 0.  Instances are immutable and hash by
-    identity, so models built on them can be keys.
+    is not evaluated at xi = 0.  Instances are immutable and compare by
+    (fn, label); each one the package makes has its own fn, so equals only itself.
     """
 
     fn: Callable

@@ -14,7 +14,8 @@ only a record's own methods write its fields: no code calls
 ``object.__setattr__`` on anything but ``self``.  Every array a record
 keeps, and every array a query reads, is held to one table: a numeric
 string is refused, so are NaN and +-inf where the values are documented
-finite, and what a record keeps is read-only and its own.
+finite, and what a record keeps is read-only and its own.  A bool, scalar
+or array, is refused where a number belongs.
 """
 
 import ast
@@ -395,6 +396,24 @@ def test_numeric_string_refused(name, field, call, good, finite):
     call(good.copy())
     with pytest.raises(ValueError):
         call(good.astype(str))
+
+
+# (record, its numeric argument, a call with `a` in that argument's place, a
+# valid `a`, the flag that was once built as 1 in its place)
+BOOL_INPUTS = [
+    ("ThermalState", "temperature", lifshitz.ThermalState, 1.0, True),
+    ("SphereGeometry", "radius", corrections.SphereGeometry, 1.0, True),
+    ("YukawaParams", "alpha_g", lambda a: hypforce.YukawaParams(a, 1e-7), 1.0, True),
+    ("ConfidenceBand", "half_width", lambda a: metrology.ConfidenceBand(Z, a, 0.95),
+     np.ones(4), np.ones(4, dtype=bool)),
+]
+
+
+@pytest.mark.parametrize("name, field, call, good, flag", by_name(BOOL_INPUTS))
+def test_bool_refused_where_a_number_belongs(name, field, call, good, flag):
+    call(good)
+    with pytest.raises(ValueError):
+        call(flag)
 
 
 @pytest.mark.parametrize("name, field, call, good, finite",

@@ -105,23 +105,20 @@ class TestRunConfig:
             load_run_config(ini, "kk")
 
     def test_missing_required_key(self):
-        cfg = RunConfig("kk")
+        cfg = RunConfig("kk", {})
         with pytest.raises(ValueError, match="kk.optical_table"):
             cfg["optical_table"]
 
     def test_bad_number(self):
-        cfg = RunConfig("pressure")
-        cfg.set("z_min_m", "tiny")
+        cfg = RunConfig("pressure", {"z_min_m": "tiny", "z_points": "3.5"})
         with pytest.raises(ValueError, match="pressure.z_min_m: not a number"):
             cfg["z_min_m"]
-        cfg.set("z_points", "3.5")
         with pytest.raises(ValueError,
                            match="pressure.z_points: not an integer"):
             cfg["z_points"]
 
     def test_missing_path(self):
-        cfg = RunConfig("kk")
-        cfg.set("optical_table", "/no/such/file.dat")
+        cfg = RunConfig("kk", {"optical_table": "/no/such/file.dat"})
         with pytest.raises(ValueError, match="no such file"):
             cfg["optical_table"]
 
@@ -134,11 +131,14 @@ class TestRunConfig:
                 == load_run_config(b, "kk").hash())
 
     def test_hash_tracks_values(self):
-        cfg = RunConfig("kk")
-        cfg.set("l_max", "7")
-        h1 = cfg.hash()
-        cfg.set("l_max", "8")
-        assert cfg.hash() != h1
+        assert RunConfig("kk", {"l_max": "7"}).hash() != RunConfig("kk", {"l_max": "8"}).hash()
+
+    def test_flags_override_environment_and_file(self, tmp_path, monkeypatch):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[exclusion]\nseed = 1\nconfidence = 0.99\nn_sets = 4\n")
+        monkeypatch.setenv("CASIMETRY_EXCLUSION_SEED", "2")
+        cfg = load_run_config(ini, "exclusion", {"seed": "3"})
+        assert cfg.values == {"seed": "3", "confidence": "0.99", "n_sets": "4"}
 
     def test_single_section_hash_is_frozen(self, tmp_path):
         # sorted `section.key = value` lines of the run's section alone:
@@ -148,7 +148,7 @@ class TestRunConfig:
         ini.write_text("[kk]\nl_max = 7\ntemperature_K = 300\n"
                        "[pressure]\nz_points = 3\n")
         assert load_run_config(ini, "kk").hash() == "f834de79e18e"
-        assert RunConfig("kk").hash() == "e3b0c44298fc"
+        assert RunConfig("kk", {}).hash() == "e3b0c44298fc"
 
 
 class TestDeclaredKeys:
@@ -176,7 +176,7 @@ class TestDeclaredKeys:
     def test_flag_key_goes_through_the_table(self):
         with pytest.raises(ValueError,
                            match=re.escape("unknown key kk.seed; [kk] takes")):
-            RunConfig("kk").set("seed", "3")
+            load_run_config(None, "kk", {"seed": "3"})
 
     def test_mixed_case_keys_read_in_their_declared_spelling(self, tmp_path,
                                                              monkeypatch):

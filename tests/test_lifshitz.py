@@ -351,7 +351,59 @@ class TestEngineConsistency:
             casimir_pressure(IMP, 0.0, ST300)
 
 
+class TestDimensionalScaling:
+    """Every length scales by s and every frequency and temperature by 1/s:
+    the Matsubara sum keeps its terms, the pressure scales by s^-4 and the
+    free energy by s^-3, for every model."""
+
+    Z = np.array([160e-9, 300e-9, 750e-9])
+
+    @staticmethod
+    def model(key, s):
+        eps = PermittivityFn.from_drude(DrudeParameters(W_P / s, GAMMA / s))
+        return ReflectionModel(key, eps, W_P / s)
+
+    @pytest.mark.parametrize("key", MODELS)
+    def test_pressure_and_free_energy_scale(self, key):
+        base = self.model(key, 1.0)
+        p0 = casimir_pressure(base, self.Z, ST300)
+        f0 = casimir_free_energy(base, self.Z, ST300)
+        for s in (2.0, 3.0, 0.37):
+            model, state = self.model(key, s), ThermalState(300.0 / s)
+            p = casimir_pressure(model, s * self.Z, state) * s ** 4
+            f = casimir_free_energy(model, s * self.Z, state) * s ** 3
+            np.testing.assert_allclose(p, p0, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(f, f0, rtol=1e-13, atol=0.0)
+
+
+# S(3 K)/S(300 K) at 300 nm, bounds by class, and the sign of S(300 K)
+NERNST_CLASSES = {
+    "vanishes": (0.0, 1e-3),  # Nernst holds: measured 1.07e-4
+    "rises": (2.0, math.inf),  # measured x6.8 (impedance, exact) and x2.4 (schwinger)
+    "shrinks": (0.0, 0.5),  # measured x0.36
+    "plateau": (0.8, 1.2),  # measured x1.06 (drude) and x0.86 (schwinger)
+}
+# (model, gamma of its Drude eps, class, sign): the CLI's relaxing eps and
+# its gamma -> 0 limit; plasma builds its own gamma = 0 eps either way
+NERNST_TABLE = [
+    ("impedance", GAMMA, "rises", 1), ("impedance", 0.0, "vanishes", 1),
+    ("exact", GAMMA, "rises", 1), ("exact", 0.0, "vanishes", 1),
+    ("drude", GAMMA, "shrinks", -1), ("drude", 0.0, "plateau", -1),
+    ("schwinger", GAMMA, "rises", 1), ("schwinger", 0.0, "plateau", 1),
+    ("plasma", GAMMA, "vanishes", 1), ("plasma", 0.0, "vanishes", 1),
+]
+
+
 class TestEntropyProbe:
+    @pytest.mark.parametrize("key, gamma, behaviour, sign", NERNST_TABLE,
+                             ids=[f"{k}-gamma{g:g}" for k, g, *_ in NERNST_TABLE])
+    def test_cooling_behaviour_of_each_shipped_pair(self, key, gamma, behaviour, sign):
+        eps = PermittivityFn.from_drude(DrudeParameters(W_P, gamma))
+        s = dict(entropy_probe(ReflectionModel(key, eps, W_P), 300e-9, [300.0, 3.0]))
+        lo, hi = NERNST_CLASSES[behaviour]
+        assert np.sign(s[300.0]) == sign
+        assert lo < s[3.0] / s[300.0] < hi
+
     @pytest.mark.parametrize("temperatures", [[3.0, 10.0], [10.0, 10.0], [10.0, 0.0],
                                               [math.inf, 3.0], [10.0, math.nan], ["10", "3"],
                                               []])

@@ -1,15 +1,17 @@
 """The package's record classes against their stdlib dataclasses twins.
 
 ``casimetry._record`` builds the record classes without ``dataclasses``.
-Each class here is rebuilt from its own source under the stdlib
-``dataclass`` and ``field``: that twin is the reference implementation.
-Real class and twin are held to the same repr text, equality, hashing,
-frozen fields, argument errors and defaults.  The module's input guard,
-``positive``, is checked here too.
+Each class here is rebuilt from its own source under the stdlib's frozen
+``dataclass`` and its ``field``: that twin is the reference implementation,
+and the frozen dataclass is the one kind of record.  Real class and twin
+are held to the same repr text, equality, hashing, frozen fields, argument
+errors and defaults.  The module's input guard, ``positive``, is checked
+here too.
 """
 
 import __future__
 import dataclasses
+import functools
 import inspect
 import math
 import sys
@@ -21,7 +23,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from casimetry import cli, corrections, hypforce, lifshitz, metrology, optics
+from casimetry import _record, cli, corrections, hypforce, lifshitz, metrology, optics
 from casimetry._record import positive
 
 
@@ -32,11 +34,11 @@ def is_record(cls):
 
 
 def stdlib_twin(cls):
-    """cls rebuilt from its source by dataclasses.dataclass and field, in
-    a copy of its module's namespace."""
+    """cls rebuilt from its source by a frozen dataclasses.dataclass and
+    field, in a copy of its module's namespace."""
     module = sys.modules[cls.__module__]
-    namespace = dict(vars(module), dataclass=dataclasses.dataclass,
-                     field=dataclasses.field)
+    namespace = dict(vars(module), field=dataclasses.field,
+                     dataclass=functools.partial(dataclasses.dataclass, frozen=True))
     code = compile(textwrap.dedent(inspect.getsource(cls)), module.__file__,
                    "exec", flags=__future__.annotations.compiler_flag,
                    dont_inherit=True)
@@ -72,14 +74,16 @@ CASES = {
     metrology.BinnedStatistics: ((Z, P, Z, Z, Z), (Z, P, P, Z, Z)),
     metrology.ConfidenceBand: ((Z, Z, 0.95), (Z, Z, 0.99)),
     # b differs from a only in the fields that __eq__ leaves out
-    metrology.ExclusionVerdict: (("drude", 0.95, 9, 1, 0.1, ((2e-7, 3e-7),), False),
+    metrology.ExclusionVerdict: (("drude", 0.95, 9, 1, 0.1, ((2e-7, 3e-7),), False,
+                                  BAND, SET),
                                  ("drude", 0.95, 9, 1, 0.1, ((2e-7, 3e-7),), False,
-                                  BAND, SET)),
+                                  metrology.ConfidenceBand(Z, np.full(4, 2e-4), 0.95),
+                                  2 * SET)),
     corrections.SphereGeometry: ((1.5e-4,), (1.5e-4, 2e-7)),
     corrections.RoughnessProfile: (([0.0], [1.0]), ([-1e-9, 1e-9], [0.5, 0.5])),
-    cli.RunConfig: (("kk",), ("kk", {"l_max": "3"})),
+    cli.RunConfig: (("kk", {}), ("kk", {"l_max": "3"})),
 }
-# the records whose hash would read an array, and the one that is not frozen
+# the records whose hash would read an array or a mapping
 UNHASHABLE = (optics.OpticalDataset, lifshitz.PressureCurve, metrology.BinnedStatistics,
               metrology.ConfidenceBand, metrology.MeasurementEnsemble,
               corrections.RoughnessProfile, hypforce.ConstraintCurve, cli.RunConfig)
@@ -141,6 +145,13 @@ def test_every_record_class_has_a_case():
     assert not any(hasattr(cls, "__dataclass_fields__") for cls in records)
 
 
+def test_records_take_no_flags():
+    # one kind of record: frozen, and compared and hashed by its fields
+    assert list(inspect.signature(_record.dataclass).parameters) == ["cls"]
+    assert {name for name in vars(_record.field) if not name.startswith("_")} == {
+        "default", "compare", "repr"}
+
+
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
 class TestAgainstStdlib:
 
@@ -156,22 +167,19 @@ class TestAgainstStdlib:
         assert (ra == ta) is False and (ra != ta) is True
 
     def test_hash(self, cls):
-        eq = stdlib_twin(cls).__dataclass_params__.eq
         for real, twin in pairs(cls):
             hashes = outcome(lambda: hash(real)), outcome(lambda: hash(twin))
             assert [isinstance(h, int) for h in hashes] == [cls not in UNHASHABLE] * 2
-            if eq and cls not in UNHASHABLE:
+            if cls not in UNHASHABLE:
                 assert hashes[0] == hashes[1]
 
     def test_frozen(self, cls):
         twin = stdlib_twin(cls)
         a = CASES[cls][0]
-        frozen = twin.__dataclass_params__.frozen
         for f in dataclasses.fields(twin):
             for make in (cls, twin):
-                assert raises(AttributeError,
-                              lambda: setattr(make(*a), f.name, None)) == frozen
-                assert raises(AttributeError, lambda: delattr(make(*a), f.name)) == frozen
+                assert raises(AttributeError, lambda: setattr(make(*a), f.name, None))
+                assert raises(AttributeError, lambda: delattr(make(*a), f.name))
         real = cls(*a)
         object.__setattr__(real, "marker", 1)
         assert real.marker == 1
@@ -203,10 +211,13 @@ class TestAgainstStdlib:
                     == repr(getattr(twin, f.name, "absent")))
 
 
-def test_run_config_values_are_fresh_per_instance():
-    one, two = cli.RunConfig("kk"), cli.RunConfig("kk")
-    one.set("l_max", "3")
-    assert two.values == {} and one.values is not two.values
+def test_run_config_keeps_its_own_read_only_values():
+    given = {"L_MAX": "3"}
+    cfg = cli.RunConfig("kk", given)
+    given["l_max"] = "4"
+    assert cfg.values == {"l_max": "3"} and "L_max" in cfg
+    with pytest.raises(TypeError):
+        cfg.values["l_max"] = "4"
 
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
