@@ -56,7 +56,7 @@ from .hypforce import (
     load_layer_stack,
     save_constraint_csv,
 )
-from .io import read_csv, write_csv
+from .io import format_column, read_csv, write_csv
 from .lifshitz import (
     ReflectionModel,
     ThermalState,
@@ -235,10 +235,9 @@ def _stamped(cfg: RunConfig, *comments) -> tuple:
             f"constants_version: {CONSTANTS_VERSION}", *comments)
 
 
-def _write_csv(path: Path, cfg: RunConfig, columns, data, comments=()) -> list:
-    texts = write_csv(path, columns, data, _stamped(cfg, *comments))
+def _write_csv(path: Path, cfg: RunConfig, columns, data, comments=()) -> None:
+    write_csv(path, columns, data, _stamped(cfg, *comments))
     print(f"wrote {path}")
-    return texts
 
 
 def _write_json(path: Path, cfg: RunConfig, payload: dict):
@@ -345,15 +344,16 @@ def cmd_exclusion(cfg: RunConfig, out: Path) -> None:
 
     # shared columns are formatted once: every differences file has the
     # ensemble's z, and every band lives on the one envelope grid
-    _, z_text, _ = save_ensemble_csv(ensemble, out / "ensemble.csv", _stamped(
+    z_text = save_ensemble_csv(ensemble, out / "ensemble.csv", _stamped(
         cfg, f"generator = {generator}", f"seed = {seed}"))
     print(f"wrote {out / 'ensemble.csv'}")
-    grid = next(iter(verdicts.values())).band.z
+    first = next(iter(verdicts))
+    grid = format_column(out / f"band_{first}.csv", verdicts[first].band.z)
     for tag, verdict in verdicts.items():
         band = verdict.band
-        grid = _write_csv(out / f"band_{tag}.csv", cfg, ("z_m", "half_width_Pa"),
-                          (grid, band.half_width),
-                          comments=(f"confidence = {band.confidence}",))[0]
+        _write_csv(out / f"band_{tag}.csv", cfg, ("z_m", "half_width_Pa"),
+                   (grid, band.half_width),
+                   comments=(f"confidence = {band.confidence}",))
         _write_csv(out / f"differences_{tag}.csv", cfg,
                    ("z_m", "difference_Pa"), (z_text, verdict.differences[:, 1]),
                    comments=(f"model = {tag}",))

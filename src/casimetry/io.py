@@ -11,43 +11,51 @@ import math
 
 import numpy as np
 
-__all__ = ["FLOAT_FORMAT", "write_csv", "read_csv", "read_table"]
+__all__ = ["FLOAT_FORMAT", "format_column", "write_csv", "read_csv", "read_table"]
 
 FLOAT_FORMAT = ".10e"
 _FLOAT = "{:" + FLOAT_FORMAT + "}"
+_CHUNK_ROWS = 1024  # rows formatted and written per step
 
 
-def write_csv(path, columns, data, comments=()) -> list:
+def write_csv(path, columns, data, comments=()) -> None:
     """Write the comments, the header and one line per row to `path`.
 
     `data` holds one column per header name: integers are written plainly,
-    other numbers as floats, and a list of str as given.  Returns the
-    columns' text, for files that share a column.  A comment with a line
-    break, a float with no finite ``.10e`` form, or columns that do not
-    fit the header raise ValueError before the file is opened."""
+    other numbers as floats, and a list of str as given (from `format_column`,
+    for a column that files share).  A comment with a line break, a float
+    with no finite ``.10e`` form, or columns that do not fit the header raise
+    ValueError before the file is opened; rows then go out in chunks."""
     if any("\n" in c or "\r" in c for c in comments):
         raise ValueError(f"{path}: a comment must be a single line")
-    texts = [c if isinstance(c, list) and c and isinstance(c[0], str)
-             else _column_text(path, np.asarray(c)) for c in data]
-    if len(texts) != len(columns) or len(set(map(len, texts))) > 1:
+    data = [c if isinstance(c, list) and c and isinstance(c[0], str)
+            else _checked(path, c) for c in data]
+    if len(data) != len(columns) or len(set(map(len, data))) > 1:
         raise ValueError(f"{path}: expected {len(columns)} columns of one length")
-    lines = [f"# {c}" for c in comments] + [",".join(columns)]
-    lines.extend(map(",".join, zip(*texts)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return texts
+        fh.write("".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n")
+        for lo in range(0, len(data[0]) if data else 0, _CHUNK_ROWS):
+            fh.write("\n".join(map(",".join, zip(*[
+                c[lo:lo + _CHUNK_ROWS] if isinstance(c, list)
+                else format_column(path, c[lo:lo + _CHUNK_ROWS]) for c in data]))) + "\n")
 
 
-def _column_text(path, values):
-    if values.dtype.kind in "iu":
-        return list(map(str, values.tolist()))
-    floats = values.tolist()
-    texts = list(map(_FLOAT.format, floats))
+def format_column(path, values) -> list:
+    """The text of one column as write_csv writes it; a float with no
+    finite ``.10e`` form raises ValueError naming `path`."""
+    values = _checked(path, values)
+    return list(map(str if values.dtype.kind in "iu" else _FLOAT.format, values.tolist()))
+
+
+def _checked(path, values):
+    values = np.asarray(values)
     # NaN, inf, and the finite values whose text form may round up to inf
-    for i in np.flatnonzero(~(np.abs(values) < 1e308)).tolist():
-        if not math.isfinite(float(texts[i])):
-            raise ValueError(f"{path}: {floats[i]!r} has no finite {FLOAT_FORMAT} form")
-    return texts
+    if (values.dtype.kind not in "iu" and values.size
+            and not -1e308 < values.min() <= values.max() < 1e308):
+        for value in values[~(np.abs(values) < 1e308)].tolist():
+            if not math.isfinite(float(_FLOAT.format(value))):
+                raise ValueError(f"{path}: {value!r} has no finite {FLOAT_FORMAT} form")
+    return values
 
 
 def read_csv(path, columns, integer_columns=()):

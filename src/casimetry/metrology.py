@@ -21,7 +21,7 @@ from ._record import dataclass, field, kept, numeric, positive, read_only
 import numpy as np
 
 from .corrections import SphereGeometry
-from .io import read_csv, write_csv
+from .io import format_column, read_csv, write_csv
 
 __all__ = [
     "MeasurementEnsemble",
@@ -551,10 +551,13 @@ def generate_synthetic_ensemble(*, curve: PressureCurve = None,
 
 
 def save_ensemble_csv(ensemble: MeasurementEnsemble, path, comments=()) -> list:
-    """As write_csv, rows set_index,z_m,pressure_Pa after a ``# z_range_m`` comment."""
+    """As write_csv, rows set_index,z_m,pressure_Pa after a ``# z_range_m``
+    comment; returns the z column's text, for files that share it."""
     index = np.repeat(np.arange(len(ensemble.sets)), [len(s) for s in ensemble.sets])
-    return write_csv(path, _ENSEMBLE_COLUMNS, (index, *ensemble.all_points()),
-                     (*comments, "z_range_m = " + ", ".join(map(repr, ensemble.z_range))))
+    z_text = format_column(path, ensemble.all_points()[0])
+    write_csv(path, _ENSEMBLE_COLUMNS, (index, z_text, ensemble.all_points()[1]),
+              (*comments, "z_range_m = " + ", ".join(map(repr, ensemble.z_range))))
+    return z_text
 
 
 def load_ensemble_csv(path) -> MeasurementEnsemble:

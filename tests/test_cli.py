@@ -23,8 +23,8 @@ import pytest
 from casimetry import cli
 from casimetry.cli import KEYS, RunConfig, _load_band_csv, load_run_config, main
 from casimetry.hypforce import load_constraint_csv
-from casimetry.lifshitz import (ReflectionModel, ThermalState, compute_pressure_curve,
-                                matsubara_frequency)
+from casimetry.lifshitz import (MODELS, ReflectionModel, ThermalState,
+                                compute_pressure_curve, matsubara_frequency)
 from casimetry.metrology import (DEFAULT_Z_RANGE, load_ensemble_csv,
                                  run_exclusion_analysis, theory_error_curve)
 from casimetry.optics import DrudeParameters, PermittivityFn, drude_permittivity
@@ -1003,11 +1003,30 @@ class TestImports:
                              tmp_path, OPENBLAS_NUM_THREADS="2")
         assert value == "2"
 
-    def test_cli_import_builds_no_quadrature_rule(self, tmp_path):
-        # the engine's Gauss-Kronrod rule is built on first use
-        size = run_fresh("import casimetry.cli\nfrom casimetry import lifshitz\n"
-                         "print(lifshitz._kronrod.cache_info().currsize)", tmp_path)
-        assert size == 0
+    def test_engine_curves_call_no_eigensolver(self, tmp_path):
+        # the engine's Gauss-Kronrod rule is a table, so a curve of every
+        # registry row on the exclusion job's grid needs no LAPACK call
+        done = run_fresh(textwrap.dedent("""
+            import numpy as np
+
+            def refused(*args, **kwargs):
+                raise AssertionError("numpy.linalg eigensolver called")
+
+            np.linalg.eigh = np.linalg.eigvalsh = refused
+            from casimetry.cli import KEYS
+            from casimetry.lifshitz import (MODELS, ReflectionModel, ThermalState,
+                                            compute_pressure_curve)
+            from casimetry.optics import DrudeParameters, PermittivityFn
+            cfg = {key: row[2] for key, row in KEYS["exclusion"].items()}
+            drude = DrudeParameters(cfg["plasma_frequency_rad_s"], cfg["relaxation_rad_s"])
+            eps = PermittivityFn.from_drude(drude)
+            grid = np.geomspace(0.92 * cfg["z_min_m"], 1.02 * cfg["z_max_m"], 80)
+            for key in MODELS:
+                compute_pressure_curve(ReflectionModel(key, eps, drude.omega_p), grid,
+                                       ThermalState(cfg["temperature_K"]))
+            print(json.dumps(list(MODELS)))
+            """), tmp_path)
+        assert done == list(MODELS)
 
     def test_library_imports_leave_blas_alone(self, tmp_path):
         value, _ = run_fresh("import casimetry.lifshitz, casimetry.metrology, "

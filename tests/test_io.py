@@ -9,6 +9,7 @@ file a writer produces is one the reader accepts.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from casimetry import hypforce as hf
 from casimetry import metrology as mt
-from casimetry.io import read_csv, read_table, write_csv
+from casimetry.io import format_column, read_csv, read_table, write_csv
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -119,13 +120,38 @@ def test_integer_columns_read_exactly(path):
     assert data.tolist() == [[0.0, 1.5], [12.0, -2.0]]
 
 
-def test_returned_text_writes_the_same_bytes(tmp_path):
-    z = np.linspace(160e-9, 750e-9, 7)
-    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    texts = write_csv(first, ("i", "z_m"), (np.arange(7), z), ["note"])
-    assert texts == [[str(i) for i in range(7)], [format(v, ".10e") for v in z]]
-    assert write_csv(second, ("i", "z_m"), texts, ["note"]) == texts
-    assert second.read_bytes() == first.read_bytes()
+def test_shared_column_text_writes_the_same_bytes(tmp_path):
+    # one column formatted once stands for its values in several files;
+    # 2,500 rows span three write chunks
+    z = np.linspace(160e-9, 750e-9, 2500)
+    i, p = np.arange(2500), -1e-3 / np.arange(1, 2501)
+    z_text = format_column(tmp_path / "a.csv", z)
+    assert z_text == [format(v, ".10e") for v in z]
+    assert format_column(tmp_path / "a.csv", i) == [str(k) for k in range(2500)]
+    for data, name in (((i, z, p), "a.csv"), ((i, z_text, p), "b.csv"),
+                       ((format_column(tmp_path, i), z_text, format_column(tmp_path, p)),
+                        "c.csv")):
+        assert write_csv(tmp_path / name, ("i", "z_m", "p"), data, ["note"]) is None
+    want = (tmp_path / "a.csv").read_bytes()
+    assert want.count(b"\n") == 2502 and want.endswith(b"\n")
+    assert (tmp_path / "b.csv").read_bytes() == want
+    assert (tmp_path / "c.csv").read_bytes() == want
+
+
+def test_write_memory_does_not_grow_with_the_row_count(tmp_path):
+    # rows are formatted and written in chunks, never as one whole-file text;
+    # the input arrays exist before tracing starts, so the peak leaves them out
+    def peak(n):
+        z, p = np.linspace(160e-9, 750e-9, n), np.linspace(-1e-3, -1e-6, n)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "big.csv", ("z_m", "pressure_Pa"), (z, p), ["note"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    assert peak(16_000) <= 1.25 * peak(1_000)
 
 
 @pytest.mark.parametrize("data", [([1.0, 2.0],), ([1.0, 2.0], [3.0]),

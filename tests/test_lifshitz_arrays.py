@@ -300,22 +300,59 @@ class TestFixedPanelRule:
         np.testing.assert_array_equal(diag.escalated_rows, small)
 
 
+def laurie_kronrod():
+    """Nodes (25,) and weights (25, 2) of the K25 Gauss-Kronrod rule on
+    [-1, 1] and of G12 on its odd-indexed nodes, by Laurie's algorithm
+    (Math. Comp. 66, 1133 (1997)) on the Legendre recurrence a_k = 0,
+    b_k = k^2/(4k^2 - 1), then Golub-Welsch on the Jacobi-Kronrod matrix:
+    the construction the engine ran before its table."""
+    n = 12
+    k = np.arange(1.0, 3 * n // 2 + 1)
+    b = np.r_[2.0, k * k / (4.0 * k * k - 1.0), np.zeros(n - n // 2)]
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    # eigh reads the lower triangle only; the rule is then made exactly
+    # symmetric about 0
+    (x, v), (_, vn) = (np.linalg.eigh(np.diag(np.sqrt(c[1:]), -1)) for c in (b, b[:n]))
+    w = np.zeros((2 * n + 1, 2))
+    w[:, 0], w[1::2, 1] = b[0] * v[0] ** 2, b[0] * vn[0] ** 2
+    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
+
+
 class TestGaussKronrodRule:
+    def test_table_is_laurie_construction_bit_for_bit(self):
+        x, w = lifshitz._KRONROD
+        want_x, want_w = laurie_kronrod()
+        assert x.dtype == w.dtype == np.float64
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+
     def test_k25_is_exact_to_degree_37(self):
-        x, w = lifshitz._kronrod()
+        x, w = lifshitz._KRONROD
         for k in range(38):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert abs(w[:, 0] @ x ** k - exact) <= 2e-15, k
 
     def test_g12_is_gauss_legendre_on_the_odd_nodes(self):
-        x, w = lifshitz._kronrod()
+        x, w = lifshitz._KRONROD
         nodes, weights = np.polynomial.legendre.leggauss(12)
         np.testing.assert_allclose(x[1::2], nodes, rtol=0, atol=1e-15)
         np.testing.assert_allclose(w[1::2, 1], weights, rtol=0, atol=1e-15)
         assert np.all(w[::2, 1] == 0.0)
 
     def test_weights_positive_and_symmetric(self):
-        x, w = lifshitz._kronrod()
+        x, w = lifshitz._KRONROD
         assert x.shape == (25,) and w.shape == (25, 2)
         assert np.all(np.diff(x) > 0) and np.all(w[:, 0] > 0)
         np.testing.assert_array_equal(x, -x[::-1])
